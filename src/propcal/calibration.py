@@ -132,9 +132,14 @@ def apply_correction(model: PathLossModel, cf_db: float) -> PathLossModel:
     return model.corrected(cf_db)
 
 
-def _metrics(measured: Sequence[float], predicted: Sequence[float]) -> ModelMetrics:
-    error = mse(measured, predicted)
-    return ModelMetrics(error, math.sqrt(error), pearson_r(measured, predicted), len(measured))
+def _finite_series(name: str, values: Sequence[float]) -> list[float]:
+    """The series as floats; a NaN or infinity is a DataError naming its place."""
+    series = [float(v) for v in values]
+    if not math.isfinite(sum(series)):
+        for i, v in enumerate(series, start=1):
+            if not math.isfinite(v):
+                raise DataError(f"{name} series, value {i}: not a finite number ({v!r})")
+    return series
 
 
 def calibrate(
@@ -151,12 +156,21 @@ def calibrate(
     """
     if not predictions:
         raise DataError("calibrate needs at least one prediction series")
+    measured = _finite_series("measured", measured)
     models: dict[str, ModelCalibration] = {}
     notes: list[str] = []
     for model_id, predicted in predictions.items():
+        predicted = _finite_series(f"predicted {model_id!r}", predicted)
         cf = correction_factor(measured, predicted)
-        corrected = [p + cf for p in predicted]
-        calib = ModelCalibration(cf, _metrics(measured, predicted), _metrics(measured, corrected))
+        error = mse(measured, predicted)
+        # r is invariant under the constant shift, so one pass serves both
+        r = pearson_r(measured, predicted)
+        error_after = mse(measured, [p + cf for p in predicted])
+        calib = ModelCalibration(
+            cf,
+            ModelMetrics(error, math.sqrt(error), r, len(measured)),
+            ModelMetrics(error_after, math.sqrt(error_after), r, len(measured)),
+        )
         models[model_id] = calib
         if acceptable_mse_db2 is not None and calib.after.mse_db2 > acceptable_mse_db2:
             notes.append(
@@ -298,7 +312,7 @@ def infer_site_parameters(
         evaluated += 1
         try:
             model = model_from_params(model_id, params)
-            fit = mse(path_loss_db, [model.path_loss_db(d) for d in distances])
+            fit = mse(path_loss_db, model.path_loss_series(distances))
         except DomainError:
             continue
         if fit < best_mse:

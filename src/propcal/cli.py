@@ -23,12 +23,14 @@ from typing import Mapping, Sequence
 from .calibration import (
     CalibrationReport,
     calibrate,
+    correction_factor,
     cost231_tx_height_from_slope,
     infer_site_parameters,
     published_divergence_notes,
 )
 from .dataset import (
     DriveTestTable,
+    _format_value,
     emit_plot_series,
     parse_drive_test_csv,
     reference_dataset,
@@ -49,6 +51,9 @@ EMBEDDED_DATA = "embedded:reference"
 REFERENCE_SITE_ALIAS = "table3"
 
 _ENV_CHOICES = {"medium": "medium_suburban", "metro": "metropolitan"}
+
+# Most points a START:STOP:STEP range (--distances, --grid) may expand to.
+MAX_RANGE_POINTS = 1_000_000
 
 
 class UsageError(PropcalError):
@@ -81,12 +86,19 @@ def _nonnegative_float(text: str) -> float:
 
 
 def _frange(start: float, stop: float, step: float) -> list[float]:
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise argparse.ArgumentTypeError("range bounds must be finite")
     if step <= 0.0:
         raise argparse.ArgumentTypeError(f"step must be positive, got {step:g}")
     if stop < start:
         raise argparse.ArgumentTypeError(f"stop {stop:g} is before start {start:g}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range {start:g}:{stop:g}:{step:g} expands to {steps + 1:.4g} points, "
+            f"more than the {MAX_RANGE_POINTS} allowed"
+        )
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def _parse_distances(text: str) -> list[float]:
@@ -226,7 +238,7 @@ def _load_site(args: argparse.Namespace) -> SiteConfig:
 def _load_table(data: str) -> DriveTestTable:
     if data == EMBEDDED_DATA:
         return reference_dataset()
-    return parse_drive_test_csv(Path(data).read_text(encoding="utf-8"))
+    return parse_drive_test_csv(Path(data).read_text(encoding="utf-8-sig"))
 
 
 def _selected_models(args: argparse.Namespace) -> tuple[str, ...]:
@@ -255,10 +267,6 @@ def _bound_models(args: argparse.Namespace, site: SiteConfig, model_ids: Sequenc
         )
         for mid in model_ids
     }
-
-
-def _format_number(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
 def _report_output(report: CalibrationReport, fmt: str) -> str:
@@ -290,13 +298,13 @@ def _cmd_predict(args: argparse.Namespace) -> str:
     distances = args.distances if args.distances is not None else [args.distance_m]
     model_ids = MODEL_IDS if args.all else (args.model,)
     models = _bound_models(args, site, model_ids)
-    columns = {mid: [models[mid].path_loss_db(d) for d in distances] for mid in model_ids}
+    columns = {mid: models[mid].path_loss_series(distances) for mid in model_ids}
     if args.format == "json":
         payload = {"distances_m": distances, "path_loss_db": columns}
         return json.dumps(payload, indent=2) + "\n"
     lines = [",".join(["distance_m"] + [f"pl_{mid}" for mid in model_ids])]
     for i, d in enumerate(distances):
-        lines.append(",".join([_format_number(d)] + [f"{columns[mid][i]:.4f}" for mid in model_ids]))
+        lines.append(",".join([_format_value(d)] + [f"{columns[mid][i]:.4f}" for mid in model_ids]))
     return "\n".join(lines) + "\n"
 
 
@@ -304,8 +312,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
     site = _load_site(args)
     table = _load_table(args.data)
     models = _bound_models(args, site, _selected_models(args))
+    distances = table.distances_m
     predictions = {
-        mid: [predict_rss(site, model.path_loss_db(d)) for d in table.distances_m]
+        mid: [predict_rss(site, loss) for loss in model.path_loss_series(distances)]
         for mid, model in models.items()
     }
     report = calibrate(table.measured_rss_dbm, predictions, acceptable_mse_db2=args.acceptable_mse)
@@ -409,14 +418,15 @@ def _cmd_plot(args: argparse.Namespace) -> str:
         requested = (args.model,)
     to_evaluate = [mid for mid in requested if mid not in table.predictions]
     models = _bound_models(args, site, to_evaluate)
+    distances = table.distances_m
     for mid in to_evaluate:
-        rss = [predict_rss(site, models[mid].path_loss_db(d)) for d in table.distances_m]
+        rss = [predict_rss(site, loss) for loss in models[mid].path_loss_series(distances)]
         table = with_prediction(table, mid, rss)
     base_names = list(table.predictions)
     measured = table.measured_rss_dbm
     for name in base_names:
         predicted = table.predictions[name]
-        cf = math.fsum(m - p for m, p in zip(measured, predicted)) / len(predicted)
+        cf = correction_factor(measured, predicted)
         table = with_prediction(table, f"{name}_corrected", [p + cf for p in predicted])
     columns = base_names + [f"{n}_corrected" for n in base_names]
     return emit_plot_series(table, site, quantity=args.quantity, columns=columns)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping, Sequence
 
 from .errors import DomainError
 
@@ -52,13 +52,24 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _warn_range(name: str, value: float, lo: float, hi: float, model: str) -> None:
-    if not lo <= value <= hi:
-        warnings.warn(
-            f"{model}: {name}={value:g} outside documented range {lo:g}-{hi:g}",
-            ModelRangeWarning,
-            stacklevel=3,
-        )
+def _cost231_range_notes(freq_mhz: float, tx_height_m: float, rx_height_m: float) -> tuple[str, ...]:
+    """One message per COST-231 Hata input outside its documented range."""
+    checks = (
+        ("freq_mhz", freq_mhz, COST231_FREQ_RANGE_MHZ),
+        ("tx_height_m", tx_height_m, COST231_TX_HEIGHT_RANGE_M),
+        ("rx_height_m", rx_height_m, COST231_RX_HEIGHT_RANGE_M),
+    )
+    return tuple(
+        f"cost231_hata: {name}={value:g} outside documented range {lo:g}-{hi:g}"
+        for name, value, (lo, hi) in checks
+        if not lo <= value <= hi
+    )
+
+
+def _d0_error(d0_m: float, distance_m: float) -> DomainError:
+    return DomainError(
+        f"sui_path_loss requires distance_m > d0 ({d0_m:g} m), got {distance_m:g} m"
+    )
 
 
 @dataclass(frozen=True)
@@ -214,9 +225,8 @@ def cost231_hata(
     tx_height_m = _positive("tx_height_m", tx_height_m)
     rx_height_m = _positive("rx_height_m", rx_height_m)
     distance_m = _positive("distance_m", distance_m)
-    _warn_range("freq_mhz", freq_mhz, *COST231_FREQ_RANGE_MHZ, model="cost231_hata")
-    _warn_range("tx_height_m", tx_height_m, *COST231_TX_HEIGHT_RANGE_M, model="cost231_hata")
-    _warn_range("rx_height_m", rx_height_m, *COST231_RX_HEIGHT_RANGE_M, model="cost231_hata")
+    for note in _cost231_range_notes(freq_mhz, tx_height_m, rx_height_m):
+        warnings.warn(note, ModelRangeWarning, stacklevel=2)
     distance_km = distance_m / 1000.0
     return (
         46.3
@@ -250,20 +260,24 @@ def extended_cost231(
     tx_height_m = _positive("tx_height_m", tx_height_m)
     rx_height_m = _positive("rx_height_m", rx_height_m)
     distance_m = _positive("distance_m", distance_m)
-    if rx_gain_variant not in ("medium_city", "large_city"):
-        raise DomainError(f"unknown rx_gain_variant {rx_gain_variant!r}")
     freq_ghz = freq_mhz / 1000.0
     distance_km = distance_m / 1000.0
     log_f = math.log10(freq_ghz)
     log_d = math.log10(distance_km)
+    rx_gain = _extended_rx_gain(rx_gain_variant, log_f, rx_height_m)
     free_space = 92.4 + 20.0 * log_d + 20.0 * log_f
     basic_median = 20.41 + 9.83 * log_d + 7.894 * log_f + 9.56 * log_f**2
     tx_gain = math.log10(tx_height_m / 200.0) * (13.958 + 5.8 * log_d**2)
-    if rx_gain_variant == "large_city":
-        rx_gain = 0.759 * rx_height_m - 1.862
-    else:
-        rx_gain = (42.57 + 13.7 * log_f) * (math.log10(rx_height_m) - 0.585)
     return ExtendedCost231Loss(free_space, basic_median, tx_gain, rx_gain)
+
+
+def _extended_rx_gain(rx_gain_variant: str, log_f_ghz: float, rx_height_m: float) -> float:
+    """Receiver-height gain of extended COST-231 Hata, in dB."""
+    if rx_gain_variant == "large_city":
+        return 0.759 * rx_height_m - 1.862
+    if rx_gain_variant == "medium_city":
+        return (42.57 + 13.7 * log_f_ghz) * (math.log10(rx_height_m) - 0.585)
+    raise DomainError(f"unknown rx_gain_variant {rx_gain_variant!r}")
 
 
 def sui_gamma(tx_height_m: float, terrain: TerrainCategory) -> float:
@@ -305,10 +319,7 @@ def sui_path_loss(
     rx_height_m = _positive("rx_height_m", rx_height_m)
     distance_m = _positive("distance_m", distance_m)
     if distance_m <= params.d0_m:
-        raise DomainError(
-            f"sui_path_loss requires distance_m > d0 ({params.d0_m:g} m), "
-            f"got {distance_m:g} m"
-        )
+        raise _d0_error(params.d0_m, distance_m)
     wavelength_m = LIGHT_SPEED_M_PER_S / (freq_mhz * 1e6)
     intercept = 20.0 * math.log10(4.0 * math.pi * params.d0_m / wavelength_m)
     gamma = sui_gamma(tx_height_m, params.terrain)
@@ -363,42 +374,82 @@ def ericsson_path_loss(
 class PathLossModel:
     """A named predictor mapping distance in meters to path loss in dB.
 
-    Wraps one of the model functions with its parameters fixed, plus an
-    optional constant correction subtracted from the raw loss (the knob
-    drive-test calibration turns).  Instances are immutable in practice:
+    Once its site is fixed, every model here is a polynomial of degree
+    at most 2 in L = log10(d_km):
+
+        loss = c0 + c1*L + c2*L**2,   defined for d > min_distance_m
+
+    `make_model` computes the coefficients once.  `min_distance_m` is
+    SUI's reference distance d0 and 0 for the other models; c2 is
+    nonzero only for extended COST-231 Hata.  A correction is a shift of
+    c0.  `range_notes` are the documented-range violations found at bind
+    time: every evaluated distance raises each of them once as a
+    `ModelRangeWarning`.  Instances are immutable in practice:
     `corrected` returns a new model instead of mutating.
     """
 
-    __slots__ = ("model_id", "name", "correction_db", "_predict")
+    __slots__ = ("model_id", "name", "c0", "c1", "c2", "min_distance_m", "range_notes")
 
     def __init__(
         self,
         model_id: str,
-        predict: Callable[[float], float],
+        c0: float,
+        c1: float,
+        c2: float = 0.0,
+        *,
+        min_distance_m: float = 0.0,
+        range_notes: tuple[str, ...] = (),
         name: str | None = None,
-        correction_db: float = 0.0,
     ) -> None:
         self.model_id = model_id
         self.name = name or model_id
-        self.correction_db = _finite("correction_db", correction_db)
-        self._predict = predict
+        self.c0 = c0
+        self.c1 = c1
+        self.c2 = c2
+        self.min_distance_m = min_distance_m
+        self.range_notes = range_notes
 
     def path_loss_db(self, distance_m: float) -> float:
-        return self._predict(distance_m) - self.correction_db
+        return self.path_loss_series((distance_m,))[0]
+
+    def path_loss_series(self, distances_m: Sequence[float]) -> list[float]:
+        """Path loss in dB at each distance, the column checked once.
+
+        Distances must be positive, finite and above `min_distance_m`;
+        the first one in order that is not raises `DomainError`.
+        """
+        bound = self.min_distance_m
+        if not (distances_m and math.isfinite(sum(distances_m)) and min(distances_m) > bound):
+            for d in distances_m:
+                if _positive("distance_m", d) <= bound:
+                    raise _d0_error(bound, d)
+        if self.range_notes:
+            for _ in distances_m:
+                for note in self.range_notes:
+                    warnings.warn(note, ModelRangeWarning)
+        log10 = math.log10
+        c0, c1, c2 = self.c0, self.c1, self.c2
+        if c2 == 0.0:
+            return [c0 + c1 * (log10(d) - 3.0) for d in distances_m]
+        return [c0 + (c1 + c2 * L) * L for L in [log10(d) - 3.0 for d in distances_m]]
 
     def corrected(self, cf_db: float) -> "PathLossModel":
         """New model whose path loss is this one's minus cf_db."""
         return PathLossModel(
             self.model_id,
-            self._predict,
+            self.c0 - _finite("cf_db", cf_db),
+            self.c1,
+            self.c2,
+            min_distance_m=self.min_distance_m,
+            range_notes=self.range_notes,
             name=f"{self.name}_corrected",
-            correction_db=self.correction_db + _finite("cf_db", cf_db),
         )
 
     def __repr__(self) -> str:
         return (
             f"PathLossModel(model_id={self.model_id!r}, name={self.name!r}, "
-            f"correction_db={self.correction_db!r})"
+            f"c0={self.c0!r}, c1={self.c1!r}, c2={self.c2!r}, "
+            f"min_distance_m={self.min_distance_m!r})"
         )
 
 
@@ -415,18 +466,17 @@ def make_model(
     rx_gain_variant: str = "medium_city",
     name: str | None = None,
 ) -> PathLossModel:
-    """Bind a model id and its parameters into a distance -> dB predictor.
+    """Bind a model id and its parameters into log-distance coefficients.
 
     Heights are ignored by `fspl` and required by every other model.
+    The coefficients expand the closed forms above in L = log10(d_km)
+    (Hata 1980, COST 231 ch. 4, Erceg et al. 1999 for SUI).
     """
     freq_mhz = _positive("freq_mhz", freq_mhz)
     if model_id == "fspl":
         gt = _positive("tx_gain_linear", tx_gain_linear)
-
-        def predict(distance_m: float) -> float:
-            return fspl(freq_mhz, _positive("distance_m", distance_m) / 1000.0, gt)
-
-        return PathLossModel(model_id, predict, name=name)
+        c0 = 32.45 - 10.0 * math.log10(gt) + 20.0 * math.log10(freq_mhz)
+        return PathLossModel(model_id, c0, 20.0, name=name)
 
     if model_id not in MODEL_IDS:
         raise DomainError(f"unknown model id {model_id!r}")
@@ -434,25 +484,52 @@ def make_model(
         raise DomainError(f"{model_id} requires tx_height_m and rx_height_m")
     hb = _positive("tx_height_m", tx_height_m)
     hr = _positive("rx_height_m", rx_height_m)
+    log_hb = math.log10(hb)
 
     if model_id == "cost231_hata":
-        def predict(distance_m: float) -> float:
-            return cost231_hata(freq_mhz, hb, hr, distance_m, environment)
-    elif model_id == "extended_cost231":
-        def predict(distance_m: float) -> float:
-            return extended_cost231(freq_mhz, hb, hr, distance_m, rx_gain_variant).total_db
-    elif model_id == "sui":
+        c0 = (
+            46.3
+            + 33.9 * math.log10(freq_mhz)
+            - 13.82 * log_hb
+            - mobile_station_correction(hr)
+            + environment.clutter_db
+        )
+        return PathLossModel(
+            model_id,
+            c0,
+            44.9 - 6.55 * log_hb,
+            range_notes=_cost231_range_notes(freq_mhz, hb, hr),
+            name=name,
+        )
+    if model_id == "extended_cost231":
+        log_f = math.log10(freq_mhz / 1000.0)
+        tx_term = math.log10(hb / 200.0)
+        c0 = (
+            92.4
+            + 20.0 * log_f
+            + 20.41
+            + 7.894 * log_f
+            + 9.56 * log_f**2
+            - 13.958 * tx_term
+            - _extended_rx_gain(rx_gain_variant, log_f, hr)
+        )
+        return PathLossModel(model_id, c0, 20.0 + 9.83, -5.8 * tx_term, name=name)
+    if model_id == "sui":
         sui_p = sui_params if sui_params is not None else SuiParams()
-
-        def predict(distance_m: float) -> float:
-            return sui_path_loss(freq_mhz, hb, hr, distance_m, sui_p)
-    else:  # ericsson
-        eric_p = ericsson_params if ericsson_params is not None else ERICSSON_URBAN
-
-        def predict(distance_m: float) -> float:
-            return ericsson_path_loss(freq_mhz, hb, hr, distance_m, eric_p)
-
-    return PathLossModel(model_id, predict, name=name)
+        wavelength_m = LIGHT_SPEED_M_PER_S / (freq_mhz * 1e6)
+        intercept = 20.0 * math.log10(4.0 * math.pi * sui_p.d0_m / wavelength_m)
+        xf, xh = sui_corrections(freq_mhz, hr, sui_p)
+        c1 = 10.0 * sui_gamma(hb, sui_p.terrain)
+        c0 = intercept + xf + xh + sui_p.shadow_db - c1 * (math.log10(sui_p.d0_m) - 3.0)
+        return PathLossModel(model_id, c0, c1, min_distance_m=sui_p.d0_m, name=name)
+    eric_p = ericsson_params if ericsson_params is not None else ERICSSON_URBAN
+    c0 = (
+        eric_p.a0
+        + eric_p.a2 * log_hb
+        - 3.2 * math.log10(11.75 * hr) ** 2
+        + ericsson_frequency_term(freq_mhz)
+    )
+    return PathLossModel(model_id, c0, eric_p.a1 + eric_p.a3 * log_hb, name=name)
 
 
 def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossModel:

@@ -193,6 +193,22 @@ class TestCalibrate:
         for calib in report.models.values():
             assert calib.after.mse_db2 <= calib.before.mse_db2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected_not_ranked(self, bad):
+        measured = [-70.0, -65.0, -60.0]
+        good = {"a": [-72.0, -66.0, -61.0], "b": [-71.0, -64.0, -62.0]}
+        with pytest.raises(DataError, match=r"measured series, value 2: not a finite number"):
+            calibrate([-70.0, bad, -60.0], good)
+        with pytest.raises(DataError, match=r"predicted 'b' series, value 3: not a finite number"):
+            calibrate(measured, {"a": good["a"], "b": [-71.0, -64.0, bad]})
+
+    def test_after_metrics_reuse_the_invariant_correlation(self):
+        measured, predictions, _ = corpus()
+        for model_id, calib in calibrate(measured, predictions).models.items():
+            assert calib.after.pearson_r == calib.before.pearson_r
+            shifted = [p + calib.cf_db for p in predictions[model_id]]
+            assert pearson_r(measured, shifted) == pytest.approx(calib.before.pearson_r, abs=1e-12)
+
     def test_single_model_is_best(self):
         measured, predictions, _ = corpus()
         report = calibrate(measured, {"sui": predictions["sui"]})

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output formats, aliases, and determinism."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ from propcal import (
     reference_dataset,
     site_to_json,
 )
+from propcal import cli
 
 pytestmark = pytest.mark.filterwarnings("ignore::propcal.models.ModelRangeWarning")
 
@@ -96,6 +98,42 @@ def test_usage_errors_exit_1(run_cli, argv):
     assert code == 1
     assert out == ""
     assert err.startswith(ERROR_PREFIX)
+
+
+def test_range_expansion_is_capped_before_allocating(run_cli):
+    # One point over the cap first: a missing check then costs one small
+    # list, not the 10^15 elements of the next case.
+    with pytest.raises(argparse.ArgumentTypeError, match="1000000 allowed"):
+        cli._frange(1.0, float(cli.MAX_RANGE_POINTS + 1), 1.0)
+    for argv, flag in (
+        (("predict", "--all", "--distances", "200:1e15:1"), "--distances"),
+        (("predict", "--all", "--distances", "0:1e308:1e-300"), "--distances"),
+        (("infer", "--model", "sui", "--data", "embedded:reference", "--grid", "tx_height_m=10:1e12:1"), "--grid"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(ERROR_PREFIX + f"argument {flag}: ")
+        assert f"more than the {cli.MAX_RANGE_POINTS} allowed" in err
+
+
+def test_non_finite_range_bound_exits_1(run_cli):
+    code, _, err = run_cli("predict", "--all", "--distances", "200:inf:1")
+    assert code == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [("compare",), ("calibrate", "--all"), ("plot", "--all")])
+def test_utf8_bom_data_gives_the_plain_report(run_cli, tmp_path, argv):
+    _, dump, _ = run_cli("reference", "--dump")
+    plain = tmp_path / "plain.csv"
+    bom = tmp_path / "bom.csv"
+    plain.write_text(dump, encoding="utf-8")
+    bom.write_text(dump, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = run_cli(*argv, "--data", str(plain))
+    assert expected[0] == 0
+    assert run_cli(*argv, "--data", str(bom)) == expected
 
 
 def test_missing_data_file_exits_2(run_cli, tmp_path):
