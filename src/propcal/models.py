@@ -429,9 +429,7 @@ class PathLossModel:
                     warnings.warn(note, ModelRangeWarning)
         log10 = math.log10
         c0, c1, c2 = self.c0, self.c1, self.c2
-        if c2 == 0.0:
-            return [c0 + c1 * (log10(d) - 3.0) for d in distances_m]
-        return [c0 + (c1 + c2 * L) * L for L in [log10(d) - 3.0 for d in distances_m]]
+        return [c0 + (c1 + c2 * (L := log10(d) - 3.0)) * L for d in distances_m]
 
     def corrected(self, cf_db: float) -> "PathLossModel":
         """New model whose path loss is this one's minus cf_db."""
