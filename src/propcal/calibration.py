@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -33,7 +34,7 @@ class ModelMetrics:
 
     mse_db2: float
     rmse_db: float
-    pearson_r: float
+    pearson_r: float | None
     n: int
 
 
@@ -124,7 +125,8 @@ def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
     if sxx == 0.0 or syy == 0.0:
         raise DomainError("pearson_r is undefined for a zero-variance series")
     sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    return sxy / math.sqrt(sxx * syy)
+    # the split root serves only when the product underflows to zero
+    return sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
 
 
 def apply_correction(model: PathLossModel, cf_db: float) -> PathLossModel:
@@ -134,7 +136,7 @@ def apply_correction(model: PathLossModel, cf_db: float) -> PathLossModel:
 
 def _finite_series(name: str, values: Sequence[float]) -> list[float]:
     """The series as floats; a NaN or infinity is a DataError naming its place."""
-    series = [float(v) for v in values]
+    series = list(map(float, values))
     if not math.isfinite(sum(series)):
         for i, v in enumerate(series, start=1):
             if not math.isfinite(v):
@@ -151,25 +153,49 @@ def calibrate(
     """Calibrate every prediction series and rank the corrected models.
 
     Ranking: lowest after-correction MSE, ties broken by highest r, then
-    by model id.  `acceptable_mse_db2`, when given, adds an advisory
+    by model id.  Where r is undefined (fewer than two samples, or a
+    zero-variance series) it is reported as None, ranks below any r,
+    and a note names the model and the reason; cf and both MSEs are
+    still reported.  `acceptable_mse_db2`, when given, adds an advisory
     note for each model whose corrected MSE still exceeds it.
+
+    Each series is scored in one pass with the same arithmetic as
+    `correction_factor`, `mse` and `pearson_r`, and the measured series
+    is centred once for all models.
     """
     if not predictions:
         raise DataError("calibrate needs at least one prediction series")
-    measured = _finite_series("measured", measured)
+    x = _finite_series("measured", measured)
+    n = len(x)
+    # An empty series is rejected per model below, in the order the
+    # reference functions check it.
+    mean_x = math.fsum(x) / n if n else 0.0
+    dx = list(map(operator.sub, x, itertools.repeat(mean_x)))
+    sxx = math.fsum(map(operator.mul, dx, dx))
     models: dict[str, ModelCalibration] = {}
     notes: list[str] = []
     for model_id, predicted in predictions.items():
-        predicted = _finite_series(f"predicted {model_id!r}", predicted)
-        cf = correction_factor(measured, predicted)
-        error = mse(measured, predicted)
-        # r is invariant under the constant shift, so one pass serves both
-        r = pearson_r(measured, predicted)
-        error_after = mse(measured, [p + cf for p in predicted])
+        y = _finite_series(f"predicted {model_id!r}", predicted)
+        if len(y) != n:
+            raise DataError(f"series are misaligned: {n} measured vs {len(y)} predicted")
+        if not n:
+            raise DataError("series are empty")
+        residual = list(map(operator.sub, x, y))
+        cf = math.fsum(residual) / n
+        error = math.fsum(map(operator.mul, residual, residual)) / n
+        # r is invariant under the constant shift, so one value serves both
+        r: float | None
+        try:
+            r = _pearson_centred(dx, sxx, y)
+        except DomainError as exc:
+            r = None
+            notes.append(f"{model_id}: {exc}; reported as null")
+        shifted = list(map(operator.sub, map(operator.add, y, itertools.repeat(cf)), x))
+        error_after = math.fsum(map(operator.mul, shifted, shifted)) / n
         calib = ModelCalibration(
             cf,
-            ModelMetrics(error, math.sqrt(error), r, len(measured)),
-            ModelMetrics(error_after, math.sqrt(error_after), r, len(measured)),
+            ModelMetrics(error, math.sqrt(error), r, n),
+            ModelMetrics(error_after, math.sqrt(error_after), r, n),
         )
         models[model_id] = calib
         if acceptable_mse_db2 is not None and calib.after.mse_db2 > acceptable_mse_db2:
@@ -177,11 +203,27 @@ def calibrate(
                 f"{model_id}: corrected mse {calib.after.mse_db2:.4f} dB^2 exceeds "
                 f"the acceptable threshold {acceptable_mse_db2:g} dB^2"
             )
-    best_model = min(
-        models,
-        key=lambda mid: (models[mid].after.mse_db2, -models[mid].after.pearson_r, mid),
-    )
-    return CalibrationReport(models, best_model, SELECTION_RULE, tuple(notes))
+
+    def rank(model_id: str) -> tuple[float, float, str]:
+        after = models[model_id].after
+        return (after.mse_db2, math.inf if after.pearson_r is None else -after.pearson_r, model_id)
+
+    return CalibrationReport(models, min(models, key=rank), SELECTION_RULE, tuple(notes))
+
+
+def _pearson_centred(dx: list[float], sxx: float, y: list[float]) -> float:
+    """`pearson_r` against a measured series already centred as `dx`."""
+    n = len(y)
+    if n < 2:
+        raise DomainError(f"pearson_r requires at least 2 samples, got {n}")
+    if sxx == 0.0:
+        raise DomainError("pearson_r is undefined for a zero-variance measured series")
+    mean_y = math.fsum(y) / n
+    dy = list(map(operator.sub, y, itertools.repeat(mean_y)))
+    syy = math.fsum(map(operator.mul, dy, dy))
+    if syy == 0.0:
+        raise DomainError("pearson_r is undefined for a zero-variance predicted series")
+    return math.fsum(map(operator.mul, dx, dy)) / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
 
 
 def published_divergence_notes(
@@ -216,9 +258,10 @@ def published_divergence_notes(
                 f"{model_id}: computed before-correction mse {calib.before.mse_db2:.4f} dB^2 "
                 f"differs from published {pub['mse_before_db2']:g} dB^2"
             )
-        if abs(calib.before.pearson_r - pub["pearson_r"]) > r_tol:
+        r = calib.before.pearson_r
+        if r is not None and abs(r - pub["pearson_r"]) > r_tol:
             notes.append(
-                f"{model_id}: computed pearson r {calib.before.pearson_r:.4f} differs from "
+                f"{model_id}: computed pearson r {r:.4f} differs from "
                 f"published {pub['pearson_r']:g}"
             )
         if abs(calib.after.mse_db2 - pub["mse_after_db2"]) > mse_tol_db2:
@@ -299,6 +342,7 @@ def infer_site_parameters(
         if not axis:
             raise DomainError(f"parameter grid axis {name!r} is empty")
     distances = [float(d) for d in distances_m]
+    target = [float(v) for v in path_loss_db]
 
     best_params: dict[str, object] | None = None
     best_mse = math.inf
@@ -312,9 +356,10 @@ def infer_site_parameters(
         evaluated += 1
         try:
             model = model_from_params(model_id, params)
-            fit = mse(path_loss_db, model.path_loss_series(distances))
+            error = list(map(operator.sub, model.path_loss_series(distances), target))
         except DomainError:
             continue
+        fit = math.fsum(map(operator.mul, error, error)) / len(error)
         if fit < best_mse:
             best_mse = fit
             best_params = dict(params)

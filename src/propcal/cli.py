@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -52,7 +53,8 @@ REFERENCE_SITE_ALIAS = "table3"
 
 _ENV_CHOICES = {"medium": "medium_suburban", "metro": "metropolitan"}
 
-# Most points a START:STOP:STEP range (--distances, --grid) may expand to.
+# Most points a START:STOP:STEP range (--distances, --grid) may expand to,
+# and most points the --grid axes may span together.
 MAX_RANGE_POINTS = 1_000_000
 
 
@@ -65,23 +67,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_float(text: str) -> float:
+def _float_arg(text: str, *, allow_zero: bool = False) -> float:
+    """A finite number above zero, or at or above it with `allow_zero`."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value) or value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
+        raise argparse.ArgumentTypeError(f"must be {'>= 0' if allow_zero else 'positive'}, got {text!r}")
     return value
 
 
@@ -139,9 +132,9 @@ def _build_parser() -> _Parser:
         metavar="PATH",
         help=f"site JSON path, or '{REFERENCE_SITE_ALIAS}' for the built-in reference site (default)",
     )
-    site_flags.add_argument("--freq-mhz", type=_positive_float, help="override site frequency")
-    site_flags.add_argument("--tx-height", type=_positive_float, metavar="M", help="override transmit height")
-    site_flags.add_argument("--rx-height", type=_positive_float, metavar="M", help="override receive height")
+    site_flags.add_argument("--freq-mhz", type=_float_arg, help="override site frequency")
+    site_flags.add_argument("--tx-height", type=_float_arg, metavar="M", help="override transmit height")
+    site_flags.add_argument("--rx-height", type=_float_arg, metavar="M", help="override receive height")
 
     model_flags = argparse.ArgumentParser(add_help=False)
     model_flags.add_argument("--env", choices=sorted(_ENV_CHOICES), default="medium", help="clutter class (default medium)")
@@ -154,8 +147,8 @@ def _build_parser() -> _Parser:
         metavar="{2,2000}",
         help="receiver-height normalizer in the SUI height correction (default 2)",
     )
-    model_flags.add_argument("--sui-shadow", type=_nonnegative_float, default=0.0, metavar="S", help="SUI shadow term in dB (default 0)")
-    model_flags.add_argument("--tx-gain-linear", type=_positive_float, default=1.0, metavar="G", help="linear transmit gain used by fspl (default 1)")
+    model_flags.add_argument("--sui-shadow", type=functools.partial(_float_arg, allow_zero=True), default=0.0, metavar="S", help="SUI shadow term in dB (default 0)")
+    model_flags.add_argument("--tx-gain-linear", type=_float_arg, default=1.0, metavar="G", help="linear transmit gain used by fspl (default 1)")
 
     data_flags = argparse.ArgumentParser(add_help=False)
     data_flags.add_argument(
@@ -176,7 +169,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--model", choices=MODEL_IDS)
     group.add_argument("--all", action="store_true", help="all five models")
     dist = predict.add_mutually_exclusive_group(required=True)
-    dist.add_argument("--distance-m", type=_positive_float, metavar="D")
+    dist.add_argument("--distance-m", type=_float_arg, metavar="D")
     dist.add_argument("--distances", type=_parse_distances, metavar="START:STOP:STEP")
     predict.add_argument("--format", choices=("json", "csv"), default="csv")
 
@@ -184,11 +177,11 @@ def _build_parser() -> _Parser:
     group = cal.add_mutually_exclusive_group()
     group.add_argument("--model", choices=MODEL_IDS)
     group.add_argument("--all", action="store_true", help="all five models (default)")
-    cal.add_argument("--acceptable-mse", type=_positive_float, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
+    cal.add_argument("--acceptable-mse", type=_float_arg, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
     cal.add_argument("--format", choices=("json", "csv"), default="json")
 
     comp = commands.add_parser("compare", parents=[data_flags, site_flags, out_flags], help="calibrate the prediction columns already in the data")
-    comp.add_argument("--acceptable-mse", type=_positive_float, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
+    comp.add_argument("--acceptable-mse", type=_float_arg, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
     comp.add_argument("--format", choices=("json", "csv"), default="json")
 
     ref = commands.add_parser("reference", parents=[out_flags], help="dump or summarize the bundled reference corpus")
@@ -284,7 +277,7 @@ def _report_output(report: CalibrationReport, fmt: str) -> str:
                     repr(calib.after.mse_db2),
                     repr(calib.before.rmse_db),
                     repr(calib.after.rmse_db),
-                    repr(calib.before.pearson_r),
+                    "" if calib.before.pearson_r is None else repr(calib.before.pearson_r),
                     str(calib.before.n),
                     "true" if model_id == report.best_model else "false",
                 ]
@@ -312,9 +305,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
     site = _load_site(args)
     table = _load_table(args.data)
     models = _bound_models(args, site, _selected_models(args))
-    distances = table.distances_m
+    budget = site.budget_db
     predictions = {
-        mid: [predict_rss(site, loss) for loss in model.path_loss_series(distances)]
+        mid: [budget - loss for loss in model.path_loss_series(table.distances_m)]
         for mid, model in models.items()
     }
     report = calibrate(table.measured_rss_dbm, predictions, acceptable_mse_db2=args.acceptable_mse)
@@ -368,13 +361,20 @@ def _default_grid(model_id: str) -> dict[str, list[object]]:
 
 
 def _cmd_infer(args: argparse.Namespace) -> str:
+    grid: dict[str, list[object]] = dict(args.grid) if args.grid else _default_grid(args.model)
+    points = math.prod(len(axis) for axis in grid.values())
+    if points > MAX_RANGE_POINTS:
+        raise UsageError(
+            f"argument --grid: the axes expand to {points:.4g} grid points, "
+            f"more than the {MAX_RANGE_POINTS} allowed"
+        )
     site = _load_site(args)
     table = _load_table(args.data)
     column = args.column or args.model
     if column not in table.predictions:
         raise DataError(f"data has no prediction column {column!r}")
-    loss = [site.budget_db - rss for rss in table.predictions[column]]
-    grid: dict[str, list[object]] = dict(args.grid) if args.grid else _default_grid(args.model)
+    budget = site.budget_db
+    loss = [budget - rss for rss in table.predictions[column]]
     base: dict[str, object] = {
         "freq_mhz": site.freq_mhz,
         "tx_height_m": site.tx_height_m,

@@ -9,9 +9,11 @@ assume clean, aligned series.
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -39,41 +41,40 @@ class DriveTestSample:
 
 @dataclass(frozen=True)
 class DriveTestTable:
-    """Validated, aligned drive-test samples plus optional predictions.
+    """Validated, aligned drive-test columns.
 
-    `predictions` maps a model name to a per-sample predicted RSS series
-    the same length as `samples`.
+    `distances_m` and `measured_rss_dbm` hold one value per sample;
+    `predictions` maps a model name to a predicted RSS column of the
+    same length.  Every value is checked once, on construction.
     """
 
-    samples: tuple[DriveTestSample, ...]
+    distances_m: tuple[float, ...]
+    measured_rss_dbm: tuple[float, ...]
     predictions: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        object.__setattr__(self, "distances_m", tuple(self.distances_m))
+        object.__setattr__(self, "measured_rss_dbm", tuple(self.measured_rss_dbm))
+        distances, measured = self.distances_m, self.measured_rss_dbm
+        if not distances:
             raise DataError("drive test has no samples")
-        for i, sample in enumerate(self.samples, start=1):
-            if not math.isfinite(sample.distance_m) or sample.distance_m <= 0.0:
-                raise DataError(f"row {i}: distance_m must be positive, got {sample.distance_m!r}")
-            _check_rss(sample.measured_rss_dbm, row=i, column="rssi_dbm")
+        if len(measured) != len(distances):
+            raise DataError(f"rssi_dbm column has {len(measured)} values for {len(distances)} samples")
+        if not (_rss_column_ok(measured) and math.isfinite(sum(distances)) and min(distances) > 0.0):
+            for i, (distance, rss) in enumerate(zip(distances, measured), start=1):
+                if not math.isfinite(distance) or distance <= 0.0:
+                    raise DataError(f"row {i}: distance_m must be positive, got {distance!r}")
+                _check_rss(rss, row=i, column="rssi_dbm")
         for name, values in self.predictions.items():
-            if len(values) != len(self.samples):
-                raise DataError(
-                    f"prediction column {name!r} has {len(values)} values "
-                    f"for {len(self.samples)} samples"
-                )
-            for i, value in enumerate(values, start=1):
-                _check_rss(value, row=i, column=f"{PREDICTION_PREFIX}{name}")
+            _check_prediction(name, values, len(distances))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.distances_m)
 
     @property
-    def distances_m(self) -> tuple[float, ...]:
-        return tuple(s.distance_m for s in self.samples)
-
-    @property
-    def measured_rss_dbm(self) -> tuple[float, ...]:
-        return tuple(s.measured_rss_dbm for s in self.samples)
+    def samples(self) -> tuple[DriveTestSample, ...]:
+        """The rows as samples, built on each access."""
+        return tuple(map(DriveTestSample, self.distances_m, self.measured_rss_dbm))
 
 
 def _check_rss(value: float, row: int, column: str) -> None:
@@ -84,6 +85,43 @@ def _check_rss(value: float, row: int, column: str) -> None:
         )
 
 
+def _rss_column_ok(values: Sequence[float]) -> bool:
+    """Whole-column RSS check; a NaN or infinity makes the sum non-finite."""
+    return math.isfinite(sum(values)) and RSS_MIN_DBM <= min(values) and max(values) <= RSS_MAX_DBM
+
+
+def _check_prediction(name: str, values: Sequence[float], rows: int) -> None:
+    if len(values) != rows:
+        raise DataError(f"prediction column {name!r} has {len(values)} values for {rows} samples")
+    if not _rss_column_ok(values):
+        for i, value in enumerate(values, start=1):
+            _check_rss(value, row=i, column=f"{PREDICTION_PREFIX}{name}")
+
+
+def _parse_cells(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[float]:
+    """Every data cell as a float, in row-major order.
+
+    The fast path converts all cells at once.  If any row has the wrong
+    width or any cell is not a number, the rows are scanned in order
+    only to name the first bad one.
+    """
+    width = len(header)
+    if set(map(len, rows)) <= {width}:
+        try:
+            return list(map(float, itertools.chain.from_iterable(rows)))
+        except ValueError:
+            pass
+    for i, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise DataError(f"row {i}: expected {width} cells, got {len(row)}")
+        for name, cell in zip(header, row):
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(f"row {i}, column {name}: not a number: {cell.strip()!r}") from None
+    raise AssertionError("no bad cell found")
+
+
 def parse_drive_test_csv(text: str) -> DriveTestTable:
     """Parse drive-test CSV text into a validated table.
 
@@ -91,7 +129,11 @@ def parse_drive_test_csv(text: str) -> DriveTestTable:
     must be named ``pred_<model>``.  Blank lines are skipped.  Errors
     carry 1-based row and column positions.
     """
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(cell.strip() for cell in row)]
+    rows = [
+        row
+        for row in csv.reader(io.StringIO(text))
+        if row and (row[0].strip() or any(cell.strip() for cell in row))
+    ]
     if not rows:
         raise DataError("empty drive-test CSV")
     header = [cell.strip() for cell in rows[0]]
@@ -107,23 +149,12 @@ def parse_drive_test_csv(text: str) -> DriveTestTable:
     if len(set(pred_names)) != len(pred_names):
         raise DataError("line 1: duplicate prediction columns")
 
-    samples = []
-    pred_columns: list[list[float]] = [[] for _ in pred_names]
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise DataError(f"row {i}: expected {len(header)} cells, got {len(row)}")
-        values = []
-        for name, cell in zip(header, row):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise DataError(f"row {i}, column {name}: not a number: {cell.strip()!r}") from None
-        samples.append(DriveTestSample(values[0], values[1]))
-        for col, value in zip(pred_columns, values[2:]):
-            col.append(value)
-
-    predictions = {name: tuple(col) for name, col in zip(pred_names, pred_columns)}
-    return DriveTestTable(tuple(samples), predictions)
+    del rows[0]
+    cells = _parse_cells(header, rows)
+    del rows
+    width = len(header)
+    columns = [tuple(cells[k::width]) for k in range(width)]
+    return DriveTestTable(columns[0], columns[1], dict(zip(pred_names, columns[2:])))
 
 
 def _format_value(value: float) -> str:
@@ -134,18 +165,22 @@ def serialize_drive_test_csv(table: DriveTestTable) -> str:
     """Render a table back to CSV text; parse/serialize round-trips."""
     names = list(table.predictions)
     lines = [",".join(CSV_HEADER + tuple(f"{PREDICTION_PREFIX}{n}" for n in names))]
-    for i, sample in enumerate(table.samples):
-        cells = [_format_value(sample.distance_m), _format_value(sample.measured_rss_dbm)]
-        cells += [_format_value(table.predictions[n][i]) for n in names]
-        lines.append(",".join(cells))
+    for row in zip(table.distances_m, table.measured_rss_dbm, *table.predictions.values()):
+        lines.append(",".join(map(_format_value, row)))
     return "\n".join(lines) + "\n"
 
 
 def with_prediction(table: DriveTestTable, name: str, values: Sequence[float]) -> DriveTestTable:
-    """New table with one prediction column added or replaced."""
-    predictions = dict(table.predictions)
-    predictions[name] = tuple(float(v) for v in values)
-    return DriveTestTable(table.samples, predictions)
+    """New table with one prediction column added or replaced.
+
+    Only the new column is validated; the rest were checked when
+    `table` was built.
+    """
+    column = tuple(float(v) for v in values)
+    _check_prediction(name, column, len(table))
+    extended = copy.copy(table)
+    object.__setattr__(extended, "predictions", {**table.predictions, name: column})
+    return extended
 
 
 # Reference drive test: 45 samples from a 2.5 GHz macro cell, with the
@@ -242,12 +277,8 @@ PUBLISHED_CALIBRATION = {
 @functools.cache
 def reference_dataset() -> DriveTestTable:
     """The bundled 45-sample reference drive test with model predictions."""
-    samples = tuple(DriveTestSample(float(r[0]), float(r[1])) for r in _REFERENCE_ROWS)
-    predictions = {
-        name: tuple(float(r[i]) for r in _REFERENCE_ROWS)
-        for i, name in enumerate(_REFERENCE_PREDICTION_NAMES, start=2)
-    }
-    return DriveTestTable(samples, predictions)
+    distances, measured, *predicted = (tuple(map(float, col)) for col in zip(*_REFERENCE_ROWS))
+    return DriveTestTable(distances, measured, dict(zip(_REFERENCE_PREDICTION_NAMES, predicted)))
 
 
 def emit_plot_series(
@@ -274,14 +305,12 @@ def emit_plot_series(
     def convert(rss: float) -> float:
         return rss if quantity == "rss" else path_loss_from_rss(site, rss)
 
-    order = sorted(range(len(table)), key=lambda i: table.samples[i].distance_m)
+    distances, measured = table.distances_m, table.measured_rss_dbm
+    order = sorted(range(len(table)), key=distances.__getitem__)
     measured_label = "measured_rss_dbm" if quantity == "rss" else "measured_pl_db"
     lines = [",".join(["distance_m", measured_label] + names)]
     for i in order:
-        cells = [
-            _format_value(table.samples[i].distance_m),
-            f"{convert(table.samples[i].measured_rss_dbm):.2f}",
-        ]
+        cells = [_format_value(distances[i]), f"{convert(measured[i]):.2f}"]
         cells += [f"{convert(table.predictions[n][i]):.2f}" for n in names]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propcal import (
     DataError,
@@ -155,6 +157,10 @@ class TestPearson:
                 continue
             assert -1.0 <= r <= 1.0
 
+    def test_tiny_variances_whose_product_underflows(self):
+        assert pearson_r([0.0, 1e-92], [0.0, 1e-92]) == 1.0
+        assert calibrate([0.0, 1e-92], {"a": [1e-92, 0.0]}).models["a"].before.pearson_r == -1.0
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DomainError, match="at least 2"):
             pearson_r([-70.0], [-71.0])
@@ -268,6 +274,38 @@ class TestCalibrate:
         assert all("exceeds" in note for note in report.notes)
         assert calibrate(measured, predictions).notes == ()
 
+    def test_degenerate_series_gets_a_null_r_and_a_note(self):
+        report = calibrate([-70.0, -65.0, -60.0], {"a": [-70.0, -70.0, -70.0], "b": [-71.0, -66.0, -61.0]})
+        a = report.models["a"]
+        assert a.before.pearson_r is None and a.after.pearson_r is None
+        assert a.cf_db == 5.0
+        assert a.before.mse_db2 == pytest.approx(125.0 / 3.0, abs=1e-12)
+        assert a.after.mse_db2 == pytest.approx(50.0 / 3.0, abs=1e-12)
+        assert report.models["b"].before.pearson_r == pytest.approx(1.0, abs=1e-12)
+        assert report.best_model == "b"
+        assert report.notes == ("a: pearson_r is undefined for a zero-variance predicted series; reported as null",)
+        assert json.loads(report.to_json())["models"]["a"]["pearson_r"] is None
+        assert published_divergence_notes(report, {"a": {"cf_db": 5.0, "mse_before_db2": 125.0 / 3.0, "pearson_r": 0.5, "mse_after_db2": 50.0 / 3.0}}) == ()
+
+    def test_one_sample_or_flat_measurements_still_calibrate(self):
+        report = calibrate([-70.0], {"a": [-72.0]})
+        calib = report.models["a"]
+        assert (calib.cf_db, calib.before.mse_db2, calib.after.mse_db2) == (2.0, 4.0, 0.0)
+        assert calib.before.pearson_r is None
+        assert report.notes == ("a: pearson_r requires at least 2 samples, got 1; reported as null",)
+        report = calibrate([-70.0, -70.0], {"a": [-72.0, -71.0]}, acceptable_mse_db2=0.1)
+        assert report.notes == (
+            "a: pearson_r is undefined for a zero-variance measured series; reported as null",
+            "a: corrected mse 0.2500 dB^2 exceeds the acceptable threshold 0.1 dB^2",
+        )
+
+    def test_undefined_r_ranks_below_any_r(self):
+        # equal after-correction MSE (25 dB^2 each); "a" would win on name
+        report = calibrate([-70.0, -60.0], {"a": [-65.0, -65.0], "b": [-80.0, -60.0]})
+        assert report.models["a"].after.mse_db2 == report.models["b"].after.mse_db2 == 25.0
+        assert report.models["a"].after.pearson_r is None
+        assert report.best_model == "b"
+
     def test_empty_predictions_rejected(self):
         with pytest.raises(DataError):
             calibrate([-70.0, -71.0], {})
@@ -288,6 +326,38 @@ class TestCalibrate:
         }
         assert entry["n"] == 45
         assert entry["rmse_before_db"] == pytest.approx(math.sqrt(entry["mse_before_db2"]), abs=1e-12)
+
+
+rss_series = st.floats(-150.0, 40.0)
+
+
+@st.composite
+def calibration_inputs(draw):
+    n = draw(st.integers(1, 40))
+    series = st.lists(rss_series, min_size=n, max_size=n)
+    return draw(series), draw(st.lists(series, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(calibration_inputs())
+def test_calibrate_matches_the_reference_functions(case):
+    measured, columns = case
+    report = calibrate(measured, {f"m{i}": column for i, column in enumerate(columns)})
+    for (model_id, calib), predicted in zip(report.models.items(), columns):
+        cf = correction_factor(measured, predicted)
+        before = mse(measured, predicted)
+        assert calib.cf_db == pytest.approx(cf, rel=1e-12, abs=0.0)
+        assert calib.before.mse_db2 == pytest.approx(before, rel=1e-12, abs=0.0)
+        assert calib.after.mse_db2 == pytest.approx(mse(measured, [p + cf for p in predicted]), rel=1e-12, abs=0.0)
+        assert calib.after.mse_db2 == pytest.approx(before - cf * cf, abs=1e-9 * max(1.0, before))
+        try:
+            r = pearson_r(measured, predicted)
+        except DomainError:
+            assert calib.before.pearson_r is None
+            assert any(note.startswith(f"{model_id}: pearson_r") for note in report.notes)
+        else:
+            assert calib.before.pearson_r == pytest.approx(r, rel=1e-12, abs=0.0)
+        assert calib.after.pearson_r == calib.before.pearson_r
 
 
 def test_affine_models_share_one_correlation():

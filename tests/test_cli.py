@@ -5,8 +5,11 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import propcal
 
 from propcal import (
     PUBLISHED_CALIBRATION,
@@ -109,12 +112,55 @@ def test_range_expansion_is_capped_before_allocating(run_cli):
         (("predict", "--all", "--distances", "200:1e15:1"), "--distances"),
         (("predict", "--all", "--distances", "0:1e308:1e-300"), "--distances"),
         (("infer", "--model", "sui", "--data", "embedded:reference", "--grid", "tx_height_m=10:1e12:1"), "--grid"),
+        # two axes under the cap whose product (about 10^9 points) is over it
+        (
+            (
+                "infer", "--model", "ericsson", "--data", "embedded:reference",
+                "--grid", "tx_height_m=10:1010:0.01", "--grid", "rx_height_m=1:101:0.01",
+            ),
+            "--grid",
+        ),
     ):
         code, out, err = run_cli(*argv)
         assert code == 1
         assert out == ""
         assert err.startswith(ERROR_PREFIX + f"argument {flag}: ")
         assert f"more than the {cli.MAX_RANGE_POINTS} allowed" in err
+
+
+def test_bounded_number_flags_keep_their_messages(run_cli):
+    for flag, value, message in (
+        ("--freq-mhz", "0", "must be positive, got '0'"),
+        ("--sui-shadow", "-1", "must be >= 0, got '-1'"),
+        ("--sui-shadow", "x", "not a number: 'x'"),
+    ):
+        code, _, err = run_cli("calibrate", "--data", "embedded:reference", flag, value)
+        assert code == 1
+        assert err.startswith(ERROR_PREFIX + f"argument {flag}: {message}")
+    assert run_cli("calibrate", "--data", "embedded:reference", "--sui-shadow", "0")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "distance_m,rssi_dbm,pred_a,pred_b\n500,-58,-60,-59\n",
+        "distance_m,rssi_dbm,pred_a,pred_b\n500,-57,-60,-59\n400,-59,-60,-62\n",
+    ],
+    ids=["one_row", "flat_column"],
+)
+def test_compare_reports_an_undefined_r_as_null(run_cli, tmp_path, text):
+    path = tmp_path / "drive.csv"
+    path.write_text(text)
+    code, out, err = run_cli("compare", "--data", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["models"]["a"]["pearson_r"] is None
+    assert report["notes"][0].startswith("a: pearson_r ")
+    assert report["models"]["a"]["cf_db"] == 2.0
+    code, out, _ = run_cli("compare", "--data", str(path), "--format", "csv")
+    assert code == 0
+    row_a = out.splitlines()[1].split(",")
+    assert row_a[0] == "a" and row_a[6] == ""
 
 
 def test_non_finite_range_bound_exits_1(run_cli):
@@ -286,10 +332,13 @@ def test_help_exits_zero(run_cli):
 
 
 def test_module_entrypoint():
+    # run from the directory holding the imported package, so the child
+    # finds it without PYTHONPATH
     result = subprocess.run(
         [sys.executable, "-m", "propcal", "compare", "--data", "embedded:reference"],
         capture_output=True,
         text=True,
+        cwd=Path(propcal.__file__).resolve().parent.parent,
     )
     assert result.returncode == 0
     assert '"best_model": "extended_cost231"' in result.stdout

@@ -1,6 +1,12 @@
 """Unit tests for drive-test parsing, the reference corpus, and plot series."""
 
+import csv
+import io
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propcal import (
     DataError,
@@ -13,6 +19,7 @@ from propcal import (
     serialize_drive_test_csv,
     with_prediction,
 )
+from propcal.dataset import RSS_MAX_DBM, RSS_MIN_DBM
 
 
 class TestReferenceDataset:
@@ -117,18 +124,47 @@ class TestRoundtrip:
 
 class TestTableValidation:
     def test_misaligned_prediction_rejected(self):
-        samples = (DriveTestSample(500.0, -58.0), DriveTestSample(400.0, -61.0))
         with pytest.raises(DataError, match="sui"):
-            DriveTestTable(samples, {"sui": (-28.34,)})
+            DriveTestTable((500.0, 400.0), (-58.0, -61.0), {"sui": (-28.34,)})
 
     def test_empty_table_rejected(self):
         with pytest.raises(DataError, match="no samples"):
-            DriveTestTable(())
+            DriveTestTable((), ())
+
+    def test_misaligned_measured_column_rejected(self):
+        with pytest.raises(DataError, match="rssi_dbm column has 1 values for 2 samples"):
+            DriveTestTable((500.0, 400.0), (-58.0,))
+
+    def test_bad_value_named_by_row_order(self):
+        # rows come first, then prediction columns, as the row-wise check did
+        with pytest.raises(DataError, match=r"^row 2: distance_m"):
+            DriveTestTable((500.0, -1.0, 300.0), (-58.0, -61.0, -500.0), {"a": (99.0, -60.0, -60.0)})
+        with pytest.raises(DataError, match=r"^row 1, column pred_a"):
+            DriveTestTable((500.0, 400.0), (-58.0, -61.0), {"a": (99.0, -60.0)})
+
+    def test_overflowing_column_sum_is_not_an_error(self):
+        table = DriveTestTable((1e308, 1e308), (-58.0, -61.0))
+        assert table.distances_m == (1e308, 1e308)
+
+    def test_samples_is_a_view_of_the_columns(self):
+        table = DriveTestTable([500.0, 400.0], [-58.0, -61.0])
+        assert table.distances_m == (500.0, 400.0)
+        assert table.samples == (DriveTestSample(500.0, -58.0), DriveTestSample(400.0, -61.0))
 
     def test_with_prediction_adds_column(self):
         table = parse_drive_test_csv("distance_m,rssi_dbm\n500,-58\n")
         table = with_prediction(table, "fspl", [-30.5])
         assert table.predictions["fspl"] == (-30.5,)
+
+    def test_with_prediction_checks_the_new_column(self):
+        table = parse_drive_test_csv("distance_m,rssi_dbm,pred_sui\n500,-58,-30\n400,-61,-28\n")
+        with pytest.raises(DataError, match=r"row 2, column pred_fspl: RSS nan"):
+            with_prediction(table, "fspl", [-30.5, math.nan])
+        with pytest.raises(DataError, match="'fspl' has 1 values for 2 samples"):
+            with_prediction(table, "fspl", [-30.5])
+        replaced = with_prediction(table, "sui", [-31.0, -29.0])
+        assert replaced.predictions == {"sui": (-31.0, -29.0)}
+        assert table.predictions == {"sui": (-30.0, -28.0)}
 
 
 class TestPlotSeries:
@@ -163,3 +199,145 @@ class TestPlotSeries:
     def test_bad_quantity_rejected(self):
         with pytest.raises(DataError, match="quantity"):
             emit_plot_series(reference_dataset(), REFERENCE_SITE, quantity="throughput")
+
+
+# -- generated tables ---------------------------------------------------------
+
+distances = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+rss_values = st.floats(RSS_MIN_DBM, RSS_MAX_DBM)
+column_names = st.lists(
+    st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8), max_size=4, unique=True
+)
+
+
+@st.composite
+def tables(draw) -> DriveTestTable:
+    rows = draw(st.integers(1, 12))
+
+    def column(values):
+        return tuple(draw(st.lists(values, min_size=rows, max_size=rows)))
+
+    predictions = {name: column(rss_values) for name in draw(column_names)}
+    return DriveTestTable(column(distances), column(rss_values), predictions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_parse_inverts_serialize(table):
+    text = serialize_drive_test_csv(table)
+    again = parse_drive_test_csv(text)
+    assert again == table
+    assert serialize_drive_test_csv(again) == text
+
+
+def _rowwise_reference(text: str) -> None:
+    """The row-at-a-time parse and validation the columnar table replaced.
+
+    Raises the DataError for the first bad cell it meets: every row's
+    width and numbers in order, then each row's distance and measured
+    RSS, then each prediction column top to bottom.
+    """
+    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(cell.strip() for cell in row)]
+    header = [cell.strip() for cell in rows[0]]
+    columns: list[list[float]] = [[] for _ in header]
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise DataError(f"row {i}: expected {len(header)} cells, got {len(row)}")
+        for name, cell, values in zip(header, row, columns):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise DataError(f"row {i}, column {name}: not a number: {cell.strip()!r}") from None
+
+    if not columns[0]:
+        raise DataError("drive test has no samples")
+
+    def check_rss(value, row, name):
+        if not math.isfinite(value) or not RSS_MIN_DBM <= value <= RSS_MAX_DBM:
+            raise DataError(f"row {row}, column {name}: RSS {value!r} outside [-150, 40] dBm")
+
+    for i, (d, rss) in enumerate(zip(columns[0], columns[1]), start=1):
+        if not math.isfinite(d) or d <= 0.0:
+            raise DataError(f"row {i}: distance_m must be positive, got {d!r}")
+        check_rss(rss, i, "rssi_dbm")
+    for name, values in zip(header[2:], columns[2:]):
+        for i, value in enumerate(values, start=1):
+            check_rss(value, i, name)
+
+
+BAD_CELLS = ("n/a", "1.5.2", "", "nan", "-5", "0", "-200", "90", "inf", "width+", "width-")
+
+
+def _bad_cell_applies(kind: str, column: int) -> bool:
+    if kind in ("-5", "0"):
+        return column == 0
+    if kind in ("-200", "90"):
+        return column > 0
+    return True
+
+
+def _expected_error(kind: str, row: int, column: str, width: int) -> str:
+    if kind == "width+":
+        return f"row {row}: expected {width} cells, got {width + 1}"
+    if kind == "width-":
+        return f"row {row}: expected {width} cells, got {width - 1}"
+    if kind in ("n/a", "1.5.2", ""):
+        return f"row {row}, column {column}: not a number: {kind!r}"
+    value = float(kind)
+    if column == "distance_m":
+        return f"row {row}: distance_m must be positive, got {value!r}"
+    return f"row {row}, column {column}: RSS {value!r} outside [-150, 40] dBm"
+
+
+@st.composite
+def injections(draw, count):
+    """A valid table's CSV lines as cells, and `count` bad cells to put in them."""
+    table = draw(tables())
+    lines = [line.split(",") for line in serialize_drive_test_csv(table).splitlines()]
+    width = len(lines[0])
+    chosen = []
+    for _ in range(count):
+        row = draw(st.integers(1, len(table)))
+        column = draw(st.integers(0, width - 1))
+        kind = draw(st.sampled_from([k for k in BAD_CELLS if _bad_cell_applies(k, column)]))
+        chosen.append((row, column, kind))
+    return lines, chosen
+
+
+def _inject(lines, chosen) -> str:
+    lines = [list(cells) for cells in lines]
+    # cells first, so a shortened row never hides a later cell's place
+    for row, column, kind in sorted(chosen, key=lambda c: c[2].startswith("width")):
+        if kind == "width+":
+            lines[row].append("1")
+        elif kind == "width-":
+            lines[row].pop()
+        else:
+            lines[row][column] = kind
+    return "\n".join(",".join(cells) for cells in lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(injections(1))
+def test_one_bad_cell_is_named_by_row_and_column(case):
+    lines, [(row, column, kind)] = case
+    header = lines[0]
+    with pytest.raises(DataError) as exc:
+        parse_drive_test_csv(_inject(lines, [(row, column, kind)]))
+    assert str(exc.value) == _expected_error(kind, row, header[column], len(header))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(injections))
+def test_first_bad_cell_in_row_order_is_reported(case):
+    text = _inject(*case)
+    try:
+        _rowwise_reference(text)
+    except DataError as exc:
+        expected = str(exc)
+    else:  # the injections cancelled out or blanked a row
+        parse_drive_test_csv(text)
+        return
+    with pytest.raises(DataError) as exc:
+        parse_drive_test_csv(text)
+    assert str(exc.value) == expected
