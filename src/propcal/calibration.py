@@ -23,9 +23,15 @@ from typing import Mapping, Sequence
 
 from .dataset import PUBLISHED_CALIBRATION
 from .errors import DataError, DomainError
-from .models import PathLossModel, model_from_params
+from .models import MODEL_IDS, _model_arguments, model_from_params
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
+
+# How far a recomputed metric may lie from its published value before
+# `published_divergence_notes` reports it
+_CF_TOL_DB = 0.002
+_MSE_TOL_DB2 = 0.05
+_R_TOL = 0.0005
 
 
 @dataclass(frozen=True)
@@ -129,11 +135,6 @@ def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
     return sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
 
 
-def apply_correction(model: PathLossModel, cf_db: float) -> PathLossModel:
-    """Model with the RSS-space correction folded in (path loss - cf)."""
-    return model.corrected(cf_db)
-
-
 def _finite_series(name: str, values: Sequence[float]) -> list[float]:
     """The series as floats; a NaN or infinity is a DataError naming its place."""
     series = list(map(float, values))
@@ -157,7 +158,8 @@ def calibrate(
     zero-variance series) it is reported as None, ranks below any r,
     and a note names the model and the reason; cf and both MSEs are
     still reported.  `acceptable_mse_db2`, when given, adds an advisory
-    note for each model whose corrected MSE still exceeds it.
+    note for each model whose corrected MSE still exceeds it.  Values so
+    large that a sum over a series overflows raise `DomainError`.
 
     Each series is scored in one pass with the same arithmetic as
     `correction_factor`, `mse` and `pearson_r`, and the measured series
@@ -169,9 +171,12 @@ def calibrate(
     n = len(x)
     # An empty series is rejected per model below, in the order the
     # reference functions check it.
-    mean_x = math.fsum(x) / n if n else 0.0
-    dx = list(map(operator.sub, x, itertools.repeat(mean_x)))
-    sxx = math.fsum(map(operator.mul, dx, dx))
+    try:
+        mean_x = math.fsum(x) / n if n else 0.0
+        dx = list(map(operator.sub, x, itertools.repeat(mean_x)))
+        sxx = math.fsum(map(operator.mul, dx, dx))
+    except OverflowError:
+        raise _overflow_error("measured") from None
     models: dict[str, ModelCalibration] = {}
     notes: list[str] = []
     for model_id, predicted in predictions.items():
@@ -180,18 +185,21 @@ def calibrate(
             raise DataError(f"series are misaligned: {n} measured vs {len(y)} predicted")
         if not n:
             raise DataError("series are empty")
-        residual = list(map(operator.sub, x, y))
-        cf = math.fsum(residual) / n
-        error = math.fsum(map(operator.mul, residual, residual)) / n
-        # r is invariant under the constant shift, so one value serves both
-        r: float | None
         try:
-            r = _pearson_centred(dx, sxx, y)
-        except DomainError as exc:
-            r = None
-            notes.append(f"{model_id}: {exc}; reported as null")
-        shifted = list(map(operator.sub, map(operator.add, y, itertools.repeat(cf)), x))
-        error_after = math.fsum(map(operator.mul, shifted, shifted)) / n
+            residual = list(map(operator.sub, x, y))
+            cf = math.fsum(residual) / n
+            error = math.fsum(map(operator.mul, residual, residual)) / n
+            # r is invariant under the constant shift, so one value serves both
+            r: float | None
+            try:
+                r = _pearson_centred(dx, sxx, y)
+            except DomainError as exc:
+                r = None
+                notes.append(f"{model_id}: {exc}; reported as null")
+            shifted = list(map(operator.sub, map(operator.add, y, itertools.repeat(cf)), x))
+            error_after = math.fsum(map(operator.mul, shifted, shifted)) / n
+        except OverflowError:
+            raise _overflow_error(f"predicted {model_id!r}") from None
         calib = ModelCalibration(
             cf,
             ModelMetrics(error, math.sqrt(error), r, n),
@@ -209,6 +217,10 @@ def calibrate(
         return (after.mse_db2, math.inf if after.pearson_r is None else -after.pearson_r, model_id)
 
     return CalibrationReport(models, min(models, key=rank), SELECTION_RULE, tuple(notes))
+
+
+def _overflow_error(name: str) -> DomainError:
+    return DomainError(f"{name} series: a sum over its values overflows the float range")
 
 
 def _pearson_centred(dx: list[float], sxx: float, y: list[float]) -> float:
@@ -229,10 +241,6 @@ def _pearson_centred(dx: list[float], sxx: float, y: list[float]) -> float:
 def published_divergence_notes(
     report: CalibrationReport,
     published: Mapping[str, Mapping[str, float]] = PUBLISHED_CALIBRATION,
-    *,
-    cf_tol_db: float = 0.002,
-    mse_tol_db2: float = 0.05,
-    r_tol: float = 0.0005,
 ) -> tuple[str, ...]:
     """Compare a recomputed report against published reference metrics.
 
@@ -248,23 +256,23 @@ def published_divergence_notes(
         calib = report.models.get(model_id)
         if calib is None:
             continue
-        if abs(calib.cf_db - pub["cf_db"]) > cf_tol_db:
+        if abs(calib.cf_db - pub["cf_db"]) > _CF_TOL_DB:
             notes.append(
                 f"{model_id}: computed cf {calib.cf_db:.4f} dB differs from "
                 f"published {pub['cf_db']:g} dB"
             )
-        if abs(calib.before.mse_db2 - pub["mse_before_db2"]) > mse_tol_db2:
+        if abs(calib.before.mse_db2 - pub["mse_before_db2"]) > _MSE_TOL_DB2:
             notes.append(
                 f"{model_id}: computed before-correction mse {calib.before.mse_db2:.4f} dB^2 "
                 f"differs from published {pub['mse_before_db2']:g} dB^2"
             )
         r = calib.before.pearson_r
-        if r is not None and abs(r - pub["pearson_r"]) > r_tol:
+        if r is not None and abs(r - pub["pearson_r"]) > _R_TOL:
             notes.append(
                 f"{model_id}: computed pearson r {r:.4f} differs from "
                 f"published {pub['pearson_r']:g}"
             )
-        if abs(calib.after.mse_db2 - pub["mse_after_db2"]) > mse_tol_db2:
+        if abs(calib.after.mse_db2 - pub["mse_after_db2"]) > _MSE_TOL_DB2:
             identity = pub["mse_before_db2"] - pub["cf_db"] ** 2
             cf_after = pub.get("cf_after_db", pub["cf_db"])
             if abs(identity - cf_after) <= 0.005:
@@ -330,40 +338,42 @@ def infer_site_parameters(
     Exhaustive search over the cartesian product of `grid`, scored by
     MSE against the series; `base` supplies the fixed parameters.  The
     spaces are tiny, so exhaustiveness and reproducibility beat speed.
-    Combinations that violate a model precondition are skipped; if all
-    do, the result carries fit_mse_db2 = inf instead of failing.
+    Every key and value of `grid` and `base` is checked once, before the
+    search: an unknown key, or a value that is neither a number nor a
+    known name, raises as in `model_from_params`.  Combinations that
+    violate a model precondition, or whose squared errors overflow, are
+    skipped; if all are, the result carries the first combination and
+    fit_mse_db2 = inf.
     """
     slope = decade_slope(distances_m, path_loss_db)
+    if model_id not in MODEL_IDS:
+        raise DomainError(f"unknown model id {model_id!r}")
     if not grid:
         raise DomainError("parameter grid is empty")
     names = list(grid)
     axes = [list(grid[name]) for name in names]
+    fixed = dict(base) if base else {}
+    _model_arguments(fixed)
     for name, axis in zip(names, axes):
         if not axis:
             raise DomainError(f"parameter grid axis {name!r} is empty")
+        for value in axis:
+            _model_arguments({name: value})
     distances = [float(d) for d in distances_m]
     target = [float(v) for v in path_loss_db]
 
-    best_params: dict[str, object] | None = None
+    best_params = {**fixed, **{name: axis[0] for name, axis in zip(names, axes)}}
     best_mse = math.inf
-    first_params: dict[str, object] | None = None
-    evaluated = 0
     for combo in itertools.product(*axes):
-        params = dict(base) if base else {}
+        params = dict(fixed)
         params.update(zip(names, combo))
-        if first_params is None:
-            first_params = dict(params)
-        evaluated += 1
         try:
             model = model_from_params(model_id, params)
             error = list(map(operator.sub, model.path_loss_series(distances), target))
-        except DomainError:
+            fit = math.fsum(map(operator.mul, error, error)) / len(error)
+        except (DomainError, OverflowError):
             continue
-        fit = math.fsum(map(operator.mul, error, error)) / len(error)
         if fit < best_mse:
             best_mse = fit
-            best_params = dict(params)
-    if best_params is None:
-        assert first_params is not None
-        best_params = first_params
-    return InferenceResult(model_id, best_params, best_mse, slope, evaluated)
+            best_params = params
+    return InferenceResult(model_id, best_params, best_mse, slope, math.prod(map(len, axes)))

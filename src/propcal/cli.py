@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .calibration import (
     CalibrationReport,
@@ -217,7 +217,7 @@ def _load_site(args: argparse.Namespace) -> SiteConfig:
     if args.site == REFERENCE_SITE_ALIAS:
         site = REFERENCE_SITE
     else:
-        site = site_from_json(Path(args.site).read_text(encoding="utf-8"))
+        site = site_from_json(_read_text(args.site, "utf-8"))
     overrides = {}
     if args.freq_mhz is not None:
         overrides["freq_mhz"] = args.freq_mhz
@@ -228,18 +228,24 @@ def _load_site(args: argparse.Namespace) -> SiteConfig:
     return dataclasses.replace(site, **overrides) if overrides else site
 
 
+def _read_text(path: str, encoding: str) -> str:
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_table(data: str) -> DriveTestTable:
     if data == EMBEDDED_DATA:
         return reference_dataset()
-    return parse_drive_test_csv(Path(data).read_text(encoding="utf-8-sig"))
+    return parse_drive_test_csv(_read_text(data, "utf-8-sig"))
 
 
-def _selected_models(args: argparse.Namespace) -> tuple[str, ...]:
-    if getattr(args, "all", False):
+def _selected_models(args: argparse.Namespace, default: tuple[str, ...]) -> tuple[str, ...]:
+    """The models `--all` or `--model` names, or `default` if neither is given."""
+    if args.all:
         return MODEL_IDS
-    if getattr(args, "model", None):
-        return (args.model,)
-    return MODEL_IDS
+    return (args.model,) if args.model else default
 
 
 def _bound_models(args: argparse.Namespace, site: SiteConfig, model_ids: Sequence[str]) -> dict[str, object]:
@@ -289,7 +295,7 @@ def _report_output(report: CalibrationReport, fmt: str) -> str:
 def _cmd_predict(args: argparse.Namespace) -> str:
     site = _load_site(args)
     distances = args.distances if args.distances is not None else [args.distance_m]
-    model_ids = MODEL_IDS if args.all else (args.model,)
+    model_ids = _selected_models(args, ())
     models = _bound_models(args, site, model_ids)
     columns = {mid: models[mid].path_loss_series(distances) for mid in model_ids}
     if args.format == "json":
@@ -304,7 +310,7 @@ def _cmd_predict(args: argparse.Namespace) -> str:
 def _cmd_calibrate(args: argparse.Namespace) -> str:
     site = _load_site(args)
     table = _load_table(args.data)
-    models = _bound_models(args, site, _selected_models(args))
+    models = _bound_models(args, site, _selected_models(args, MODEL_IDS))
     budget = site.budget_db
     predictions = {
         mid: [budget - loss for loss in model.path_loss_series(table.distances_m)]
@@ -411,12 +417,7 @@ def _cmd_infer(args: argparse.Namespace) -> str:
 def _cmd_plot(args: argparse.Namespace) -> str:
     site = _load_site(args)
     table = _load_table(args.data)
-    requested = ()
-    if args.all:
-        requested = MODEL_IDS
-    elif args.model:
-        requested = (args.model,)
-    to_evaluate = [mid for mid in requested if mid not in table.predictions]
+    to_evaluate = [mid for mid in _selected_models(args, ()) if mid not in table.predictions]
     models = _bound_models(args, site, to_evaluate)
     distances = table.distances_m
     for mid in to_evaluate:
@@ -442,32 +443,24 @@ _COMMANDS = {
 }
 
 
+# Exit code of each error class that `main` reports; no class here
+# derives from another.
+_EXIT_CODES = {UsageError: 1, DataError: 2, OSError: 2, DomainError: 3}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"propcal: error: {exc}", file=sys.stderr)
-        return 1
+        output = _COMMANDS[args.command](args)
+        if args.out:
+            Path(args.out).write_text(output, encoding="utf-8")
+        else:
+            sys.stdout.write(output)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        output = _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"propcal: error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"propcal: error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"propcal: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"propcal: error: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
-        sys.stdout.write(output)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     return 0
 
 

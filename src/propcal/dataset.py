@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .link_budget import SiteConfig, path_loss_from_rss
+from .link_budget import SiteConfig
 
 # Plausibility window for any RSS value, measured or predicted.  Real
 # receivers bottom out near -120 dBm; the margin below that catches unit
@@ -302,15 +302,14 @@ def emit_plot_series(
         if name not in table.predictions:
             raise DataError(f"unknown prediction column {name!r}")
 
-    def convert(rss: float) -> float:
-        return rss if quantity == "rss" else path_loss_from_rss(site, rss)
-
-    distances, measured = table.distances_m, table.measured_rss_dbm
+    distances = table.distances_m
+    series = [table.measured_rss_dbm] + [table.predictions[n] for n in names]
+    if quantity == "pl":
+        budget = site.budget_db
+        series = [[budget - rss for rss in column] for column in series]
     order = sorted(range(len(table)), key=distances.__getitem__)
     measured_label = "measured_rss_dbm" if quantity == "rss" else "measured_pl_db"
     lines = [",".join(["distance_m", measured_label] + names)]
     for i in order:
-        cells = [_format_value(distances[i]), f"{convert(measured[i]):.2f}"]
-        cells += [f"{convert(table.predictions[n][i]):.2f}" for n in names]
-        lines.append(",".join(cells))
+        lines.append(",".join([_format_value(distances[i])] + [f"{column[i]:.2f}" for column in series]))
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 from typing import Mapping, Sequence
 
 from .errors import DomainError
@@ -64,6 +64,10 @@ def _cost231_range_notes(freq_mhz: float, tx_height_m: float, rx_height_m: float
         for name, value, (lo, hi) in checks
         if not lo <= value <= hi
     )
+
+
+def _non_finite_error(model_id: str) -> DomainError:
+    return DomainError(f"{model_id}: the parameters give a non-finite path-loss coefficient")
 
 
 def _d0_error(d0_m: float, distance_m: float) -> DomainError:
@@ -371,6 +375,7 @@ def ericsson_path_loss(
     )
 
 
+@dataclass(frozen=True, slots=True)
 class PathLossModel:
     """A named predictor mapping distance in meters to path loss in dB.
 
@@ -384,30 +389,25 @@ class PathLossModel:
     nonzero only for extended COST-231 Hata.  A correction is a shift of
     c0.  `range_notes` are the documented-range violations found at bind
     time: every evaluated distance raises each of them once as a
-    `ModelRangeWarning`.  Instances are immutable in practice:
-    `corrected` returns a new model instead of mutating.
+    `ModelRangeWarning`.  `name` defaults to `model_id`.  A coefficient
+    that is not finite raises `DomainError`.  Instances are frozen:
+    `corrected` returns a new model.
     """
 
-    __slots__ = ("model_id", "name", "c0", "c1", "c2", "min_distance_m", "range_notes")
+    model_id: str
+    c0: float
+    c1: float
+    c2: float = 0.0
+    _: KW_ONLY
+    min_distance_m: float = 0.0
+    range_notes: tuple[str, ...] = ()
+    name: str | None = None
 
-    def __init__(
-        self,
-        model_id: str,
-        c0: float,
-        c1: float,
-        c2: float = 0.0,
-        *,
-        min_distance_m: float = 0.0,
-        range_notes: tuple[str, ...] = (),
-        name: str | None = None,
-    ) -> None:
-        self.model_id = model_id
-        self.name = name or model_id
-        self.c0 = c0
-        self.c1 = c1
-        self.c2 = c2
-        self.min_distance_m = min_distance_m
-        self.range_notes = range_notes
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.c0, self.c1, self.c2))):
+            raise _non_finite_error(self.model_id)
+        if self.name is None:
+            object.__setattr__(self, "name", self.model_id)
 
     def path_loss_db(self, distance_m: float) -> float:
         return self.path_loss_series((distance_m,))[0]
@@ -433,22 +433,7 @@ class PathLossModel:
 
     def corrected(self, cf_db: float) -> "PathLossModel":
         """New model whose path loss is this one's minus cf_db."""
-        return PathLossModel(
-            self.model_id,
-            self.c0 - _finite("cf_db", cf_db),
-            self.c1,
-            self.c2,
-            min_distance_m=self.min_distance_m,
-            range_notes=self.range_notes,
-            name=f"{self.name}_corrected",
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"PathLossModel(model_id={self.model_id!r}, name={self.name!r}, "
-            f"c0={self.c0!r}, c1={self.c1!r}, c2={self.c2!r}, "
-            f"min_distance_m={self.min_distance_m!r})"
-        )
+        return replace(self, c0=self.c0 - _finite("cf_db", cf_db), name=f"{self.name}_corrected")
 
 
 def make_model(
@@ -462,72 +447,128 @@ def make_model(
     ericsson_params: EricssonParams | None = None,
     tx_gain_linear: float = 1.0,
     rx_gain_variant: str = "medium_city",
-    name: str | None = None,
 ) -> PathLossModel:
     """Bind a model id and its parameters into log-distance coefficients.
 
     Heights are ignored by `fspl` and required by every other model.
     The coefficients expand the closed forms above in L = log10(d_km)
-    (Hata 1980, COST 231 ch. 4, Erceg et al. 1999 for SUI).
+    (Hata 1980, COST 231 ch. 4, Erceg et al. 1999 for SUI).  Parameters
+    so extreme that a coefficient is not finite raise `DomainError`
+    naming the model.
     """
-    freq_mhz = _positive("freq_mhz", freq_mhz)
-    if model_id == "fspl":
-        gt = _positive("tx_gain_linear", tx_gain_linear)
-        c0 = 32.45 - 10.0 * math.log10(gt) + 20.0 * math.log10(freq_mhz)
-        return PathLossModel(model_id, c0, 20.0, name=name)
+    try:
+        freq_mhz = _positive("freq_mhz", freq_mhz)
+        if model_id == "fspl":
+            gt = _positive("tx_gain_linear", tx_gain_linear)
+            c0 = 32.45 - 10.0 * math.log10(gt) + 20.0 * math.log10(freq_mhz)
+            return PathLossModel(model_id, c0, 20.0)
 
-    if model_id not in MODEL_IDS:
-        raise DomainError(f"unknown model id {model_id!r}")
-    if tx_height_m is None or rx_height_m is None:
-        raise DomainError(f"{model_id} requires tx_height_m and rx_height_m")
-    hb = _positive("tx_height_m", tx_height_m)
-    hr = _positive("rx_height_m", rx_height_m)
-    log_hb = math.log10(hb)
+        if model_id not in MODEL_IDS:
+            raise DomainError(f"unknown model id {model_id!r}")
+        if tx_height_m is None or rx_height_m is None:
+            raise DomainError(f"{model_id} requires tx_height_m and rx_height_m")
+        hb = _positive("tx_height_m", tx_height_m)
+        hr = _positive("rx_height_m", rx_height_m)
+        log_hb = math.log10(hb)
 
-    if model_id == "cost231_hata":
+        if model_id == "cost231_hata":
+            c0 = (
+                46.3
+                + 33.9 * math.log10(freq_mhz)
+                - 13.82 * log_hb
+                - mobile_station_correction(hr)
+                + environment.clutter_db
+            )
+            return PathLossModel(
+                model_id,
+                c0,
+                44.9 - 6.55 * log_hb,
+                range_notes=_cost231_range_notes(freq_mhz, hb, hr),
+            )
+        if model_id == "extended_cost231":
+            log_f = math.log10(freq_mhz / 1000.0)
+            tx_term = math.log10(hb / 200.0)
+            c0 = (
+                92.4
+                + 20.0 * log_f
+                + 20.41
+                + 7.894 * log_f
+                + 9.56 * log_f**2
+                - 13.958 * tx_term
+                - _extended_rx_gain(rx_gain_variant, log_f, hr)
+            )
+            return PathLossModel(model_id, c0, 20.0 + 9.83, -5.8 * tx_term)
+        if model_id == "sui":
+            sui_p = sui_params if sui_params is not None else SuiParams()
+            wavelength_m = LIGHT_SPEED_M_PER_S / (freq_mhz * 1e6)
+            intercept = 20.0 * math.log10(4.0 * math.pi * sui_p.d0_m / wavelength_m)
+            xf, xh = sui_corrections(freq_mhz, hr, sui_p)
+            c1 = 10.0 * sui_gamma(hb, sui_p.terrain)
+            c0 = intercept + xf + xh + sui_p.shadow_db - c1 * (math.log10(sui_p.d0_m) - 3.0)
+            return PathLossModel(model_id, c0, c1, min_distance_m=sui_p.d0_m)
+        eric_p = ericsson_params if ericsson_params is not None else ERICSSON_URBAN
         c0 = (
-            46.3
-            + 33.9 * math.log10(freq_mhz)
-            - 13.82 * log_hb
-            - mobile_station_correction(hr)
-            + environment.clutter_db
+            eric_p.a0
+            + eric_p.a2 * log_hb
+            - 3.2 * math.log10(11.75 * hr) ** 2
+            + ericsson_frequency_term(freq_mhz)
         )
-        return PathLossModel(
-            model_id,
-            c0,
-            44.9 - 6.55 * log_hb,
-            range_notes=_cost231_range_notes(freq_mhz, hb, hr),
-            name=name,
-        )
-    if model_id == "extended_cost231":
-        log_f = math.log10(freq_mhz / 1000.0)
-        tx_term = math.log10(hb / 200.0)
-        c0 = (
-            92.4
-            + 20.0 * log_f
-            + 20.41
-            + 7.894 * log_f
-            + 9.56 * log_f**2
-            - 13.958 * tx_term
-            - _extended_rx_gain(rx_gain_variant, log_f, hr)
-        )
-        return PathLossModel(model_id, c0, 20.0 + 9.83, -5.8 * tx_term, name=name)
-    if model_id == "sui":
-        sui_p = sui_params if sui_params is not None else SuiParams()
-        wavelength_m = LIGHT_SPEED_M_PER_S / (freq_mhz * 1e6)
-        intercept = 20.0 * math.log10(4.0 * math.pi * sui_p.d0_m / wavelength_m)
-        xf, xh = sui_corrections(freq_mhz, hr, sui_p)
-        c1 = 10.0 * sui_gamma(hb, sui_p.terrain)
-        c0 = intercept + xf + xh + sui_p.shadow_db - c1 * (math.log10(sui_p.d0_m) - 3.0)
-        return PathLossModel(model_id, c0, c1, min_distance_m=sui_p.d0_m, name=name)
-    eric_p = ericsson_params if ericsson_params is not None else ERICSSON_URBAN
-    c0 = (
-        eric_p.a0
-        + eric_p.a2 * log_hb
-        - 3.2 * math.log10(11.75 * hr) ** 2
-        + ericsson_frequency_term(freq_mhz)
-    )
-    return PathLossModel(model_id, c0, eric_p.a1 + eric_p.a3 * log_hb, name=name)
+        return PathLossModel(model_id, c0, eric_p.a1 + eric_p.a3 * log_hb)
+    except DomainError:
+        raise
+    except (ArithmeticError, ValueError):
+        # an intermediate over- or underflowed into a division by zero or a log10(0)
+        raise _non_finite_error(model_id) from None
+
+
+# `model_from_params` keys that take a name: the object type each also
+# accepts as it is, and the names with what each stands for
+_NAMED_PARAMS: Mapping[str, tuple] = {
+    "environment": (Environment, ENVIRONMENTS),
+    "terrain": (TerrainCategory, TERRAINS),
+    "rx_gain_variant": ((), {"medium_city": "medium_city", "large_city": "large_city"}),
+}
+_NUMERIC_PARAMS = frozenset({
+    "freq_mhz", "tx_height_m", "rx_height_m", "tx_gain_linear",
+    "sui_d0_m", "sui_shadow_db", "sui_xh_denominator_m",
+    "ericsson_a0", "ericsson_a1", "ericsson_a2", "ericsson_a3",
+})
+# `model_from_params` keys that set a field of SuiParams or EricssonParams
+_SUI_FIELDS = {
+    "terrain": "terrain",
+    "sui_d0_m": "d0_m",
+    "sui_shadow_db": "shadow_db",
+    "sui_xh_denominator_m": "xh_denominator_m",
+}
+_ERICSSON_FIELDS = {f"ericsson_{name}": name for name in ("a0", "a1", "a2", "a3")}
+
+
+def _model_arguments(params: Mapping[str, object]) -> dict[str, object]:
+    """`params` as `make_model` takes them, a None value counting as absent.
+
+    An unknown key, a value that is not a number where one is due, or
+    an unknown name raises `DomainError` naming the key.
+    """
+    args: dict[str, object] = {}
+    for key, value in params.items():
+        if value is None:
+            continue
+        if key in _NUMERIC_PARAMS:
+            try:
+                args[key] = float(value)  # type: ignore[arg-type]
+            except (TypeError, ValueError):
+                raise DomainError(f"model parameter {key}: not a number: {value!r}") from None
+        elif key in _NAMED_PARAMS:
+            kind, names = _NAMED_PARAMS[key]
+            if isinstance(value, kind):
+                args[key] = value
+            elif isinstance(value, str) and value in names:
+                args[key] = names[value]
+            else:
+                raise DomainError(f"unknown {key} {value!r}")
+        else:
+            raise DomainError(f"unknown model parameters: [{key!r}]")
+    return args
 
 
 def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossModel:
@@ -539,59 +580,14 @@ def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossMo
     ericsson_a0..ericsson_a3, tx_gain_linear, rx_gain_variant.
     Environment and terrain accept either the objects or their names.
     """
-    known = {
-        "freq_mhz", "tx_height_m", "rx_height_m", "environment", "terrain",
-        "sui_d0_m", "sui_shadow_db", "sui_xh_denominator_m",
-        "ericsson_a0", "ericsson_a1", "ericsson_a2", "ericsson_a3",
-        "tx_gain_linear", "rx_gain_variant",
-    }
-    unknown = set(params) - known
-    if unknown:
-        raise DomainError(f"unknown model parameters: {sorted(unknown)}")
-    if "freq_mhz" not in params:
+    args = _model_arguments(params)
+    if "freq_mhz" not in args:
         raise DomainError("freq_mhz is required")
-
-    environment = params.get("environment", MEDIUM_SUBURBAN)
-    if isinstance(environment, str):
-        if environment not in ENVIRONMENTS:
-            raise DomainError(f"unknown environment {environment!r}")
-        environment = ENVIRONMENTS[environment]
-
-    terrain = params.get("terrain", TERRAIN_B)
-    if isinstance(terrain, str):
-        if terrain not in TERRAINS:
-            raise DomainError(f"unknown terrain {terrain!r}")
-        terrain = TERRAINS[terrain]
-
-    sui_p = SuiParams(
-        terrain=terrain,
-        d0_m=float(params.get("sui_d0_m", 100.0)),
-        shadow_db=float(params.get("sui_shadow_db", 0.0)),
-        xh_denominator_m=float(params.get("sui_xh_denominator_m", 2.0)),
-    )
-    eric_p = EricssonParams(
-        a0=float(params.get("ericsson_a0", ERICSSON_URBAN.a0)),
-        a1=float(params.get("ericsson_a1", ERICSSON_URBAN.a1)),
-        a2=float(params.get("ericsson_a2", ERICSSON_URBAN.a2)),
-        a3=float(params.get("ericsson_a3", ERICSSON_URBAN.a3)),
-    )
-    heights = {}
-    if params.get("tx_height_m") is not None:
-        heights["tx_height_m"] = float(params["tx_height_m"])  # type: ignore[arg-type]
-    if params.get("rx_height_m") is not None:
-        heights["rx_height_m"] = float(params["rx_height_m"])  # type: ignore[arg-type]
+    sui = {field: args.pop(key) for key, field in _SUI_FIELDS.items() if key in args}
+    ericsson = {field: args.pop(key) for key, field in _ERICSSON_FIELDS.items() if key in args}
     return make_model(
         model_id,
-        float(params["freq_mhz"]),  # type: ignore[arg-type]
-        **heights,
-        environment=environment,
-        sui_params=sui_p,
-        ericsson_params=eric_p,
-        tx_gain_linear=float(params.get("tx_gain_linear", 1.0)),
-        rx_gain_variant=str(params.get("rx_gain_variant", "medium_city")),
+        sui_params=SuiParams(**sui),  # type: ignore[arg-type]
+        ericsson_params=EricssonParams(**ericsson),  # type: ignore[arg-type]
+        **args,  # type: ignore[arg-type]
     )
-
-
-def evaluate(model: PathLossModel, distance_m: float) -> float:
-    """Evaluate a bound model at one distance; pure and deterministic."""
-    return model.path_loss_db(distance_m)

@@ -176,3 +176,27 @@ def test_bind_time_validation_keeps_its_messages():
         make_model("fspl", 2530.0, tx_gain_linear=0.0)
     with pytest.raises(DomainError, match="unknown rx_gain_variant"):
         make_model("extended_cost231", 2530.0, 40.0, 3.0, rx_gain_variant="small_town")
+
+
+@pytest.mark.parametrize(
+    ("model_id", "kwargs"),
+    [
+        ("sui", {"freq_mhz": 1e308, "tx_height_m": 40.0, "rx_height_m": 3.0}),  # wavelength underflows to 0
+        ("sui", {"freq_mhz": 2530.0, "tx_height_m": 1e-320, "rx_height_m": 3.0}),  # gamma overflows
+        ("extended_cost231", {"freq_mhz": 5e-324, "tx_height_m": 40.0, "rx_height_m": 3.0}),  # log10(0)
+    ],
+)
+def test_non_finite_coefficients_raise_at_bind_time(model_id, kwargs):
+    with pytest.raises(DomainError, match=f"^{model_id}: the parameters give a non-finite path-loss coefficient$"):
+        make_model(model_id, **kwargs)
+
+
+def test_a_bound_model_is_a_frozen_value():
+    model = make_model("ericsson", 2530.0, 40.0, 3.0)
+    assert model == make_model("ericsson", 2530.0, 40.0, 3.0)
+    assert model.name == "ericsson"
+    with pytest.raises(AttributeError):
+        model.c0 = 0.0
+    # the second correction pushes c0 past the largest float
+    with pytest.raises(DomainError, match="^ericsson: the parameters give a non-finite"):
+        model.corrected(1.7e308).corrected(1.7e308)

@@ -16,7 +16,6 @@ from propcal import (
     DomainError,
     MODEL_IDS,
     REFERENCE_SITE,
-    apply_correction,
     calibrate,
     correction_factor,
     cost231_tx_height_from_slope,
@@ -178,7 +177,7 @@ class TestApplyCorrection:
 
     def test_model_correction_composes_with_budget(self):
         model = make_model("extended_cost231", 2530.0, 40.0, 3.0)
-        corrected = apply_correction(model, 7.8451)
+        corrected = model.corrected(7.8451)
         d = 2200.0
         better_rss = predict_rss(REFERENCE_SITE, corrected.path_loss_db(d))
         base_rss = predict_rss(REFERENCE_SITE, model.path_loss_db(d))
@@ -186,7 +185,7 @@ class TestApplyCorrection:
 
     def test_zero_correction_is_identity(self):
         model = make_model("sui", 2530.0, 40.0, 3.0)
-        same = apply_correction(model, 0.0)
+        same = model.corrected(0.0)
         assert same.path_loss_db(750.0) == model.path_loss_db(750.0)
 
 
@@ -309,6 +308,13 @@ class TestCalibrate:
     def test_empty_predictions_rejected(self):
         with pytest.raises(DataError):
             calibrate([-70.0, -71.0], {})
+
+    def test_overflowing_sums_raise_naming_the_series(self):
+        with pytest.raises(DomainError, match=r"^measured series: a sum over its values overflows"):
+            calibrate([1e308, 1e308], {"a": [0.0, 1.0]})
+        for huge in (1e154, 1e308):  # the squares, or the residuals themselves, overflow when summed
+            with pytest.raises(DomainError, match=r"^predicted 'b' series: a sum over its values overflows"):
+                calibrate([0.0, 1.0], {"a": [0.0, 2.0], "b": [-huge, -huge]})
 
     def test_report_json_shape(self):
         measured, predictions, _ = corpus()
@@ -478,6 +484,27 @@ class TestInferSiteParameters:
         )
         assert math.isinf(result.fit_mse_db2)
         assert result.params["sui_d0_m"] == 1e6
+
+    @pytest.mark.parametrize(
+        ("grid", "base", "message"),
+        [
+            ({"downtilt": [1.0]}, {}, "unknown model parameters"),
+            ({"tx_height_m": [40.0]}, {"downtilt": 1.0}, "unknown model parameters"),
+            ({"terrain": ["B", "D"]}, {}, "unknown terrain 'D'"),
+            ({"terrain": [5.0]}, {}, "unknown terrain 5.0"),
+            ({"tx_height_m": [40.0, "abc"]}, {}, "tx_height_m: not a number: 'abc'"),
+            ({"environment": ["metro"]}, {}, "unknown environment 'metro'"),
+        ],
+    )
+    def test_malformed_grid_or_base_raises_instead_of_returning_inf(self, grid, base, message):
+        loss = self.synthetic_loss("sui", {"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 3.0})
+        fixed = {"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 3.0, **base}
+        with pytest.raises(DomainError, match=message):
+            infer_site_parameters(self.distances, loss, "sui", grid, base=fixed)
+
+    def test_unknown_model_id_raises_instead_of_returning_inf(self):
+        with pytest.raises(DomainError, match="unknown model id 'okumura'"):
+            infer_site_parameters(self.distances, [100.0, 110.0, 120.0, 130.0, 140.0], "okumura", {"freq_mhz": [900.0]})
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError, match="empty"):

@@ -350,3 +350,53 @@ def test_console_script():
     result = subprocess.run(["propcal", "reference"], capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["rows"] == 45
+
+
+@pytest.mark.parametrize(
+    ("axis", "model", "message"),
+    [
+        ("downtilt=1", "cost231_hata", "unknown model parameters: ['downtilt']"),
+        ("environment=metro", "cost231_hata", "unknown environment 'metro'"),
+        ("terrain=D", "sui", "unknown terrain 'D'"),
+        ("tx_height_m=abc", "cost231_hata", "model parameter tx_height_m: not a number: 'abc'"),
+        ("terrain=5", "sui", "unknown terrain 5.0"),
+    ],
+)
+def test_malformed_grid_axis_exits_3_before_the_search(run_cli, axis, model, message):
+    code, out, err = run_cli("infer", "--model", model, "--data", "embedded:reference", "--grid", axis)
+    assert (code, out, err) == (3, "", f"{ERROR_PREFIX}{message}\n")
+
+
+@pytest.mark.parametrize("flag", [("--freq-mhz", "1e308"), ("--tx-height", "1e-320")])
+def test_non_finite_model_coefficients_exit_3(run_cli, flag):
+    code, out, err = run_cli("predict", "--model", "sui", "--distance-m", "500", *flag)
+    assert (code, out) == (3, "")
+    assert err == f"{ERROR_PREFIX}sui: the parameters give a non-finite path-loss coefficient\n"
+
+
+@pytest.mark.parametrize("case", ["undecodable_data", "undecodable_site", "out_is_a_directory", "out_in_a_missing_directory"])
+def test_file_errors_exit_2_naming_the_path(run_cli, tmp_path, case):
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"distance_m,rssi_dbm\n400,-61\xff\n")
+    corpus = ("--data", "embedded:reference")
+    path, argv = {
+        "undecodable_data": (undecodable, ("compare", "--data", str(undecodable))),
+        "undecodable_site": (undecodable, ("calibrate", *corpus, "--site", str(undecodable))),
+        "out_is_a_directory": (tmp_path, ("compare", *corpus, "--out", str(tmp_path))),
+        "out_in_a_missing_directory": (
+            tmp_path / "missing" / "x.json",
+            ("compare", *corpus, "--out", str(tmp_path / "missing" / "x.json")),
+        ),
+    }[case]
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(ERROR_PREFIX) and str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("shadow", ["2e153", "4e306"])
+def test_overflowing_residual_sums_exit_3(run_cli, shadow):
+    # squares (2e153) or the residuals themselves (4e306) sum past the float range
+    code, out, err = run_cli("calibrate", "--data", "embedded:reference", "--model", "sui", "--sui-shadow", shadow)
+    assert (code, out) == (3, "")
+    assert err == f"{ERROR_PREFIX}predicted 'sui' series: a sum over its values overflows the float range\n"
