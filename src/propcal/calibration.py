@@ -18,7 +18,7 @@ import json
 import math
 import operator
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 from .dataset import PUBLISHED_CALIBRATION
@@ -27,30 +27,31 @@ from .models import MODEL_IDS, _model_arguments, model_from_params
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
 
-# How far a recomputed metric may lie from its published value before
-# `published_divergence_notes` reports it
-_CF_TOL_DB = 0.002
-_MSE_TOL_DB2 = 0.05
-_R_TOL = 0.0005
-
-
-@dataclass(frozen=True)
-class ModelMetrics:
-    """Accuracy of one prediction series against the measurements."""
-
-    mse_db2: float
-    rmse_db: float
-    pearson_r: float | None
-    n: int
+# (field, label, unit, tolerance): each metric `published_divergence_notes`
+# checks, and how far it may lie from its published value unreported
+_PUBLISHED_CHECKS = (
+    ("cf_db", "cf", " dB", 0.002),
+    ("mse_before_db2", "before-correction mse", " dB^2", 0.05),
+    ("pearson_r", "pearson r", "", 0.0005),
+    ("mse_after_db2", "after-correction mse", " dB^2", 0.05),
+)
 
 
 @dataclass(frozen=True)
 class ModelCalibration:
-    """Correction factor plus metrics before and after applying it."""
+    """One model's report row: correction factor, then scores before and after it.
+
+    The field order is the JSON key order and the CSV column order.  r is
+    invariant under the constant shift, so one value serves both.
+    """
 
     cf_db: float
-    before: ModelMetrics
-    after: ModelMetrics
+    mse_before_db2: float
+    mse_after_db2: float
+    rmse_before_db: float
+    rmse_after_db: float
+    pearson_r: float | None
+    n: int
 
 
 @dataclass(frozen=True)
@@ -64,24 +65,21 @@ class CalibrationReport:
 
     def to_json(self) -> str:
         payload: dict[str, object] = {
-            "models": {
-                model_id: {
-                    "cf_db": calib.cf_db,
-                    "mse_before_db2": calib.before.mse_db2,
-                    "mse_after_db2": calib.after.mse_db2,
-                    "rmse_before_db": calib.before.rmse_db,
-                    "rmse_after_db": calib.after.rmse_db,
-                    "pearson_r": calib.before.pearson_r,
-                    "n": calib.before.n,
-                }
-                for model_id, calib in self.models.items()
-            },
+            "models": {model_id: vars(calib) for model_id, calib in self.models.items()},
             "best_model": self.best_model,
             "selection_rule": self.selection_rule,
         }
         if self.notes:
             payload["notes"] = list(self.notes)
         return json.dumps(payload, indent=2) + "\n"
+
+    def to_csv(self) -> str:
+        """One row per model: its id, the `ModelCalibration` fields, and whether it won."""
+        lines = [",".join(["model_id", *(f.name for f in fields(ModelCalibration)), "best"])]
+        for model_id, calib in self.models.items():
+            cells = ("" if value is None else repr(value) for value in vars(calib).values())
+            lines.append(",".join([model_id, *cells, "true" if model_id == self.best_model else "false"]))
+        return "\n".join(lines) + "\n"
 
 
 def _aligned(measured: Sequence[float], predicted: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -122,8 +120,8 @@ def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
     n = len(x)
     if n < 2:
         raise DomainError(f"pearson_r requires at least 2 samples, got {n}")
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
+    mean_x = _mean(x)
+    mean_y = _mean(y)
     dx = [xi - mean_x for xi in x]
     dy = [yi - mean_y for yi in y]
     sxx = math.fsum(d * d for d in dx)
@@ -133,6 +131,13 @@ def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
     sxy = math.fsum(a * b for a, b in zip(dx, dy))
     # the split root serves only when the product underflows to zero
     return sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
+
+
+def _mean(values: list[float]) -> float:
+    """The mean, exact for a flat series, whose value `fsum / n` can miss by an ulp."""
+    mean = math.fsum(values) / len(values)  # summed even when flat: callers report an overflow
+    # the ends first: every flat series passes that test, and most others fail it at once
+    return values[0] if values[0] == values[-1] and min(values) == max(values) else mean
 
 
 def _finite_series(name: str, values: Sequence[float]) -> list[float]:
@@ -172,7 +177,7 @@ def calibrate(
     # An empty series is rejected per model below, in the order the
     # reference functions check it.
     try:
-        mean_x = math.fsum(x) / n if n else 0.0
+        mean_x = _mean(x) if n else 0.0
         dx = list(map(operator.sub, x, itertools.repeat(mean_x)))
         sxx = math.fsum(map(operator.mul, dx, dx))
     except OverflowError:
@@ -200,21 +205,18 @@ def calibrate(
             error_after = math.fsum(map(operator.mul, shifted, shifted)) / n
         except OverflowError:
             raise _overflow_error(f"predicted {model_id!r}") from None
-        calib = ModelCalibration(
-            cf,
-            ModelMetrics(error, math.sqrt(error), r, n),
-            ModelMetrics(error_after, math.sqrt(error_after), r, n),
-        )
-        models[model_id] = calib
-        if acceptable_mse_db2 is not None and calib.after.mse_db2 > acceptable_mse_db2:
+        if not math.isfinite(error + error_after):  # each square overflowed on its own
+            raise _overflow_error(f"predicted {model_id!r}")
+        models[model_id] = ModelCalibration(cf, error, error_after, math.sqrt(error), math.sqrt(error_after), r, n)
+        if acceptable_mse_db2 is not None and error_after > acceptable_mse_db2:
             notes.append(
-                f"{model_id}: corrected mse {calib.after.mse_db2:.4f} dB^2 exceeds "
+                f"{model_id}: corrected mse {error_after:.4f} dB^2 exceeds "
                 f"the acceptable threshold {acceptable_mse_db2:g} dB^2"
             )
 
     def rank(model_id: str) -> tuple[float, float, str]:
-        after = models[model_id].after
-        return (after.mse_db2, math.inf if after.pearson_r is None else -after.pearson_r, model_id)
+        calib = models[model_id]
+        return (calib.mse_after_db2, math.inf if calib.pearson_r is None else -calib.pearson_r, model_id)
 
     return CalibrationReport(models, min(models, key=rank), SELECTION_RULE, tuple(notes))
 
@@ -230,7 +232,7 @@ def _pearson_centred(dx: list[float], sxx: float, y: list[float]) -> float:
         raise DomainError(f"pearson_r requires at least 2 samples, got {n}")
     if sxx == 0.0:
         raise DomainError("pearson_r is undefined for a zero-variance measured series")
-    mean_y = math.fsum(y) / n
+    mean_y = _mean(y)
     dy = list(map(operator.sub, y, itertools.repeat(mean_y)))
     syy = math.fsum(map(operator.mul, dy, dy))
     if syy == 0.0:
@@ -256,38 +258,24 @@ def published_divergence_notes(
         calib = report.models.get(model_id)
         if calib is None:
             continue
-        if abs(calib.cf_db - pub["cf_db"]) > _CF_TOL_DB:
-            notes.append(
-                f"{model_id}: computed cf {calib.cf_db:.4f} dB differs from "
-                f"published {pub['cf_db']:g} dB"
-            )
-        if abs(calib.before.mse_db2 - pub["mse_before_db2"]) > _MSE_TOL_DB2:
-            notes.append(
-                f"{model_id}: computed before-correction mse {calib.before.mse_db2:.4f} dB^2 "
-                f"differs from published {pub['mse_before_db2']:g} dB^2"
-            )
-        r = calib.before.pearson_r
-        if r is not None and abs(r - pub["pearson_r"]) > _R_TOL:
-            notes.append(
-                f"{model_id}: computed pearson r {r:.4f} differs from "
-                f"published {pub['pearson_r']:g}"
-            )
-        if abs(calib.after.mse_db2 - pub["mse_after_db2"]) > _MSE_TOL_DB2:
-            identity = pub["mse_before_db2"] - pub["cf_db"] ** 2
-            cf_after = pub.get("cf_after_db", pub["cf_db"])
-            if abs(identity - cf_after) <= 0.005:
-                notes.append(
-                    f"{model_id}: published after-correction cells are internally "
-                    f"inconsistent: mse_before - cf^2 = {identity:.4f} dB^2 matches the "
-                    f"published after-correction cf cell {cf_after:g}, not the published "
-                    f"mse cell {pub['mse_after_db2']:g}; the two cells appear transposed "
-                    f"(computed mse_after = {calib.after.mse_db2:.4f} dB^2)"
-                )
-            else:
-                notes.append(
-                    f"{model_id}: computed after-correction mse {calib.after.mse_db2:.4f} dB^2 "
-                    f"differs from published {pub['mse_after_db2']:g} dB^2"
-                )
+        for key, label, unit, tolerance in _PUBLISHED_CHECKS:
+            value = getattr(calib, key)
+            # `not >` lets a NaN published value pass unreported
+            if value is None or not abs(value - pub[key]) > tolerance:
+                continue
+            if key == "mse_after_db2":
+                identity = pub["mse_before_db2"] - pub["cf_db"] ** 2
+                cf_after = pub.get("cf_after_db", pub["cf_db"])
+                if abs(identity - cf_after) <= 0.005:
+                    notes.append(
+                        f"{model_id}: published after-correction cells are internally "
+                        f"inconsistent: mse_before - cf^2 = {identity:.4f} dB^2 matches the "
+                        f"published after-correction cf cell {cf_after:g}, not the published "
+                        f"mse cell {pub[key]:g}; the two cells appear transposed "
+                        f"(computed mse_after = {value:.4f} dB^2)"
+                    )
+                    continue
+            notes.append(f"{model_id}: computed {label} {value:.4f}{unit} differs from published {pub[key]:g}{unit}")
     return tuple(notes)
 
 

@@ -269,27 +269,7 @@ def _bound_models(args: argparse.Namespace, site: SiteConfig, model_ids: Sequenc
 
 
 def _report_output(report: CalibrationReport, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json()
-    header = "model_id,cf_db,mse_before_db2,mse_after_db2,rmse_before_db,rmse_after_db,pearson_r,n,best"
-    lines = [header]
-    for model_id, calib in report.models.items():
-        lines.append(
-            ",".join(
-                [
-                    model_id,
-                    repr(calib.cf_db),
-                    repr(calib.before.mse_db2),
-                    repr(calib.after.mse_db2),
-                    repr(calib.before.rmse_db),
-                    repr(calib.after.rmse_db),
-                    "" if calib.before.pearson_r is None else repr(calib.before.pearson_r),
-                    str(calib.before.n),
-                    "true" if model_id == report.best_model else "false",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return report.to_json() if fmt == "json" else report.to_csv()
 
 
 def _cmd_predict(args: argparse.Namespace) -> str:
@@ -426,6 +406,10 @@ def _cmd_plot(args: argparse.Namespace) -> str:
     base_names = list(table.predictions)
     measured = table.measured_rss_dbm
     for name in base_names:
+        if f"{name}_corrected" in base_names:
+            raise DataError(
+                f"column pred_{name}_corrected clashes with {name}_corrected, the corrected series of {name}"
+            )
         predicted = table.predictions[name]
         cf = correction_factor(measured, predicted)
         table = with_prediction(table, f"{name}_corrected", [p + cf for p in predicted])

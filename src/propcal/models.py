@@ -416,7 +416,8 @@ class PathLossModel:
         """Path loss in dB at each distance, the column checked once.
 
         Distances must be positive, finite and above `min_distance_m`;
-        the first one in order that is not raises `DomainError`.
+        the first one in order that is not raises `DomainError`, as does
+        the first distance whose loss overflows to a non-finite value.
         """
         bound = self.min_distance_m
         if not (distances_m and math.isfinite(sum(distances_m)) and min(distances_m) > bound):
@@ -429,7 +430,12 @@ class PathLossModel:
                     warnings.warn(note, ModelRangeWarning)
         log10 = math.log10
         c0, c1, c2 = self.c0, self.c1, self.c2
-        return [c0 + (c1 + c2 * (L := log10(d) - 3.0)) * L for d in distances_m]
+        losses = [c0 + (c1 + c2 * (L := log10(d) - 3.0)) * L for d in distances_m]
+        if not math.isfinite(sum(losses)):
+            for d, loss in zip(distances_m, losses):
+                if not math.isfinite(loss):
+                    raise DomainError(f"{self.name}: path loss at {d:g} m is not finite ({loss!r})")
+        return losses
 
     def corrected(self, cf_db: float) -> "PathLossModel":
         """New model whose path loss is this one's minus cf_db."""

@@ -125,6 +125,16 @@ def test_non_positive_or_non_finite_distances_raise(model_id, bad):
         model.path_loss_series([1000.0, bad])
 
 
+def test_a_loss_that_overflows_raises_naming_its_distance():
+    # finite coefficients (about -6.5e306 each) whose sum with L overflows far out
+    model = make_model("sui", 2530.0, 1e308, 3.0)
+    assert math.isfinite(model.path_loss_db(500.0))
+    with pytest.raises(DomainError, match=r"^sui: path loss at 1e\+300 m is not finite \(-inf\)$"):
+        model.path_loss_series([500.0, 1e300, 1e308])
+    with pytest.raises(DomainError, match=r"^sui_corrected: path loss at 1e\+300 m"):
+        model.corrected(1.0).path_loss_db(1e300)
+
+
 def test_empty_column_gives_no_losses():
     assert make_model("sui", 2530.0, 40.0, 3.0).path_loss_series([]) == []
 

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from propcal import (
     DomainError,
     MODEL_IDS,
     REFERENCE_SITE,
+    ModelCalibration,
     calibrate,
     correction_factor,
     cost231_tx_height_from_slope,
@@ -158,7 +160,7 @@ class TestPearson:
 
     def test_tiny_variances_whose_product_underflows(self):
         assert pearson_r([0.0, 1e-92], [0.0, 1e-92]) == 1.0
-        assert calibrate([0.0, 1e-92], {"a": [1e-92, 0.0]}).models["a"].before.pearson_r == -1.0
+        assert calibrate([0.0, 1e-92], {"a": [1e-92, 0.0]}).models["a"].pearson_r == -1.0
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DomainError, match="at least 2"):
@@ -196,7 +198,7 @@ class TestCalibrate:
         assert report.best_model == "extended_cost231"
         assert list(report.models) == list(predictions)
         for calib in report.models.values():
-            assert calib.after.mse_db2 <= calib.before.mse_db2
+            assert calib.mse_after_db2 <= calib.mse_before_db2
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_are_rejected_not_ranked(self, bad):
@@ -210,9 +212,8 @@ class TestCalibrate:
     def test_after_metrics_reuse_the_invariant_correlation(self):
         measured, predictions, _ = corpus()
         for model_id, calib in calibrate(measured, predictions).models.items():
-            assert calib.after.pearson_r == calib.before.pearson_r
             shifted = [p + calib.cf_db for p in predictions[model_id]]
-            assert pearson_r(measured, shifted) == pytest.approx(calib.before.pearson_r, abs=1e-12)
+            assert pearson_r(measured, shifted) == pytest.approx(calib.pearson_r, abs=1e-12)
 
     def test_single_model_is_best(self):
         measured, predictions, _ = corpus()
@@ -247,7 +248,7 @@ class TestCalibrate:
         report = calibrate(measured, {"ericsson": corrected})
         calib = report.models["ericsson"]
         assert calib.cf_db == pytest.approx(0.0, abs=1e-12)
-        assert calib.after.mse_db2 == pytest.approx(calib.before.mse_db2, abs=1e-9)
+        assert calib.mse_after_db2 == pytest.approx(calib.mse_before_db2, abs=1e-9)
 
     def test_tie_breaks_on_correlation_then_name(self):
         # 0.25 steps keep every intermediate exactly representable, so
@@ -259,8 +260,8 @@ class TestCalibrate:
         p_lean = [m + e for m, e in zip(measured, lean)]
         report = calibrate(measured, {"alpha": p_wobble, "zeta": p_lean})
         a, z = report.models["alpha"], report.models["zeta"]
-        assert a.after.mse_db2 == z.after.mse_db2
-        assert z.after.pearson_r > a.after.pearson_r
+        assert a.mse_after_db2 == z.mse_after_db2
+        assert z.pearson_r > a.pearson_r
         assert report.best_model == "zeta"
         # exact duplicates fall back to name order
         report = calibrate(measured, {"beta": p_lean, "alpha": p_lean})
@@ -276,21 +277,33 @@ class TestCalibrate:
     def test_degenerate_series_gets_a_null_r_and_a_note(self):
         report = calibrate([-70.0, -65.0, -60.0], {"a": [-70.0, -70.0, -70.0], "b": [-71.0, -66.0, -61.0]})
         a = report.models["a"]
-        assert a.before.pearson_r is None and a.after.pearson_r is None
+        assert a.pearson_r is None
         assert a.cf_db == 5.0
-        assert a.before.mse_db2 == pytest.approx(125.0 / 3.0, abs=1e-12)
-        assert a.after.mse_db2 == pytest.approx(50.0 / 3.0, abs=1e-12)
-        assert report.models["b"].before.pearson_r == pytest.approx(1.0, abs=1e-12)
+        assert a.mse_before_db2 == pytest.approx(125.0 / 3.0, abs=1e-12)
+        assert a.mse_after_db2 == pytest.approx(50.0 / 3.0, abs=1e-12)
+        assert report.models["b"].pearson_r == pytest.approx(1.0, abs=1e-12)
         assert report.best_model == "b"
         assert report.notes == ("a: pearson_r is undefined for a zero-variance predicted series; reported as null",)
         assert json.loads(report.to_json())["models"]["a"]["pearson_r"] is None
         assert published_divergence_notes(report, {"a": {"cf_db": 5.0, "mse_before_db2": 125.0 / 3.0, "pearson_r": 0.5, "mse_after_db2": 50.0 / 3.0}}) == ()
 
+    def test_a_flat_series_whose_mean_rounds_has_a_null_r(self):
+        # fsum([24.22] * 11) / 11 is an ulp off 24.22, which would leave a variance of ~1e-28
+        steps = [0.0] * 10 + [1.0]
+        report = calibrate(steps, {"a": [24.22] * 11})
+        assert report.models["a"].pearson_r is None
+        assert report.notes == ("a: pearson_r is undefined for a zero-variance predicted series; reported as null",)
+        report = calibrate([24.22] * 11, {"a": steps})
+        assert report.notes == ("a: pearson_r is undefined for a zero-variance measured series; reported as null",)
+        for x, y in ((steps, [24.22] * 11), ([24.22] * 11, steps)):
+            with pytest.raises(DomainError, match="zero-variance"):
+                pearson_r(x, y)
+
     def test_one_sample_or_flat_measurements_still_calibrate(self):
         report = calibrate([-70.0], {"a": [-72.0]})
         calib = report.models["a"]
-        assert (calib.cf_db, calib.before.mse_db2, calib.after.mse_db2) == (2.0, 4.0, 0.0)
-        assert calib.before.pearson_r is None
+        assert (calib.cf_db, calib.mse_before_db2, calib.mse_after_db2) == (2.0, 4.0, 0.0)
+        assert calib.pearson_r is None
         assert report.notes == ("a: pearson_r requires at least 2 samples, got 1; reported as null",)
         report = calibrate([-70.0, -70.0], {"a": [-72.0, -71.0]}, acceptable_mse_db2=0.1)
         assert report.notes == (
@@ -301,8 +314,8 @@ class TestCalibrate:
     def test_undefined_r_ranks_below_any_r(self):
         # equal after-correction MSE (25 dB^2 each); "a" would win on name
         report = calibrate([-70.0, -60.0], {"a": [-65.0, -65.0], "b": [-80.0, -60.0]})
-        assert report.models["a"].after.mse_db2 == report.models["b"].after.mse_db2 == 25.0
-        assert report.models["a"].after.pearson_r is None
+        assert report.models["a"].mse_after_db2 == report.models["b"].mse_after_db2 == 25.0
+        assert report.models["a"].pearson_r is None
         assert report.best_model == "b"
 
     def test_empty_predictions_rejected(self):
@@ -333,6 +346,13 @@ class TestCalibrate:
         assert entry["n"] == 45
         assert entry["rmse_before_db"] == pytest.approx(math.sqrt(entry["mse_before_db2"]), abs=1e-12)
 
+    def test_record_fields_are_the_json_keys_and_the_csv_columns(self):
+        measured, predictions, _ = corpus()
+        report = calibrate(measured, predictions)
+        names = [f.name for f in fields(ModelCalibration)]
+        assert list(json.loads(report.to_json())["models"]["sui"]) == names
+        assert report.to_csv().splitlines()[0].split(",") == ["model_id", *names, "best"]
+
 
 rss_series = st.floats(-150.0, 40.0)
 
@@ -353,17 +373,16 @@ def test_calibrate_matches_the_reference_functions(case):
         cf = correction_factor(measured, predicted)
         before = mse(measured, predicted)
         assert calib.cf_db == pytest.approx(cf, rel=1e-12, abs=0.0)
-        assert calib.before.mse_db2 == pytest.approx(before, rel=1e-12, abs=0.0)
-        assert calib.after.mse_db2 == pytest.approx(mse(measured, [p + cf for p in predicted]), rel=1e-12, abs=0.0)
-        assert calib.after.mse_db2 == pytest.approx(before - cf * cf, abs=1e-9 * max(1.0, before))
+        assert calib.mse_before_db2 == pytest.approx(before, rel=1e-12, abs=0.0)
+        assert calib.mse_after_db2 == pytest.approx(mse(measured, [p + cf for p in predicted]), rel=1e-12, abs=0.0)
+        assert calib.mse_after_db2 == pytest.approx(before - cf * cf, abs=1e-9 * max(1.0, before))
         try:
             r = pearson_r(measured, predicted)
         except DomainError:
-            assert calib.before.pearson_r is None
+            assert calib.pearson_r is None
             assert any(note.startswith(f"{model_id}: pearson_r") for note in report.notes)
         else:
-            assert calib.before.pearson_r == pytest.approx(r, rel=1e-12, abs=0.0)
-        assert calib.after.pearson_r == calib.before.pearson_r
+            assert calib.pearson_r == pytest.approx(r, rel=1e-12, abs=0.0)
 
 
 def test_affine_models_share_one_correlation():
@@ -530,9 +549,9 @@ class TestPublishedDivergence:
         published = {
             model_id: {
                 "cf_db": calib.cf_db,
-                "mse_before_db2": calib.before.mse_db2,
-                "pearson_r": calib.before.pearson_r,
-                "mse_after_db2": calib.after.mse_db2,
+                "mse_before_db2": calib.mse_before_db2,
+                "pearson_r": calib.pearson_r,
+                "mse_after_db2": calib.mse_after_db2,
                 "cf_after_db": calib.cf_db,
             }
             for model_id, calib in report.models.items()
@@ -551,11 +570,12 @@ class TestPublishedDivergence:
                 "cf_after_db": 0.0,
             }
         }
-        notes = published_divergence_notes(report, published)
-        assert len(notes) == 4
-        assert any("cf" in n for n in notes)
-        assert any("before-correction mse" in n for n in notes)
-        assert any("pearson" in n for n in notes)
+        assert published_divergence_notes(report, published) == (
+            "sui: computed cf -22.3660 dB differs from published 0 dB",
+            "sui: computed before-correction mse 547.5840 dB^2 differs from published 100 dB^2",
+            "sui: computed pearson r 0.9188 differs from published 0.5",
+            "sui: computed after-correction mse 47.3460 dB^2 differs from published 100 dB^2",
+        )
 
 
 def test_models_constant_is_complete():

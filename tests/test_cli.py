@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, output formats, aliases, and determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import propcal
 
@@ -296,6 +300,22 @@ def test_plot_without_columns_or_models(run_cli, tmp_path):
     assert out.splitlines()[0] == "distance_m,measured_rss_dbm"
 
 
+@pytest.mark.parametrize(
+    "text, argv, name",
+    [
+        ("distance_m,rssi_dbm,pred_x,pred_x_corrected\n500,-60,-62,-70\n900,-70,-71,-80\n", (), "x"),
+        ("distance_m,rssi_dbm,pred_fspl_corrected\n500,-60,-62\n", ("--model", "fspl"), "fspl"),
+    ],
+    ids=["data_column", "evaluated_model"],
+)
+def test_plot_rejects_a_column_that_clashes_with_a_corrected_series(run_cli, tmp_path, text, argv, name):
+    path = tmp_path / "clash.csv"
+    path.write_text(text)
+    code, out, err = run_cli("plot", "--data", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"{ERROR_PREFIX}column pred_{name}_corrected clashes with {name}_corrected, the corrected series of {name}\n"
+
+
 def test_out_flag_writes_file(run_cli, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli("compare", "--data", "embedded:reference", "--out", str(target))
@@ -400,3 +420,64 @@ def test_overflowing_residual_sums_exit_3(run_cli, shadow):
     code, out, err = run_cli("calibrate", "--data", "embedded:reference", "--model", "sui", "--sui-shadow", shadow)
     assert (code, out) == (3, "")
     assert err == f"{ERROR_PREFIX}predicted 'sui' series: a sum over its values overflows the float range\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("calibrate", "--data", "embedded:reference", "--model", "sui", "--tx-height", "1e-300"),
+         "predicted 'sui' series: a sum over its values overflows the float range"),
+        (("predict", "--all", "--distance-m", "1e308", "--tx-height", "1e308"),
+         "sui: path loss at 1e+308 m is not finite (-inf)"),
+    ],
+    ids=["calibrate_squares", "predict_loss"],
+)
+def test_non_finite_results_exit_3(run_cli, argv, message):
+    # finite coefficients, but each squared residual, or the loss itself, overflows
+    assert run_cli(*argv) == (3, "", f"{ERROR_PREFIX}{message}\n")
+
+
+@st.composite
+def drive_test_text(draw):
+    """A drive-test CSV with a generated column and a flat one, whose r is null.
+
+    Half the time every row shares one distance, so the freshly evaluated
+    models of `calibrate` are flat too.
+    """
+    n = draw(st.integers(1, 12))
+    rss = st.floats(-150.0, 40.0)
+    distances = draw(st.lists(st.floats(200.0, 1e5), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        distances = distances[:1] * n
+    measured = draw(st.lists(rss, min_size=n, max_size=n))
+    varied = draw(st.lists(rss, min_size=n, max_size=n))
+    flat = draw(rss)
+    rows = [f"{d!r},{m!r},{v!r},{flat!r}" for d, m, v in zip(distances, measured, varied)]
+    return "\n".join(["distance_m,rssi_dbm,pred_varied,pred_flat", *rows]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def drive_test_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("formats") / "drive.csv"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=drive_test_text(), command=st.sampled_from(["compare", "calibrate"]))
+def test_json_and_csv_reports_carry_the_same_values(drive_test_path, text, command):
+    drive_test_path.write_text(text)
+    outputs = {}
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([command, "--data", str(drive_test_path), "--format", fmt]) == 0
+        outputs[fmt] = out.getvalue()
+    report = json.loads(outputs["json"])
+    header, *rows = (line.split(",") for line in outputs["csv"].splitlines())
+    assert len(rows) == len(report["models"])
+    for row, (model_id, entry) in zip(rows, report["models"].items()):
+        assert header == ["model_id", *entry, "best"]
+        assert row[0] == model_id
+        assert [None if cell == "" else float(cell) for cell in row[1:-1]] == list(entry.values())
+        assert row[-1] == ("true" if model_id == report["best_model"] else "false")
+    if command == "compare":
+        assert report["models"]["flat"]["pearson_r"] is None

@@ -226,5 +226,5 @@ def test_every_model_binds_or_exits_3_at_extreme_sites(model, distance, site, fm
         argv += [flag, value]
     code, out = _run(argv)
     assert code in (0, 3), (argv, code)
-    # finite coefficients never give NaN (an extreme distance may still overflow to inf)
-    assert "nan" not in out.lower(), (argv, out)
+    # finite coefficients never give NaN, and a loss that overflows to inf exits 3
+    assert "nan" not in out.lower() and "inf" not in out.lower(), (argv, out)
