@@ -113,31 +113,22 @@ def mse(measured: Sequence[float], predicted: Sequence[float]) -> float:
 def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
     """Pearson product-moment correlation, mean-centered form.
 
-    Requires at least two samples and nonzero variance in both series.
+    Requires at least two samples and nonzero variance in both series;
+    the error for a flat series names the measured or the predicted one.
     Invariant under positive affine transforms of either series.
     """
     x, y = _aligned(measured, predicted)
-    n = len(x)
-    if n < 2:
-        raise DomainError(f"pearson_r requires at least 2 samples, got {n}")
-    mean_x = _mean(x)
-    mean_y = _mean(y)
-    dx = [xi - mean_x for xi in x]
-    dy = [yi - mean_y for yi in y]
-    sxx = math.fsum(d * d for d in dx)
-    syy = math.fsum(d * d for d in dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise DomainError("pearson_r is undefined for a zero-variance series")
-    sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    # the split root serves only when the product underflows to zero
-    return sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
+    return _pearson_centred(*_centred(x), y)
 
 
-def _mean(values: list[float]) -> float:
-    """The mean, exact for a flat series, whose value `fsum / n` can miss by an ulp."""
+def _centred(values: list[float]) -> tuple[list[float], float]:
+    """Deviations from the mean and their sum of squares, exact for a flat series."""
     mean = math.fsum(values) / len(values)  # summed even when flat: callers report an overflow
     # the ends first: every flat series passes that test, and most others fail it at once
-    return values[0] if values[0] == values[-1] and min(values) == max(values) else mean
+    if values[0] == values[-1] and min(values) == max(values):
+        mean = values[0]  # which `fsum / n` can miss by an ulp
+    deviations = list(map(operator.sub, values, itertools.repeat(mean)))
+    return deviations, math.fsum(map(operator.mul, deviations, deviations))
 
 
 def _finite_series(name: str, values: Sequence[float]) -> list[float]:
@@ -177,9 +168,7 @@ def calibrate(
     # An empty series is rejected per model below, in the order the
     # reference functions check it.
     try:
-        mean_x = _mean(x) if n else 0.0
-        dx = list(map(operator.sub, x, itertools.repeat(mean_x)))
-        sxx = math.fsum(map(operator.mul, dx, dx))
+        dx, sxx = _centred(x) if n else ([], 0.0)
     except OverflowError:
         raise _overflow_error("measured") from None
     models: dict[str, ModelCalibration] = {}
@@ -232,11 +221,10 @@ def _pearson_centred(dx: list[float], sxx: float, y: list[float]) -> float:
         raise DomainError(f"pearson_r requires at least 2 samples, got {n}")
     if sxx == 0.0:
         raise DomainError("pearson_r is undefined for a zero-variance measured series")
-    mean_y = _mean(y)
-    dy = list(map(operator.sub, y, itertools.repeat(mean_y)))
-    syy = math.fsum(map(operator.mul, dy, dy))
+    dy, syy = _centred(y)
     if syy == 0.0:
         raise DomainError("pearson_r is undefined for a zero-variance predicted series")
+    # the split root serves only when the product underflows to zero
     return math.fsum(map(operator.mul, dx, dy)) / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
 
 
@@ -295,11 +283,18 @@ def decade_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> floa
 def cost231_tx_height_from_slope(slope_db_per_decade: float) -> float:
     """Transmit height implied by a COST-231 distance slope.
 
-    Inverts slope = 44.9 - 6.55*log10(hb).
+    Inverts slope = 44.9 - 6.55*log10(hb).  A slope whose height over-
+    or underflows the float range raises `DomainError` naming the slope.
     """
     if not math.isfinite(slope_db_per_decade):
         raise DomainError(f"slope must be finite, got {slope_db_per_decade!r}")
-    return 10.0 ** ((44.9 - slope_db_per_decade) / 6.55)
+    try:
+        height = 10.0 ** ((44.9 - slope_db_per_decade) / 6.55)
+    except OverflowError:
+        height = math.inf
+    if not 0.0 < height < math.inf:
+        raise DomainError(f"slope {slope_db_per_decade:g} dB/decade implies a transmit height outside the float range")
+    return height
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def site_from_json(text: str) -> SiteConfig:
     """Parse a site from JSON; unknown or missing fields are rejected."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise DataError(f"invalid site JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError("site JSON must be an object")
@@ -107,5 +107,8 @@ def site_from_json(text: str) -> SiteConfig:
         value = raw[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DataError(f"site field {key} must be a number, got {value!r}")
-        values[key] = float(value)
+        try:
+            values[key] = float(value)
+        except OverflowError:
+            raise DataError(f"site field {key} must fit a float, got an integer too large for one") from None
     return SiteConfig(**values)

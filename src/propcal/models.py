@@ -8,6 +8,8 @@ Implemented predictors, all returning loss in dB:
 * SUI terrain-class model with frequency and receiver-height corrections
 * Ericsson log-distance regression model
 
+Each formula is written once: `make_model` binds it to log-distance
+coefficients, and the closed forms evaluate the model it binds.
 Public entry points take distances in meters and frequencies in MHz and
 convert internally where a formula wants km or GHz (mixed-unit bugs are
 the dominant failure mode in this domain).  All functions are pure and
@@ -68,12 +70,6 @@ def _cost231_range_notes(freq_mhz: float, tx_height_m: float, rx_height_m: float
 
 def _non_finite_error(model_id: str) -> DomainError:
     return DomainError(f"{model_id}: the parameters give a non-finite path-loss coefficient")
-
-
-def _d0_error(d0_m: float, distance_m: float) -> DomainError:
-    return DomainError(
-        f"sui_path_loss requires distance_m > d0 ({d0_m:g} m), got {distance_m:g} m"
-    )
 
 
 @dataclass(frozen=True)
@@ -190,15 +186,8 @@ def fspl(freq_mhz: float, distance_km: float, tx_gain_linear: float = 1.0) -> fl
     32.45 - 10*log10(Gt) + 20*log10(f_MHz) + 20*log10(d_km); with a unit
     transmit gain the classic constant-plus-two-log form is recovered.
     """
-    freq_mhz = _positive("freq_mhz", freq_mhz)
-    distance_km = _positive("distance_km", distance_km)
-    tx_gain_linear = _positive("tx_gain_linear", tx_gain_linear)
-    return (
-        32.45
-        - 10.0 * math.log10(tx_gain_linear)
-        + 20.0 * math.log10(freq_mhz)
-        + 20.0 * math.log10(distance_km)
-    )
+    model = make_model("fspl", freq_mhz, tx_gain_linear=tx_gain_linear)
+    return model.path_loss_db(_positive("distance_km", distance_km) * 1000.0)
 
 
 def mobile_station_correction(rx_height_m: float) -> float:
@@ -225,21 +214,8 @@ def cost231_hata(
     Documented ranges (violations warn rather than raise): frequency
     150-2000 MHz, transmit height 10-200 m, receiver height 1-10 m.
     """
-    freq_mhz = _positive("freq_mhz", freq_mhz)
-    tx_height_m = _positive("tx_height_m", tx_height_m)
-    rx_height_m = _positive("rx_height_m", rx_height_m)
-    distance_m = _positive("distance_m", distance_m)
-    for note in _cost231_range_notes(freq_mhz, tx_height_m, rx_height_m):
-        warnings.warn(note, ModelRangeWarning, stacklevel=2)
-    distance_km = distance_m / 1000.0
-    return (
-        46.3
-        + 33.9 * math.log10(freq_mhz)
-        - 13.82 * math.log10(tx_height_m)
-        - mobile_station_correction(rx_height_m)
-        + (44.9 - 6.55 * math.log10(tx_height_m)) * math.log10(distance_km)
-        + environment.clutter_db
-    )
+    model = make_model("cost231_hata", freq_mhz, tx_height_m, rx_height_m, environment=environment)
+    return model.path_loss_db(distance_m)
 
 
 def extended_cost231(
@@ -268,20 +244,16 @@ def extended_cost231(
     distance_km = distance_m / 1000.0
     log_f = math.log10(freq_ghz)
     log_d = math.log10(distance_km)
-    rx_gain = _extended_rx_gain(rx_gain_variant, log_f, rx_height_m)
+    if rx_gain_variant == "large_city":
+        rx_gain = 0.759 * rx_height_m - 1.862
+    elif rx_gain_variant == "medium_city":
+        rx_gain = (42.57 + 13.7 * log_f) * (math.log10(rx_height_m) - 0.585)
+    else:
+        raise DomainError(f"unknown rx_gain_variant {rx_gain_variant!r}")
     free_space = 92.4 + 20.0 * log_d + 20.0 * log_f
     basic_median = 20.41 + 9.83 * log_d + 7.894 * log_f + 9.56 * log_f**2
     tx_gain = math.log10(tx_height_m / 200.0) * (13.958 + 5.8 * log_d**2)
     return ExtendedCost231Loss(free_space, basic_median, tx_gain, rx_gain)
-
-
-def _extended_rx_gain(rx_gain_variant: str, log_f_ghz: float, rx_height_m: float) -> float:
-    """Receiver-height gain of extended COST-231 Hata, in dB."""
-    if rx_gain_variant == "large_city":
-        return 0.759 * rx_height_m - 1.862
-    if rx_gain_variant == "medium_city":
-        return (42.57 + 13.7 * log_f_ghz) * (math.log10(rx_height_m) - 0.585)
-    raise DomainError(f"unknown rx_gain_variant {rx_gain_variant!r}")
 
 
 def sui_gamma(tx_height_m: float, terrain: TerrainCategory) -> float:
@@ -318,23 +290,8 @@ def sui_path_loss(
     A + 10*gamma*log10(d/d0) + Xf + Xh + s, where A is the free-space
     loss at the reference distance, 20*log10(4*pi*d0/lambda).
     """
-    freq_mhz = _positive("freq_mhz", freq_mhz)
-    tx_height_m = _positive("tx_height_m", tx_height_m)
-    rx_height_m = _positive("rx_height_m", rx_height_m)
-    distance_m = _positive("distance_m", distance_m)
-    if distance_m <= params.d0_m:
-        raise _d0_error(params.d0_m, distance_m)
-    wavelength_m = LIGHT_SPEED_M_PER_S / (freq_mhz * 1e6)
-    intercept = 20.0 * math.log10(4.0 * math.pi * params.d0_m / wavelength_m)
-    gamma = sui_gamma(tx_height_m, params.terrain)
-    xf, xh = sui_corrections(freq_mhz, rx_height_m, params)
-    return (
-        intercept
-        + 10.0 * gamma * math.log10(distance_m / params.d0_m)
-        + xf
-        + xh
-        + params.shadow_db
-    )
+    model = make_model("sui", freq_mhz, tx_height_m, rx_height_m, sui_params=params)
+    return model.path_loss_db(distance_m)
 
 
 def ericsson_frequency_term(freq_mhz: float) -> float:
@@ -359,20 +316,8 @@ def ericsson_path_loss(
     a0 + a1*log10(d) + a2*log10(hb) + a3*log10(hb)*log10(d)
        - 3.2*(log10(11.75*hr))^2 + g(f)
     """
-    freq_mhz = _positive("freq_mhz", freq_mhz)
-    tx_height_m = _positive("tx_height_m", tx_height_m)
-    rx_height_m = _positive("rx_height_m", rx_height_m)
-    distance_m = _positive("distance_m", distance_m)
-    log_d = math.log10(distance_m / 1000.0)
-    log_hb = math.log10(tx_height_m)
-    return (
-        params.a0
-        + params.a1 * log_d
-        + params.a2 * log_hb
-        + params.a3 * log_hb * log_d
-        - 3.2 * math.log10(11.75 * rx_height_m) ** 2
-        + ericsson_frequency_term(freq_mhz)
-    )
+    model = make_model("ericsson", freq_mhz, tx_height_m, rx_height_m, ericsson_params=params)
+    return model.path_loss_db(distance_m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -423,7 +368,7 @@ class PathLossModel:
         if not (distances_m and math.isfinite(sum(distances_m)) and min(distances_m) > bound):
             for d in distances_m:
                 if _positive("distance_m", d) <= bound:
-                    raise _d0_error(bound, d)
+                    raise DomainError(f"sui_path_loss requires distance_m > d0 ({bound:g} m), got {d:g} m")
         if self.range_notes:
             for _ in distances_m:
                 for note in self.range_notes:
@@ -457,10 +402,12 @@ def make_model(
     """Bind a model id and its parameters into log-distance coefficients.
 
     Heights are ignored by `fspl` and required by every other model.
-    The coefficients expand the closed forms above in L = log10(d_km)
-    (Hata 1980, COST 231 ch. 4, Erceg et al. 1999 for SUI).  Parameters
-    so extreme that a coefficient is not finite raise `DomainError`
-    naming the model.
+    This is where each model's formula is written, as its coefficients
+    in L = log10(d_km) (Hata 1980, COST 231 ch. 4, Erceg et al. 1999 for
+    SUI); the closed forms above evaluate the model bound here, except
+    that extended COST-231 Hata takes c0 from `extended_cost231` at 1 km,
+    where every log10(d) term vanishes.  Parameters so extreme that a
+    coefficient is not finite raise `DomainError` naming the model.
     """
     try:
         freq_mhz = _positive("freq_mhz", freq_mhz)
@@ -492,18 +439,8 @@ def make_model(
                 range_notes=_cost231_range_notes(freq_mhz, hb, hr),
             )
         if model_id == "extended_cost231":
-            log_f = math.log10(freq_mhz / 1000.0)
-            tx_term = math.log10(hb / 200.0)
-            c0 = (
-                92.4
-                + 20.0 * log_f
-                + 20.41
-                + 7.894 * log_f
-                + 9.56 * log_f**2
-                - 13.958 * tx_term
-                - _extended_rx_gain(rx_gain_variant, log_f, hr)
-            )
-            return PathLossModel(model_id, c0, 20.0 + 9.83, -5.8 * tx_term)
+            c0 = extended_cost231(freq_mhz, hb, hr, 1000.0, rx_gain_variant).total_db
+            return PathLossModel(model_id, c0, 20.0 + 9.83, -5.8 * math.log10(hb / 200.0))
         if model_id == "sui":
             sui_p = sui_params if sui_params is not None else SuiParams()
             wavelength_m = LIGHT_SPEED_M_PER_S / (freq_mhz * 1e6)
@@ -552,8 +489,8 @@ _ERICSSON_FIELDS = {f"ericsson_{name}": name for name in ("a0", "a1", "a2", "a3"
 def _model_arguments(params: Mapping[str, object]) -> dict[str, object]:
     """`params` as `make_model` takes them, a None value counting as absent.
 
-    An unknown key, a value that is not a number where one is due, or
-    an unknown name raises `DomainError` naming the key.
+    An unknown key, a value that is not a finite number where one is
+    due, or an unknown name raises `DomainError` naming the key.
     """
     args: dict[str, object] = {}
     for key, value in params.items():
@@ -564,6 +501,8 @@ def _model_arguments(params: Mapping[str, object]) -> dict[str, object]:
                 args[key] = float(value)  # type: ignore[arg-type]
             except (TypeError, ValueError):
                 raise DomainError(f"model parameter {key}: not a number: {value!r}") from None
+            if not math.isfinite(args[key]):  # no model takes one, and it would reach the report
+                raise DomainError(f"model parameter {key}: not a finite number: {value!r}")
         elif key in _NAMED_PARAMS:
             kind, names = _NAMED_PARAMS[key]
             if isinstance(value, kind):

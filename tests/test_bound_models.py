@@ -1,4 +1,9 @@
-"""Bound models (log-distance coefficients) against the public closed forms."""
+"""Bound models (log-distance coefficients) and the public closed forms.
+
+Both are checked against `closed_forms`, the published equations written
+out apart from propcal, because the closed forms evaluate a bound model
+themselves.
+"""
 
 import math
 import warnings
@@ -19,9 +24,10 @@ from propcal import (
     extended_cost231,
     fspl,
     make_model,
-    sui_gamma,
     sui_path_loss,
 )
+
+import closed_forms
 
 TOL_DB = 1e-9
 
@@ -46,9 +52,10 @@ distance_columns = st.lists(st.floats(1.0, 200_000.0), min_size=1, max_size=30)
 
 
 def _bound_and_reference(model_id, site):
-    """The bound model and the closed form it must reproduce, per distance in m."""
+    """The bound model, the public closed form and the reference, each per distance in m."""
     f, hb, hr = site["freq_mhz"], site["tx_height_m"], site["rx_height_m"]
     sui_p = SuiParams(site["terrain"], site["d0_m"], site["shadow_db"], site["xh_denominator_m"])
+    eric = site["ericsson"]
     model = make_model(
         model_id,
         f,
@@ -56,18 +63,27 @@ def _bound_and_reference(model_id, site):
         hr,
         environment=site["environment"],
         sui_params=sui_p,
-        ericsson_params=site["ericsson"],
+        ericsson_params=eric,
         tx_gain_linear=site["tx_gain_linear"],
         rx_gain_variant=site["rx_gain_variant"],
     )
-    reference = {
+    closed_form = {
         "fspl": lambda d: fspl(f, d / 1000.0, site["tx_gain_linear"]),
         "cost231_hata": lambda d: cost231_hata(f, hb, hr, d, site["environment"]),
         "extended_cost231": lambda d: extended_cost231(f, hb, hr, d, site["rx_gain_variant"]).total_db,
         "sui": lambda d: sui_path_loss(f, hb, hr, d, sui_p),
-        "ericsson": lambda d: ericsson_path_loss(f, hb, hr, d, site["ericsson"]),
+        "ericsson": lambda d: ericsson_path_loss(f, hb, hr, d, eric),
     }[model_id]
-    return model, reference
+    reference = {
+        "fspl": lambda d: closed_forms.fspl(d, f, site["tx_gain_linear"]),
+        "cost231_hata": lambda d: closed_forms.cost231_hata(d, f, hb, hr, site["environment"].name),
+        "extended_cost231": lambda d: closed_forms.extended_cost231(d, f, hb, hr, site["rx_gain_variant"]),
+        "sui": lambda d: closed_forms.sui(
+            d, f, hb, hr, site["terrain"].name, site["d0_m"], site["shadow_db"], site["xh_denominator_m"]
+        ),
+        "ericsson": lambda d: closed_forms.ericsson(d, f, hb, hr, eric.a0, eric.a1, eric.a2, eric.a3),
+    }[model_id]
+    return model, closed_form, reference
 
 
 @settings(max_examples=300, deadline=None)
@@ -79,15 +95,16 @@ def _bound_and_reference(model_id, site):
 def test_bound_model_matches_the_closed_forms(model_id, site, distances):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelRangeWarning)
-        model, reference = _bound_and_reference(model_id, site)
+        model, closed_form, reference = _bound_and_reference(model_id, site)
         distances = [d for d in distances if d > model.min_distance_m]
         expected = [reference(d) for d in distances]
         series = model.path_loss_series(distances)
         points = [model.path_loss_db(d) for d in distances]
+        closed = [closed_form(d) for d in distances]
     assert len(series) == len(expected)
-    for d, want, got_series, got_point in zip(distances, expected, series, points):
-        assert math.isclose(got_series, want, rel_tol=0.0, abs_tol=TOL_DB), (d, got_series, want)
-        assert math.isclose(got_point, want, rel_tol=0.0, abs_tol=TOL_DB), (d, got_point, want)
+    for d, want, *got in zip(distances, expected, series, points, closed):
+        for value in got:
+            assert math.isclose(value, want, rel_tol=0.0, abs_tol=TOL_DB), (d, got, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -99,7 +116,8 @@ def test_coefficients_follow_the_published_terms(site):
     assert extended.c2 == pytest.approx(-5.8 * math.log10(hb / 200.0), abs=1e-12)
     sui_p = SuiParams(terrain=site["terrain"], d0_m=site["d0_m"])
     sui = make_model("sui", site["freq_mhz"], hb, site["rx_height_m"], sui_params=sui_p)
-    assert sui.c1 == pytest.approx(10.0 * sui_gamma(hb, site["terrain"]), abs=1e-12)
+    a, b, c = closed_forms.TERRAINS[site["terrain"].name]
+    assert sui.c1 == pytest.approx(10.0 * (a - b * hb + c / hb), abs=1e-12)
     assert (sui.c2, sui.min_distance_m) == (0.0, site["d0_m"])
 
 

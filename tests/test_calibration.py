@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import warnings
 from dataclasses import fields
 
@@ -165,8 +166,10 @@ class TestPearson:
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DomainError, match="at least 2"):
             pearson_r([-70.0], [-71.0])
-        with pytest.raises(DomainError, match="zero-variance"):
+        with pytest.raises(DomainError, match="zero-variance measured series"):
             pearson_r([-70.0, -70.0], [-71.0, -72.0])
+        with pytest.raises(DomainError, match="zero-variance predicted series"):
+            pearson_r([-70.0, -75.0], [-71.0, -71.0])
 
 
 class TestApplyCorrection:
@@ -437,6 +440,14 @@ def test_cost231_height_inverts_slope():
         assert cost231_tx_height_from_slope(slope) == pytest.approx(hb, abs=1e-9)
 
 
+@pytest.mark.parametrize("slope", [-2.07e11, -2000.0, 2200.0])
+def test_a_slope_whose_height_leaves_the_float_range_raises_naming_it(slope):
+    # 10**((44.9 - slope) / 6.55) overflows for the first two and underflows to 0 for the last
+    message = f"slope {slope:g} dB/decade implies a transmit height outside the float range"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        cost231_tx_height_from_slope(slope)
+
+
 @pytest.mark.filterwarnings("ignore::propcal.models.ModelRangeWarning")
 class TestInferSiteParameters:
     distances = (200.0, 400.0, 800.0, 1600.0, 3200.0)
@@ -513,6 +524,7 @@ class TestInferSiteParameters:
             ({"terrain": [5.0]}, {}, "unknown terrain 5.0"),
             ({"tx_height_m": [40.0, "abc"]}, {}, "tx_height_m: not a number: 'abc'"),
             ({"environment": ["metro"]}, {}, "unknown environment 'metro'"),
+            ({"tx_gain_linear": [1.0, math.inf]}, {}, "model parameter tx_gain_linear: not a finite number: inf"),
         ],
     )
     def test_malformed_grid_or_base_raises_instead_of_returning_inf(self, grid, base, message):

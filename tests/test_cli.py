@@ -339,6 +339,41 @@ def test_infer_recovers_reference_height(run_cli):
     assert payload["evaluated"] == 42
 
 
+def test_infer_slope_past_the_float_range_exits_3(run_cli, tmp_path):
+    # the loss falls 90 dB over a micrometer, so the implied height overflows
+    data = tmp_path / "falling.csv"
+    data.write_text("distance_m,rssi_dbm,pred_cost231_hata\n1000,-50,-140\n1000.000001,-100,-50\n")
+    code, out, err = run_cli("infer", "--model", "cost231_hata", "--data", str(data))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"{ERROR_PREFIX}slope -2.07") and err.endswith("implies a transmit height outside the float range\n")
+
+
+@pytest.mark.parametrize(
+    ("flags", "reason"),
+    [
+        (("--grid", "sui_d0_m=5000"), "sui_path_loss requires distance_m > d0 (5000 m), got 4200 m"),
+        (("--sui-shadow", "1e200", "--grid", "terrain=B"), "its squared errors overflow"),
+    ],
+    ids=["precondition", "overflow"],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_infer_exits_3_when_no_grid_point_can_be_scored(run_cli, flags, reason, fmt):
+    code, out, err = run_cli("infer", "--model", "sui", "--data", "embedded:reference", *flags, "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == f"{ERROR_PREFIX}infer: no sui grid point can be scored; the first fails: {reason}\n"
+
+
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_oversized_site_integers_exit_2(run_cli, tmp_path, digits):
+    site = tmp_path / "site.json"
+    site.write_text(site_to_json(REFERENCE_SITE).replace("2530.0", "9" * digits))
+    code, out, err = run_cli("calibrate", "--data", "embedded:reference", "--site", str(site))
+    assert (code, out) == (2, "")
+    # past 4300 digits Python 3.11+ refuses the JSON itself
+    assert err.startswith((f"{ERROR_PREFIX}site field freq_mhz must fit a float", f"{ERROR_PREFIX}invalid site JSON"))
+    assert "Traceback" not in err
+
+
 def test_infer_missing_column_exits_2(run_cli):
     code, _, err = run_cli("infer", "--model", "fspl", "--data", "embedded:reference")
     assert code == 2
@@ -364,6 +399,21 @@ def test_module_entrypoint():
     assert '"best_model": "extended_cost231"' in result.stdout
 
 
+def test_the_runtime_needs_only_the_standard_library():
+    # -I -S: no site-packages and no PYTHON* variables, only the package source
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from propcal.cli import main; "
+        "corpus = ['--data', 'embedded:reference']; "
+        "print(main(['compare', *corpus]), main(['infer', '--model', 'sui', *corpus]), file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, str(Path(propcal.__file__).resolve().parent.parent)],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "0 0\n")
+
+
 def test_console_script():
     if shutil.which("propcal") is None:
         pytest.skip("console script not on PATH")
@@ -380,6 +430,7 @@ def test_console_script():
         ("terrain=D", "sui", "unknown terrain 'D'"),
         ("tx_height_m=abc", "cost231_hata", "model parameter tx_height_m: not a number: 'abc'"),
         ("terrain=5", "sui", "unknown terrain 5.0"),
+        ("tx_gain_linear=1,nan", "sui", "model parameter tx_gain_linear: not a finite number: nan"),
     ],
 )
 def test_malformed_grid_axis_exits_3_before_the_search(run_cli, axis, model, message):

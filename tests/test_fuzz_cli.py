@@ -3,14 +3,16 @@
 Every argv is built from the real subcommands and flags, filled with
 plain, junk, non-finite and extreme values; generated CSV text goes to
 `compare`, `calibrate`, `plot` and `infer` through `--data`.  Whatever
-the input, `main` must return 0-3, and a non-zero exit must come with a
-`propcal: error:` message on stderr.  Ranges are either tiny or above
+the input, `main` must return 0-3, a non-zero exit must come with a
+`propcal: error:` message on stderr, and the output of an exit 0 must
+hold no infinite or NaN value.  Ranges are either tiny or above
 `MAX_RANGE_POINTS`, so the cap is checked by value and nothing large is
 ever allocated.
 """
 
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,9 +34,15 @@ FILES = {
     "huge_site.json": SITE_JSON.replace("30", "1e308").replace("20", "1.7e308").encode(),
     "junk_site.json": b'{"tx_power_dbm": "x"}',
     "latin1.json": b'{"tx_power_dbm": 30\xff}',
+    "bigint_site.json": SITE_JSON.replace("2530", "9" * 401).encode(),
+    "digit_limit_site.json": SITE_JSON.replace("2530", "9" * 5001).encode(),
     "corpus.csv": b"distance_m,rssi_dbm,pred_sui\n400,-61,-24.3\n900,-65,-38.98\n2000,-71,-53.43\n",
     "latin1.csv": b"distance_m,rssi_dbm\n400,-61\xff\n",
+    # the loss falls 90 dB over a micrometer: its slope implies no finite cost231 height
+    "falling.csv": b"distance_m,rssi_dbm,pred_cost231_hata\n1000,-50,-140\n1000.000001,-100,-50\n",
 }
+# A JSON Infinity/NaN or a CSV inf/nan cell, as a whole token: "infer" is not one.
+NON_FINITE = re.compile(r"(?<![\w.])[+-]?(?:inf|infinity|nan)(?![\w.])", re.IGNORECASE)
 
 EXTREMES = ["0", "-0", "-1", "1", "2", "3", "40", "2000", "2530", "1e-320", "5e-324", "1e308", "-1e308",
             "1.7976931348623157e308", "nan", "inf", "-inf", "", "abc", "0x10", "1_0"]
@@ -74,7 +82,8 @@ def _flag(name, values):
 
 SITE_FLAGS = [
     _flag("--site", st.sampled_from(["table3", "site.json", "huge_site.json", "junk_site.json",
-                                     "latin1.json", "missing.json"])),
+                                     "latin1.json", "bigint_site.json", "digit_limit_site.json",
+                                     "missing.json"])),
     _flag("--freq-mhz", NUMBERS),
     _flag("--tx-height", NUMBERS),
     _flag("--rx-height", NUMBERS),
@@ -86,7 +95,8 @@ MODEL_FLAGS = [
     _flag("--sui-shadow", NUMBERS),
     _flag("--tx-gain-linear", NUMBERS),
 ]
-DATA = _flag("--data", st.sampled_from(["embedded:reference", "corpus.csv", "latin1.csv", "missing.csv", "."]))
+DATA = _flag("--data", st.sampled_from(["embedded:reference", "corpus.csv", "latin1.csv", "falling.csv",
+                                        "missing.csv", "."]))
 OUT = _flag("--out", st.sampled_from(["out.txt", ".", "missing/out.txt"]))
 FORMAT = _flag("--format", st.sampled_from(["json", "csv", "xml"]))
 MODEL = _flag("--model", st.sampled_from([*MODEL_IDS, "okumura"]))
@@ -178,6 +188,9 @@ def _run(argv):
     assert code in (0, 1, 2, 3), (argv, code)
     if code:
         assert err.getvalue().startswith("propcal: error: "), (argv, err.getvalue())
+    else:
+        # a value that overflows to inf, or a NaN, exits 3 instead of being printed
+        assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
     return code, out.getvalue()
 
 
@@ -224,7 +237,5 @@ def test_every_model_binds_or_exits_3_at_extreme_sites(model, distance, site, fm
     argv = ["predict", *model, "--distance-m", distance, "--format", fmt]
     for flag, value in site.items():
         argv += [flag, value]
-    code, out = _run(argv)
+    code, _ = _run(argv)
     assert code in (0, 3), (argv, code)
-    # finite coefficients never give NaN, and a loss that overflows to inf exits 3
-    assert "nan" not in out.lower() and "inf" not in out.lower(), (argv, out)

@@ -123,5 +123,16 @@ class TestJson:
     def test_invalid_json_rejected(self):
         with pytest.raises(DataError, match="invalid site JSON"):
             site_from_json("{not json")
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        text = site_to_json(REFERENCE_SITE).replace("2530.0", "9" * 401)
+        with pytest.raises(DataError, match="^site field freq_mhz must fit a float, got an integer too large for one$"):
+            site_from_json(text)
+
+    def test_integer_past_the_digit_limit_rejected(self):
+        # Python 3.11+ refuses to parse it; older versions parse it and it overflows the float
+        text = site_to_json(REFERENCE_SITE).replace("2530.0", "9" * 5001)
+        with pytest.raises(DataError, match="^(invalid site JSON: |site field freq_mhz must fit a float)"):
+            site_from_json(text)
         with pytest.raises(DataError, match="must be an object"):
             site_from_json("[1, 2]")

@@ -31,6 +31,8 @@ from propcal import (
     sui_path_loss,
 )
 
+import closed_forms
+
 TWENTY_LOG_2 = 20.0 * math.log10(2.0)
 
 
@@ -262,17 +264,19 @@ class TestPathLossModel:
 
     @pytest.mark.filterwarnings("ignore::propcal.models.ModelRangeWarning")
     def test_make_model_matches_direct_functions(self):
-        d = 1700.0
-        pairs = [
-            ("fspl", fspl(2530.0, d / 1000.0)),
-            ("cost231_hata", cost231_hata(2530.0, 40.0, 3.0, d)),
-            ("extended_cost231", extended_cost231(2530.0, 40.0, 3.0, d).total_db),
-            ("sui", sui_path_loss(2530.0, 40.0, 3.0, d)),
-            ("ericsson", ericsson_path_loss(2530.0, 40.0, 3.0, d)),
+        # the bound model and the closed form, each against the independent reference
+        f, hb, hr, d = 2530.0, 40.0, 3.0, 1700.0
+        cases = [
+            ("fspl", fspl(f, d / 1000.0), closed_forms.fspl(d, f)),
+            ("cost231_hata", cost231_hata(f, hb, hr, d), closed_forms.cost231_hata(d, f, hb, hr)),
+            ("extended_cost231", extended_cost231(f, hb, hr, d).total_db, closed_forms.extended_cost231(d, f, hb, hr)),
+            ("sui", sui_path_loss(f, hb, hr, d), closed_forms.sui(d, f, hb, hr)),
+            ("ericsson", ericsson_path_loss(f, hb, hr, d), closed_forms.ericsson(d, f, hb, hr)),
         ]
-        for model_id, expected in pairs:
-            model = make_model(model_id, 2530.0, 40.0, 3.0)
+        for model_id, direct, expected in cases:
+            model = make_model(model_id, f, hb, hr)
             assert model.path_loss_db(d) == pytest.approx(expected, abs=1e-12), model_id
+            assert direct == pytest.approx(expected, abs=1e-12), model_id
 
     def test_unknown_model_id(self):
         with pytest.raises(DomainError):
@@ -300,7 +304,7 @@ class TestPathLossModel:
             "sui",
             {"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 3.0, "terrain": "C"},
         )
-        expected = sui_path_loss(2530.0, 40.0, 3.0, 600.0, SuiParams(terrain=TERRAIN_C))
+        expected = closed_forms.sui(600.0, 2530.0, 40.0, 3.0, terrain="C")
         assert model.path_loss_db(600.0) == pytest.approx(expected, abs=1e-12)
 
     def test_model_from_params_rejects_unknown_keys(self):
