@@ -17,9 +17,8 @@ import itertools
 import json
 import math
 import operator
-import statistics
 from dataclasses import dataclass, fields
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dataset import PUBLISHED_CALIBRATION
 from .errors import DataError, DomainError
@@ -82,32 +81,22 @@ class CalibrationReport:
         return "\n".join(lines) + "\n"
 
 
-def _aligned(measured: Sequence[float], predicted: Sequence[float]) -> tuple[list[float], list[float]]:
-    x = [float(v) for v in measured]
-    y = [float(v) for v in predicted]
-    if len(x) != len(y):
-        raise DataError(f"series are misaligned: {len(x)} measured vs {len(y)} predicted")
-    if not x:
-        raise DataError("series are empty")
-    return x, y
-
-
 def residuals(measured: Sequence[float], predicted: Sequence[float]) -> list[float]:
     """Per-sample measured - predicted, in input order (dB)."""
-    x, y = _aligned(measured, predicted)
-    return [xi - yi for xi, yi in zip(x, y)]
+    x = _finite_series("measured", measured)
+    return list(map(operator.sub, x, _finite_series("predicted", predicted, len(x))))
 
 
 def correction_factor(measured: Sequence[float], predicted: Sequence[float]) -> float:
     """Mean residual in dB: the constant that minimizes corrected MSE."""
     r = residuals(measured, predicted)
-    return math.fsum(r) / len(r)
+    return _fsum("predicted", r) / len(r)
 
 
 def mse(measured: Sequence[float], predicted: Sequence[float]) -> float:
     """Mean squared error between the series, in dB^2."""
-    x, y = _aligned(measured, predicted)
-    return math.fsum((yi - xi) ** 2 for xi, yi in zip(x, y)) / len(x)
+    r = residuals(measured, predicted)
+    return _sum_squares("predicted", r) / len(r)
 
 
 def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
@@ -117,28 +106,48 @@ def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
     the error for a flat series names the measured or the predicted one.
     Invariant under positive affine transforms of either series.
     """
-    x, y = _aligned(measured, predicted)
-    return _pearson_centred(*_centred(x), y)
+    x = _finite_series("measured", measured)
+    y = _finite_series("predicted", predicted, len(x))
+    return _pearson_centred(*_centred("measured", x), *_centred("predicted", y))
 
 
-def _centred(values: list[float]) -> tuple[list[float], float]:
-    """Deviations from the mean and their sum of squares, exact for a flat series."""
-    mean = math.fsum(values) / len(values)  # summed even when flat: callers report an overflow
-    # the ends first: every flat series passes that test, and most others fail it at once
-    if values[0] == values[-1] and min(values) == max(values):
-        mean = values[0]  # which `fsum / n` can miss by an ulp
-    deviations = list(map(operator.sub, values, itertools.repeat(mean)))
-    return deviations, math.fsum(map(operator.mul, deviations, deviations))
-
-
-def _finite_series(name: str, values: Sequence[float]) -> list[float]:
-    """The series as floats; a NaN or infinity is a DataError naming its place."""
+def _finite_series(name: str, values: Sequence[float], n: int | None = None) -> list[float]:
+    """The series as floats; a NaN or infinity, or a length that is 0 or not `n`, is a DataError."""
     series = list(map(float, values))
     if not math.isfinite(sum(series)):
         for i, v in enumerate(series, start=1):
             if not math.isfinite(v):
                 raise DataError(f"{name} series, value {i}: not a finite number ({v!r})")
+    if n is not None and len(series) != n:
+        raise DataError(f"series are misaligned: the {name} series has {len(series)} values, not {n}")
+    if not series:
+        raise DataError("series are empty")
     return series
+
+
+def _sum_squares(name: str, values: Sequence[float]) -> float:
+    return _fsum(name, map(operator.mul, values, values))
+
+
+def _fsum(name: str, terms: Iterable[float]) -> float:
+    """`math.fsum`; a sum that leaves the float range is a DomainError naming the series."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # ValueError: terms that overflowed both ways, inf + -inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"{name} series: a sum over its values overflows the float range")
+    return total
+
+
+def _centred(name: str, values: list[float]) -> tuple[list[float], float]:
+    """Deviations from the mean and their sum of squares, exact for a flat series."""
+    mean = _fsum(name, values) / len(values)  # taken even when flat, so that an overflow is reported
+    # the ends first: every flat series passes that test, and most others fail it at once
+    if values[0] == values[-1] and min(values) == max(values):
+        mean = values[0]  # which `fsum / n` can miss by an ulp
+    deviations = list(map(operator.sub, values, itertools.repeat(mean)))
+    return deviations, _sum_squares(name, deviations)
 
 
 def calibrate(
@@ -165,37 +174,25 @@ def calibrate(
         raise DataError("calibrate needs at least one prediction series")
     x = _finite_series("measured", measured)
     n = len(x)
-    # An empty series is rejected per model below, in the order the
-    # reference functions check it.
-    try:
-        dx, sxx = _centred(x) if n else ([], 0.0)
-    except OverflowError:
-        raise _overflow_error("measured") from None
+    dx, sxx = _centred("measured", x)
     models: dict[str, ModelCalibration] = {}
     notes: list[str] = []
     for model_id, predicted in predictions.items():
-        y = _finite_series(f"predicted {model_id!r}", predicted)
-        if len(y) != n:
-            raise DataError(f"series are misaligned: {n} measured vs {len(y)} predicted")
-        if not n:
-            raise DataError("series are empty")
+        name = f"predicted {model_id!r}"
+        y = _finite_series(name, predicted, n)
+        residual = list(map(operator.sub, x, y))
+        cf = _fsum(name, residual) / n
+        error = _sum_squares(name, residual) / n
+        # r is invariant under the constant shift, so one value serves both
+        centred_y = _centred(name, y)  # outside the `try`: its overflow is an error, not a note
+        r: float | None
         try:
-            residual = list(map(operator.sub, x, y))
-            cf = math.fsum(residual) / n
-            error = math.fsum(map(operator.mul, residual, residual)) / n
-            # r is invariant under the constant shift, so one value serves both
-            r: float | None
-            try:
-                r = _pearson_centred(dx, sxx, y)
-            except DomainError as exc:
-                r = None
-                notes.append(f"{model_id}: {exc}; reported as null")
-            shifted = list(map(operator.sub, map(operator.add, y, itertools.repeat(cf)), x))
-            error_after = math.fsum(map(operator.mul, shifted, shifted)) / n
-        except OverflowError:
-            raise _overflow_error(f"predicted {model_id!r}") from None
-        if not math.isfinite(error + error_after):  # each square overflowed on its own
-            raise _overflow_error(f"predicted {model_id!r}")
+            r = _pearson_centred(dx, sxx, *centred_y)
+        except DomainError as exc:
+            r = None
+            notes.append(f"{model_id}: {exc}; reported as null")
+        shifted = list(map(operator.sub, map(operator.add, y, itertools.repeat(cf)), x))
+        error_after = _sum_squares(name, shifted) / n
         models[model_id] = ModelCalibration(cf, error, error_after, math.sqrt(error), math.sqrt(error_after), r, n)
         if acceptable_mse_db2 is not None and error_after > acceptable_mse_db2:
             notes.append(
@@ -210,18 +207,13 @@ def calibrate(
     return CalibrationReport(models, min(models, key=rank), SELECTION_RULE, tuple(notes))
 
 
-def _overflow_error(name: str) -> DomainError:
-    return DomainError(f"{name} series: a sum over its values overflows the float range")
-
-
-def _pearson_centred(dx: list[float], sxx: float, y: list[float]) -> float:
-    """`pearson_r` against a measured series already centred as `dx`."""
-    n = len(y)
+def _pearson_centred(dx: list[float], sxx: float, dy: list[float], syy: float) -> float:
+    """`pearson_r` of two series already centred by `_centred`."""
+    n = len(dy)
     if n < 2:
         raise DomainError(f"pearson_r requires at least 2 samples, got {n}")
     if sxx == 0.0:
         raise DomainError("pearson_r is undefined for a zero-variance measured series")
-    dy, syy = _centred(y)
     if syy == 0.0:
         raise DomainError("pearson_r is undefined for a zero-variance predicted series")
     # the split root serves only when the product underflows to zero
@@ -268,16 +260,22 @@ def published_divergence_notes(
 
 
 def decade_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> float:
-    """Least-squares slope of loss versus log10(distance), dB per decade."""
-    x, y = _aligned(distances_m, loss_db)
-    for i, d in enumerate(x, start=1):
-        if not math.isfinite(d) or d <= 0.0:
+    """Least-squares slope of loss versus log10(distance), dB per decade; a single distance raises DomainError."""
+    return _checked_slope(distances_m, loss_db)[2]
+
+
+def _checked_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> tuple[list[float], list[float], float]:
+    """Both series as checked floats, and their slope from centred `fsum` sums: the same bits on any Python."""
+    distances = _finite_series("distance", distances_m)
+    loss = _finite_series("loss", loss_db, len(distances))
+    for i, d in enumerate(distances, start=1):
+        if d <= 0.0:
             raise DomainError(f"sample {i}: distance must be positive, got {d!r}")
-    try:
-        fit = statistics.linear_regression([math.log10(d) for d in x], y)
-    except statistics.StatisticsError as exc:
-        raise DomainError(f"decade slope undefined: {exc}") from None
-    return fit.slope
+    dl, sll = _centred("distance", list(map(math.log10, distances)))
+    if sll == 0.0:
+        raise DomainError("decade slope undefined: every sample lies at the same distance")
+    dy, _ = _centred("loss", loss)  # its sum of squares is taken only to report an overflow
+    return distances, loss, math.fsum(map(operator.mul, dl, dy)) / sll
 
 
 def cost231_tx_height_from_slope(slope_db_per_decade: float) -> float:
@@ -328,7 +326,7 @@ def infer_site_parameters(
     skipped; if all are, the result carries the first combination and
     fit_mse_db2 = inf.
     """
-    slope = decade_slope(distances_m, path_loss_db)
+    distances, target, slope = _checked_slope(distances_m, path_loss_db)
     if model_id not in MODEL_IDS:
         raise DomainError(f"unknown model id {model_id!r}")
     if not grid:
@@ -342,8 +340,6 @@ def infer_site_parameters(
             raise DomainError(f"parameter grid axis {name!r} is empty")
         for value in axis:
             _model_arguments({name: value})
-    distances = [float(d) for d in distances_m]
-    target = [float(v) for v in path_loss_db]
 
     best_params = {**fixed, **{name: axis[0] for name, axis in zip(names, axes)}}
     best_mse = math.inf
@@ -353,8 +349,8 @@ def infer_site_parameters(
         try:
             model = model_from_params(model_id, params)
             error = list(map(operator.sub, model.path_loss_series(distances), target))
-            fit = math.fsum(map(operator.mul, error, error)) / len(error)
-        except (DomainError, OverflowError):
+            fit = _sum_squares(model_id, error) / len(error)
+        except DomainError:
             continue
         if fit < best_mse:
             best_mse = fit

@@ -187,7 +187,10 @@ def fspl(freq_mhz: float, distance_km: float, tx_gain_linear: float = 1.0) -> fl
     transmit gain the classic constant-plus-two-log form is recovered.
     """
     model = make_model("fspl", freq_mhz, tx_gain_linear=tx_gain_linear)
-    return model.path_loss_db(_positive("distance_km", distance_km) * 1000.0)
+    distance_m = _positive("distance_km", distance_km) * 1000.0
+    if distance_m == math.inf:
+        raise DomainError(f"distance_km {distance_km!r} is too large to convert to meters")
+    return model.path_loss_db(distance_m)
 
 
 def mobile_station_correction(rx_height_m: float) -> float:

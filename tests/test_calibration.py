@@ -172,6 +172,38 @@ class TestPearson:
             pearson_r([-70.0, -75.0], [-71.0, -71.0])
 
 
+@pytest.mark.parametrize(
+    ("metric", "first", "second"),
+    [
+        (mse, "measured", "predicted"),
+        (correction_factor, "measured", "predicted"),
+        (pearson_r, "measured", "predicted"),
+        (decade_slope, "distance", "loss"),
+    ],
+    ids=["mse", "correction_factor", "pearson_r", "decade_slope"],
+)
+def test_every_metric_rejects_a_nan_naming_its_place(metric, first, second):
+    with pytest.raises(DataError, match=rf"^{first} series, value 2: not a finite number \(nan\)$"):
+        metric([100.0, math.nan, 400.0], [1.0, 5.0, 2.0])
+    with pytest.raises(DataError, match=rf"^{second} series, value 3: not a finite number \(nan\)$"):
+        metric([100.0, 200.0, 400.0], [1.0, 5.0, math.nan])
+
+
+@pytest.mark.parametrize(
+    ("metric", "first", "second", "series"),
+    [
+        (pearson_r, [1e308, -1e308, 1e308], [1.0, 2.0, 3.0], "measured"),
+        (mse, [1e308, -1e308, 1e308], [1.0, 2.0, 3.0], "predicted"),
+        (correction_factor, [1e308, -1e308], [-1e308, 1e308], "predicted"),  # residuals of +inf and -inf
+        (decade_slope, [1.0, 1000.0, 1e6], [-1e308, 0.0, 1e308], "loss"),
+    ],
+    ids=["pearson_r", "mse", "correction_factor", "decade_slope"],
+)
+def test_every_metric_raises_an_overflow_naming_the_series(metric, first, second, series):
+    with pytest.raises(DomainError, match=rf"^{series} series: a sum over its values overflows the float range$"):
+        metric(first, second)
+
+
 class TestApplyCorrection:
     def test_corrected_prediction_at_far_sample(self):
         # -91.87 dBm plus the 7.8451 dB correction lands at -84.02
@@ -326,8 +358,9 @@ class TestCalibrate:
             calibrate([-70.0, -71.0], {})
 
     def test_overflowing_sums_raise_naming_the_series(self):
-        with pytest.raises(DomainError, match=r"^measured series: a sum over its values overflows"):
-            calibrate([1e308, 1e308], {"a": [0.0, 1.0]})
+        for measured in ([1e308, 1e308], [1e200, -1e200]):  # the sum, or the squared deviations, overflow
+            with pytest.raises(DomainError, match=r"^measured series: a sum over its values overflows"):
+                calibrate(measured, {"a": measured})
         for huge in (1e154, 1e308):  # the squares, or the residuals themselves, overflow when summed
             with pytest.raises(DomainError, match=r"^predicted 'b' series: a sum over its values overflows"):
                 calibrate([0.0, 1.0], {"a": [0.0, 2.0], "b": [-huge, -huge]})
@@ -367,21 +400,35 @@ def calibration_inputs(draw):
     return draw(series), draw(st.lists(series, min_size=1, max_size=3))
 
 
+def reference_metrics(measured, predicted):
+    """cf, MSE before and after it, and r (None where undefined), from their definitions.
+
+    Written apart from the package, with exact `math.fsum` sums.
+    """
+    n = len(measured)
+    cf = math.fsum(m - p for m, p in zip(measured, predicted)) / n
+    before = math.fsum((m - p) ** 2 for m, p in zip(measured, predicted)) / n
+    after = math.fsum((p + cf - m) ** 2 for m, p in zip(measured, predicted)) / n
+    dx = [m - math.fsum(measured) / n for m in measured]
+    dy = [p - math.fsum(predicted) / n for p in predicted]
+    sxx, syy = math.fsum(d * d for d in dx), math.fsum(d * d for d in dy)
+    if n < 2 or min(measured) == max(measured) or min(predicted) == max(predicted) or not sxx or not syy:
+        return cf, before, after, None
+    return cf, before, after, math.fsum(a * b for a, b in zip(dx, dy)) / (math.sqrt(sxx) * math.sqrt(syy))
+
+
 @settings(max_examples=300, deadline=None)
 @given(calibration_inputs())
 def test_calibrate_matches_the_reference_functions(case):
     measured, columns = case
     report = calibrate(measured, {f"m{i}": column for i, column in enumerate(columns)})
     for (model_id, calib), predicted in zip(report.models.items(), columns):
-        cf = correction_factor(measured, predicted)
-        before = mse(measured, predicted)
+        cf, before, after, r = reference_metrics(measured, predicted)
         assert calib.cf_db == pytest.approx(cf, rel=1e-12, abs=0.0)
         assert calib.mse_before_db2 == pytest.approx(before, rel=1e-12, abs=0.0)
-        assert calib.mse_after_db2 == pytest.approx(mse(measured, [p + cf for p in predicted]), rel=1e-12, abs=0.0)
+        assert calib.mse_after_db2 == pytest.approx(after, rel=1e-12, abs=0.0)
         assert calib.mse_after_db2 == pytest.approx(before - cf * cf, abs=1e-9 * max(1.0, before))
-        try:
-            r = pearson_r(measured, predicted)
-        except DomainError:
+        if r is None:
             assert calib.pearson_r is None
             assert any(note.startswith(f"{model_id}: pearson_r") for note in report.notes)
         else:
@@ -432,6 +479,9 @@ class TestDecadeSlope:
             decade_slope([1000.0, -5.0], [100.0, 110.0])
         with pytest.raises(DomainError):
             decade_slope([1000.0, 1000.0], [100.0, 110.0])
+        # fsum / 7 misses log10(205) by an ulp, and the slope must still be undefined
+        with pytest.raises(DomainError, match="^decade slope undefined: every sample lies at the same distance$"):
+            decade_slope([205.0] * 7, [100.0 + i for i in range(7)])
 
 
 def test_cost231_height_inverts_slope():

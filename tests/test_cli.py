@@ -349,6 +349,32 @@ def test_infer_slope_past_the_float_range_exits_3(run_cli, tmp_path):
 
 
 @pytest.mark.parametrize(
+    ("rows", "flags"),
+    [
+        ([f"205,{-60 - i},{-100 - i}" for i in range(7)], ("--grid", "tx_height_m=30,40")),
+        (["1000,-60,-100", "1000,-61,-101"], ()),
+    ],
+    ids=["seven_at_205m", "two_at_1km"],
+)
+def test_infer_on_a_single_distance_exits_3(run_cli, tmp_path, rows, flags):
+    data = tmp_path / "one_distance.csv"
+    data.write_text("\n".join(["distance_m,rssi_dbm,pred_cost231_hata", *rows]) + "\n")
+    code, out, err = run_cli("infer", "--model", "cost231_hata", "--data", str(data), *flags)
+    assert (code, out) == (3, "")
+    assert err == f"{ERROR_PREFIX}decade slope undefined: every sample lies at the same distance\n"
+
+
+def test_infer_slope_has_the_same_bits_on_every_python(run_cli, tmp_path):
+    # exact equality: the slope is a ratio of exact fsum sums, so every Python version prints these digits
+    data = tmp_path / "five.csv"
+    rows = ["817,-60,-62.51", "1817,-100,-113.41", "2866,-80,-79.2", "397,-50,-56.32", "496,-100,-104.97"]
+    data.write_text("\n".join(["distance_m,rssi_dbm,pred_ericsson", *rows]) + "\n")
+    code, out, _ = run_cli("infer", "--model", "ericsson", "--data", str(data))
+    assert code == 0
+    assert json.loads(out)["decade_slope_db"] == 22.332851321271864
+
+
+@pytest.mark.parametrize(
     ("flags", "reason"),
     [
         (("--grid", "sui_d0_m=5000"), "sui_path_loss requires distance_m > d0 (5000 m), got 4200 m"),

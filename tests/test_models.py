@@ -77,6 +77,10 @@ class TestFspl:
         with pytest.raises(DomainError):
             fspl(900.0, bad)
 
+    def test_a_distance_too_large_for_meters_is_named_in_km(self):
+        with pytest.raises(DomainError, match=r"^distance_km 1e\+306 is too large to convert to meters$"):
+            fspl(2530.0, 1e306)
+
 
 class TestCost231Hata:
     def test_metropolitan_spot_value(self):
