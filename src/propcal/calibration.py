@@ -21,10 +21,11 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .dataset import PUBLISHED_CALIBRATION
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, finite
 from .models import MODEL_IDS, _model_arguments, model_from_params
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
+_OVERFLOW = "{} series: a sum over its values overflows the float range"
 
 # (field, label, unit, tolerance): each metric `published_divergence_notes`
 # checks, and how far it may lie from its published value unreported
@@ -82,9 +83,12 @@ class CalibrationReport:
 
 
 def residuals(measured: Sequence[float], predicted: Sequence[float]) -> list[float]:
-    """Per-sample measured - predicted, in input order (dB)."""
+    """Per-sample measured - predicted, in input order (dB); an overflowing one raises `DomainError`."""
     x = _finite_series("measured", measured)
-    return list(map(operator.sub, x, _finite_series("predicted", predicted, len(x))))
+    r = list(map(operator.sub, x, _finite_series("predicted", predicted, len(x))))
+    if not all(map(math.isfinite, r)):  # not `sum`: finite residuals may still sum past the float range
+        raise DomainError(_OVERFLOW.format("predicted"))
+    return r
 
 
 def correction_factor(measured: Sequence[float], predicted: Sequence[float]) -> float:
@@ -136,7 +140,7 @@ def _fsum(name: str, terms: Iterable[float]) -> float:
     except (OverflowError, ValueError):  # ValueError: terms that overflowed both ways, inf + -inf
         total = math.inf
     if not math.isfinite(total):
-        raise DomainError(f"{name} series: a sum over its values overflows the float range")
+        raise DomainError(_OVERFLOW.format(name))
     return total
 
 
@@ -284,8 +288,7 @@ def cost231_tx_height_from_slope(slope_db_per_decade: float) -> float:
     Inverts slope = 44.9 - 6.55*log10(hb).  A slope whose height over-
     or underflows the float range raises `DomainError` naming the slope.
     """
-    if not math.isfinite(slope_db_per_decade):
-        raise DomainError(f"slope must be finite, got {slope_db_per_decade!r}")
+    slope_db_per_decade = finite("slope_db_per_decade", slope_db_per_decade)
     try:
         height = 10.0 ** ((44.9 - slope_db_per_decade) / 6.55)
     except OverflowError:
@@ -323,8 +326,8 @@ def infer_site_parameters(
     search: an unknown key, or a value that is neither a number nor a
     known name, raises as in `model_from_params`.  Combinations that
     violate a model precondition, or whose squared errors overflow, are
-    skipped; if all are, the result carries the first combination and
-    fit_mse_db2 = inf.
+    skipped; if all are, `DomainError` names the model and why the first
+    one fails, so `fit_mse_db2` is always finite.
     """
     distances, target, slope = _checked_slope(distances_m, path_loss_db)
     if model_id not in MODEL_IDS:
@@ -341,8 +344,9 @@ def infer_site_parameters(
         for value in axis:
             _model_arguments({name: value})
 
-    best_params = {**fixed, **{name: axis[0] for name, axis in zip(names, axes)}}
+    best_params: dict[str, object] | None = None
     best_mse = math.inf
+    first_failure: DomainError | None = None
     for combo in itertools.product(*axes):
         params = dict(fixed)
         params.update(zip(names, combo))
@@ -350,9 +354,12 @@ def infer_site_parameters(
             model = model_from_params(model_id, params)
             error = list(map(operator.sub, model.path_loss_series(distances), target))
             fit = _sum_squares(model_id, error) / len(error)
-        except DomainError:
+        except DomainError as exc:
+            first_failure = first_failure or exc
             continue
         if fit < best_mse:
             best_mse = fit
             best_params = params
+    if best_params is None:
+        raise DomainError(f"no {model_id} grid point can be scored; the first fails: {first_failure}")
     return InferenceResult(model_id, best_params, best_mse, slope, math.prod(map(len, axes)))

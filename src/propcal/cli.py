@@ -46,7 +46,6 @@ from .models import (
     TERRAINS,
     SuiParams,
     make_model,
-    model_from_params,
 )
 
 EMBEDDED_DATA = "embedded:reference"
@@ -373,14 +372,6 @@ def _cmd_infer(args: argparse.Namespace) -> str:
         "tx_gain_linear": args.tx_gain_linear,
     }
     result = infer_site_parameters(table.distances_m, loss, args.model, grid, base=base)
-    if math.isinf(result.fit_mse_db2):
-        # no grid point was scored, and the result carries the first one: say why it fails
-        try:
-            model_from_params(args.model, result.params).path_loss_series(table.distances_m)
-            reason = "its squared errors overflow"
-        except DomainError as exc:
-            reason = str(exc)
-        raise DomainError(f"infer: no {args.model} grid point can be scored; the first fails: {reason}")
     payload: dict[str, object] = {
         "model": result.model_id,
         "column": column,

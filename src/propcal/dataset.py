@@ -44,8 +44,8 @@ class DriveTestTable:
     """Validated, aligned drive-test columns.
 
     `distances_m` and `measured_rss_dbm` hold one value per sample;
-    `predictions` maps a model name to a predicted RSS column of the
-    same length.  Every value is checked once, on construction.
+    `predictions` maps each model name to a same-length predicted RSS column,
+    in a dict the table owns.  Every value is checked once, on construction.
     """
 
     distances_m: tuple[float, ...]
@@ -65,7 +65,9 @@ class DriveTestTable:
                 if not math.isfinite(distance) or distance <= 0.0:
                     raise DataError(f"row {i}: distance_m must be positive, got {distance!r}")
                 _check_rss(rss, row=i, column="rssi_dbm")
-        for name, values in self.predictions.items():
+        predictions = {name: tuple(values) for name, values in self.predictions.items()}
+        object.__setattr__(self, "predictions", predictions)
+        for name, values in predictions.items():
             _check_prediction(name, values, len(distances))
 
     def __len__(self) -> int:
@@ -91,6 +93,8 @@ def _rss_column_ok(values: Sequence[float]) -> bool:
 
 
 def _check_prediction(name: str, values: Sequence[float], rows: int) -> None:
+    if any(char in name for char in ',"\r\n'):  # every CSV writer here emits names unquoted
+        raise DataError(f"prediction column {name!r}: a name may not hold a comma, a quote or a line break")
     if len(values) != rows:
         raise DataError(f"prediction column {name!r} has {len(values)} values for {rows} samples")
     if not _rss_column_ok(values):

@@ -10,15 +10,14 @@ work in received-signal space while the models predict loss.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 
-from .errors import DataError, DomainError
+from .errors import DataError, finite, nonnegative, positive
 
 
 @dataclass(frozen=True)
 class SiteConfig:
-    """Transmit-site parameters, all in dB/dBm/meters/MHz."""
+    """Transmit-site parameters, all in dB/dBm/meters/MHz; each, and their budget_db, checked once."""
 
     tx_power_dbm: float
     tx_gain_dbi: float
@@ -31,17 +30,12 @@ class SiteConfig:
 
     def __post_init__(self) -> None:
         for name in ("tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+            finite(name, getattr(self, name))
         for name in ("feeder_loss_db", "polarization_loss_db"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {value!r}")
+            nonnegative(name, getattr(self, name))
         for name in ("freq_mhz", "tx_height_m", "rx_height_m"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{name} must be positive, got {value!r}")
+            positive(name, getattr(self, name))
+        finite("budget_db", self.budget_db)
 
     @property
     def budget_db(self) -> float:
@@ -70,16 +64,12 @@ REFERENCE_SITE = SiteConfig(
 
 def predict_rss(site: SiteConfig, path_loss_db: float) -> float:
     """Received signal strength in dBm for a given path loss."""
-    if not math.isfinite(path_loss_db):
-        raise DomainError(f"path_loss_db must be finite, got {path_loss_db!r}")
-    return site.budget_db - path_loss_db
+    return site.budget_db - finite("path_loss_db", path_loss_db)
 
 
 def path_loss_from_rss(site: SiteConfig, rss_dbm: float) -> float:
     """Invert the budget: path loss in dB implied by a measured RSS."""
-    if not math.isfinite(rss_dbm):
-        raise DomainError(f"rss_dbm must be finite, got {rss_dbm!r}")
-    return site.budget_db - rss_dbm
+    return site.budget_db - finite("rss_dbm", rss_dbm)
 
 
 def site_to_json(site: SiteConfig) -> str:

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import KW_ONLY, dataclass, replace
 from typing import Mapping, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, finite, nonnegative, positive
 
 LIGHT_SPEED_M_PER_S = 299_792_458.0
 
@@ -38,20 +38,6 @@ COST231_RX_HEIGHT_RANGE_M = (1.0, 10.0)
 
 class ModelRangeWarning(UserWarning):
     """Inputs lie outside a model's documented validity range."""
-
-
-def _positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-    return value
-
-
-def _finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _cost231_range_notes(freq_mhz: float, tx_height_m: float, rx_height_m: float) -> tuple[str, ...]:
@@ -128,9 +114,8 @@ class SuiParams:
     xh_denominator_m: float = 2.0
 
     def __post_init__(self) -> None:
-        _positive("d0_m", self.d0_m)
-        if not math.isfinite(self.shadow_db) or self.shadow_db < 0.0:
-            raise DomainError(f"shadow_db must be >= 0, got {self.shadow_db!r}")
+        positive("d0_m", self.d0_m)
+        nonnegative("shadow_db", self.shadow_db)
         if self.xh_denominator_m not in (2.0, 2000.0):
             raise DomainError(
                 f"xh_denominator_m must be 2 or 2000, got {self.xh_denominator_m!r}"
@@ -152,7 +137,7 @@ class EricssonParams:
 
     def __post_init__(self) -> None:
         for field in ("a0", "a1", "a2", "a3"):
-            _finite(field, getattr(self, field))
+            finite(field, getattr(self, field))
 
 
 ERICSSON_URBAN = EricssonParams()
@@ -187,7 +172,7 @@ def fspl(freq_mhz: float, distance_km: float, tx_gain_linear: float = 1.0) -> fl
     transmit gain the classic constant-plus-two-log form is recovered.
     """
     model = make_model("fspl", freq_mhz, tx_gain_linear=tx_gain_linear)
-    distance_m = _positive("distance_km", distance_km) * 1000.0
+    distance_m = positive("distance_km", distance_km) * 1000.0
     if distance_m == math.inf:
         raise DomainError(f"distance_km {distance_km!r} is too large to convert to meters")
     return model.path_loss_db(distance_m)
@@ -198,7 +183,7 @@ def mobile_station_correction(rx_height_m: float) -> float:
 
     3.2*(log10(11.75*hr))^2 - 4.97; close to zero at the usual 1.5 m.
     """
-    rx_height_m = _positive("rx_height_m", rx_height_m)
+    rx_height_m = positive("rx_height_m", rx_height_m)
     return 3.2 * math.log10(11.75 * rx_height_m) ** 2 - 4.97
 
 
@@ -239,10 +224,10 @@ def extended_cost231(
       rx_height_gain = (42.57 + 13.7*log10 f) * (log10 hr - 0.585)
                        (medium_city) or 0.759*hr - 1.862 (large_city)
     """
-    freq_mhz = _positive("freq_mhz", freq_mhz)
-    tx_height_m = _positive("tx_height_m", tx_height_m)
-    rx_height_m = _positive("rx_height_m", rx_height_m)
-    distance_m = _positive("distance_m", distance_m)
+    freq_mhz = positive("freq_mhz", freq_mhz)
+    tx_height_m = positive("tx_height_m", tx_height_m)
+    rx_height_m = positive("rx_height_m", rx_height_m)
+    distance_m = positive("distance_m", distance_m)
     freq_ghz = freq_mhz / 1000.0
     distance_km = distance_m / 1000.0
     log_f = math.log10(freq_ghz)
@@ -261,7 +246,7 @@ def extended_cost231(
 
 def sui_gamma(tx_height_m: float, terrain: TerrainCategory) -> float:
     """SUI path-loss exponent: a - b*hb + c/hb for the terrain class."""
-    tx_height_m = _positive("tx_height_m", tx_height_m)
+    tx_height_m = positive("tx_height_m", tx_height_m)
     return terrain.a - terrain.b * tx_height_m + terrain.c / tx_height_m
 
 
@@ -273,8 +258,8 @@ def sui_corrections(
     Xf = 6.0*log10(f/2000).  Xh = -10.8*log10(hr/D) for terrains A and B
     and -20*log10(hr/D) for terrain C, with D = params.xh_denominator_m.
     """
-    freq_mhz = _positive("freq_mhz", freq_mhz)
-    rx_height_m = _positive("rx_height_m", rx_height_m)
+    freq_mhz = positive("freq_mhz", freq_mhz)
+    rx_height_m = positive("rx_height_m", rx_height_m)
     xf = 6.0 * math.log10(freq_mhz / 2000.0)
     coeff = -20.0 if params.terrain.name == "C" else -10.8
     xh = coeff * math.log10(rx_height_m / params.xh_denominator_m)
@@ -302,7 +287,7 @@ def ericsson_frequency_term(freq_mhz: float) -> float:
 
     44.49*log10(f) - 4.78*(log10 f)^2.
     """
-    freq_mhz = _positive("freq_mhz", freq_mhz)
+    freq_mhz = positive("freq_mhz", freq_mhz)
     log_f = math.log10(freq_mhz)
     return 44.49 * log_f - 4.78 * log_f**2
 
@@ -358,7 +343,7 @@ class PathLossModel:
             object.__setattr__(self, "name", self.model_id)
 
     def path_loss_db(self, distance_m: float) -> float:
-        return self.path_loss_series((distance_m,))[0]
+        return self.path_loss_series((positive("distance_m", distance_m),))[0]
 
     def path_loss_series(self, distances_m: Sequence[float]) -> list[float]:
         """Path loss in dB at each distance, the column checked once.
@@ -370,7 +355,7 @@ class PathLossModel:
         bound = self.min_distance_m
         if not (distances_m and math.isfinite(sum(distances_m)) and min(distances_m) > bound):
             for d in distances_m:
-                if _positive("distance_m", d) <= bound:
+                if positive("distance_m", d) <= bound:
                     raise DomainError(f"sui_path_loss requires distance_m > d0 ({bound:g} m), got {d:g} m")
         if self.range_notes:
             for _ in distances_m:
@@ -387,7 +372,7 @@ class PathLossModel:
 
     def corrected(self, cf_db: float) -> "PathLossModel":
         """New model whose path loss is this one's minus cf_db."""
-        return replace(self, c0=self.c0 - _finite("cf_db", cf_db), name=f"{self.name}_corrected")
+        return replace(self, c0=self.c0 - finite("cf_db", cf_db), name=f"{self.name}_corrected")
 
 
 def make_model(
@@ -413,18 +398,16 @@ def make_model(
     coefficient is not finite raise `DomainError` naming the model.
     """
     try:
-        freq_mhz = _positive("freq_mhz", freq_mhz)
+        freq_mhz = positive("freq_mhz", freq_mhz)
         if model_id == "fspl":
-            gt = _positive("tx_gain_linear", tx_gain_linear)
+            gt = positive("tx_gain_linear", tx_gain_linear)
             c0 = 32.45 - 10.0 * math.log10(gt) + 20.0 * math.log10(freq_mhz)
             return PathLossModel(model_id, c0, 20.0)
 
         if model_id not in MODEL_IDS:
             raise DomainError(f"unknown model id {model_id!r}")
-        if tx_height_m is None or rx_height_m is None:
-            raise DomainError(f"{model_id} requires tx_height_m and rx_height_m")
-        hb = _positive("tx_height_m", tx_height_m)
-        hr = _positive("rx_height_m", rx_height_m)
+        hb = positive("tx_height_m", tx_height_m)
+        hr = positive("rx_height_m", rx_height_m)
         log_hb = math.log10(hb)
 
         if model_id == "cost231_hata":
@@ -474,11 +457,11 @@ _NAMED_PARAMS: Mapping[str, tuple] = {
     "terrain": (TerrainCategory, TERRAINS),
     "rx_gain_variant": ((), {"medium_city": "medium_city", "large_city": "large_city"}),
 }
-_NUMERIC_PARAMS = frozenset({
+_NUMERIC_PARAMS = {key: f"model parameter {key}" for key in (
     "freq_mhz", "tx_height_m", "rx_height_m", "tx_gain_linear",
     "sui_d0_m", "sui_shadow_db", "sui_xh_denominator_m",
     "ericsson_a0", "ericsson_a1", "ericsson_a2", "ericsson_a3",
-})
+)}
 # `model_from_params` keys that set a field of SuiParams or EricssonParams
 _SUI_FIELDS = {
     "terrain": "terrain",
@@ -499,13 +482,8 @@ def _model_arguments(params: Mapping[str, object]) -> dict[str, object]:
     for key, value in params.items():
         if value is None:
             continue
-        if key in _NUMERIC_PARAMS:
-            try:
-                args[key] = float(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                raise DomainError(f"model parameter {key}: not a number: {value!r}") from None
-            if not math.isfinite(args[key]):  # no model takes one, and it would reach the report
-                raise DomainError(f"model parameter {key}: not a finite number: {value!r}")
+        if key in _NUMERIC_PARAMS:  # no model takes a non-finite one, and it would reach the report
+            args[key] = finite(_NUMERIC_PARAMS[key], value)
         elif key in _NAMED_PARAMS:
             kind, names = _NAMED_PARAMS[key]
             if isinstance(value, kind):
@@ -529,13 +507,13 @@ def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossMo
     Environment and terrain accept either the objects or their names.
     """
     args = _model_arguments(params)
-    if "freq_mhz" not in args:
-        raise DomainError("freq_mhz is required")
+    freq_mhz = args.pop("freq_mhz", None)  # a missing one fails `make_model`'s check
     sui = {field: args.pop(key) for key, field in _SUI_FIELDS.items() if key in args}
     ericsson = {field: args.pop(key) for key, field in _ERICSSON_FIELDS.items() if key in args}
     return make_model(
         model_id,
-        sui_params=SuiParams(**sui),  # type: ignore[arg-type]
-        ericsson_params=EricssonParams(**ericsson),  # type: ignore[arg-type]
+        freq_mhz,  # type: ignore[arg-type]
+        sui_params=SuiParams(**sui) if sui else None,  # type: ignore[arg-type]
+        ericsson_params=EricssonParams(**ericsson) if ericsson else None,  # type: ignore[arg-type]
         **args,  # type: ignore[arg-type]
     )

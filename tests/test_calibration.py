@@ -61,6 +61,13 @@ class TestResiduals:
         with pytest.raises(DataError, match="empty"):
             residuals([], [])
 
+    def test_a_difference_past_the_float_range_raises_naming_the_predicted_series(self):
+        with pytest.raises(DomainError, match=r"^predicted series: a sum over its values overflows the float range$"):
+            residuals([1e308, 0.0], [-1e308, 0.0])
+
+    def test_finite_residuals_are_returned_even_if_their_sum_overflows(self):
+        assert residuals([1e308, 1e308], [0.0, 0.0]) == [1e308, 1e308]
+
 
 class TestCorrectionFactor:
     def test_reference_extended_column(self):
@@ -552,18 +559,21 @@ class TestInferSiteParameters:
         )
         assert result.decade_slope_db == pytest.approx(44.9 - 6.55 * math.log10(40.0), abs=1e-9)
 
-    def test_infeasible_grid_reports_infinite_fit(self):
+    def test_infeasible_grid_raises_the_first_failure(self):
         # d0 above every sample distance makes every combination invalid
         loss = self.synthetic_loss("sui", {"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 3.0})
-        result = infer_site_parameters(
-            self.distances,
-            loss,
-            "sui",
-            {"sui_d0_m": [1e6]},
-            base={"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 3.0},
+        message = (
+            "no sui grid point can be scored; the first fails: "
+            f"sui_path_loss requires distance_m > d0 (1e+06 m), got {self.distances[0]:g} m"
         )
-        assert math.isinf(result.fit_mse_db2)
-        assert result.params["sui_d0_m"] == 1e6
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            infer_site_parameters(
+                self.distances,
+                loss,
+                "sui",
+                {"sui_d0_m": [1e6, 2e6]},
+                base={"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 3.0},
+            )
 
     @pytest.mark.parametrize(
         ("grid", "base", "message"),
@@ -572,9 +582,9 @@ class TestInferSiteParameters:
             ({"tx_height_m": [40.0]}, {"downtilt": 1.0}, "unknown model parameters"),
             ({"terrain": ["B", "D"]}, {}, "unknown terrain 'D'"),
             ({"terrain": [5.0]}, {}, "unknown terrain 5.0"),
-            ({"tx_height_m": [40.0, "abc"]}, {}, "tx_height_m: not a number: 'abc'"),
+            ({"tx_height_m": [40.0, "abc"]}, {}, "model parameter tx_height_m must be finite, got 'abc'"),
             ({"environment": ["metro"]}, {}, "unknown environment 'metro'"),
-            ({"tx_gain_linear": [1.0, math.inf]}, {}, "model parameter tx_gain_linear: not a finite number: inf"),
+            ({"tx_gain_linear": [1.0, math.inf]}, {}, "model parameter tx_gain_linear must be finite, got inf"),
         ],
     )
     def test_malformed_grid_or_base_raises_instead_of_returning_inf(self, grid, base, message):

@@ -378,7 +378,7 @@ def test_infer_slope_has_the_same_bits_on_every_python(run_cli, tmp_path):
     ("flags", "reason"),
     [
         (("--grid", "sui_d0_m=5000"), "sui_path_loss requires distance_m > d0 (5000 m), got 4200 m"),
-        (("--sui-shadow", "1e200", "--grid", "terrain=B"), "its squared errors overflow"),
+        (("--sui-shadow", "1e200", "--grid", "terrain=B"), "sui series: a sum over its values overflows the float range"),
     ],
     ids=["precondition", "overflow"],
 )
@@ -386,7 +386,67 @@ def test_infer_slope_has_the_same_bits_on_every_python(run_cli, tmp_path):
 def test_infer_exits_3_when_no_grid_point_can_be_scored(run_cli, flags, reason, fmt):
     code, out, err = run_cli("infer", "--model", "sui", "--data", "embedded:reference", *flags, "--format", fmt)
     assert (code, out) == (3, "")
-    assert err == f"{ERROR_PREFIX}infer: no sui grid point can be scored; the first fails: {reason}\n"
+    assert err == f"{ERROR_PREFIX}no sui grid point can be scored; the first fails: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plot", "--quantity", "pl"),
+        ("calibrate", "--model", "fspl", "--data", "embedded:reference"),
+        ("infer", "--model", "fspl", "--column", "cost231_hata", "--data", "embedded:reference"),
+    ],
+    ids=["plot", "calibrate", "infer"],
+)
+def test_a_site_whose_budget_overflows_exits_3_naming_the_budget(run_cli, tmp_path, argv):
+    site = tmp_path / "big.json"
+    site.write_text(json.dumps({**json.loads(site_to_json(REFERENCE_SITE)), "tx_power_dbm": 1e308, "tx_gain_dbi": 1e308}))
+    code, out, err = run_cli(*argv, "--site", str(site))
+    assert (code, out, err) == (3, "", f"{ERROR_PREFIX}budget_db must be finite, got inf\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "--format", "csv"),
+        ("plot",),
+        ("infer", "--model", "sui", "--column", "a,b", "--format", "csv"),
+    ],
+    ids=["compare", "plot", "infer"],
+)
+def test_a_column_name_holding_a_comma_exits_2(run_cli, tmp_path, argv):
+    data = tmp_path / "comma.csv"
+    data.write_text('distance_m,rssi_dbm,"pred_a,b"\n500,-58,-60\n900,-66,-70\n')
+    code, out, err = run_cli(*argv, "--data", str(data))
+    assert (code, out) == (2, "")
+    assert err == f"{ERROR_PREFIX}prediction column 'a,b': a name may not hold a comma, a quote or a line break\n"
+
+
+def test_infer_csv_flattens_the_report_one_key_per_line(run_cli):
+    code, out, err = run_cli("infer", "--model", "cost231_hata", "--data", "embedded:reference", "--format", "csv")
+    assert (code, err) == (0, "")
+    # floats that go through log10 are compared to 1e-9; the slope is exact fsum arithmetic
+    expected = [
+        ("key", "value"),
+        ("model", "cost231_hata"),
+        ("column", "cost231_hata"),
+        ("params.freq_mhz", "2530.0"),
+        ("params.tx_height_m", "37.0"),
+        ("params.rx_height_m", "3.0"),
+        ("params.environment", "metropolitan"),
+        ("params.terrain", "B"),
+        ("params.sui_shadow_db", "0.0"),
+        ("params.sui_xh_denominator_m", "2.0"),
+        ("params.tx_gain_linear", "1.0"),
+        ("fit_mse_db2", pytest.approx(0.006971884322906539, rel=0.0, abs=1e-9)),
+        ("decade_slope_db", "34.40527285091762"),
+        ("evaluated", "362"),
+        ("tx_height_from_slope_m", pytest.approx(40.01735866053762, rel=0.0, abs=1e-9)),
+    ]
+    rows = [tuple(line.split(",")) for line in out.splitlines()]
+    assert [key for key, _ in rows] == [key for key, _ in expected]
+    for (key, got), (_, want) in zip(rows, expected):
+        assert (got if isinstance(want, str) else float(got)) == want, key
 
 
 @pytest.mark.parametrize("digits", [401, 5001])
@@ -454,9 +514,9 @@ def test_console_script():
         ("downtilt=1", "cost231_hata", "unknown model parameters: ['downtilt']"),
         ("environment=metro", "cost231_hata", "unknown environment 'metro'"),
         ("terrain=D", "sui", "unknown terrain 'D'"),
-        ("tx_height_m=abc", "cost231_hata", "model parameter tx_height_m: not a number: 'abc'"),
+        ("tx_height_m=abc", "cost231_hata", "model parameter tx_height_m must be finite, got 'abc'"),
         ("terrain=5", "sui", "unknown terrain 5.0"),
-        ("tx_gain_linear=1,nan", "sui", "model parameter tx_gain_linear: not a finite number: nan"),
+        ("tx_gain_linear=1,nan", "sui", "model parameter tx_gain_linear must be finite, got nan"),
     ],
 )
 def test_malformed_grid_axis_exits_3_before_the_search(run_cli, axis, model, message):

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,26 @@ class TestTableValidation:
         table = parse_drive_test_csv("distance_m,rssi_dbm\n500,-58\n")
         table = with_prediction(table, "fspl", [-30.5])
         assert table.predictions["fspl"] == (-30.5,)
+
+    def test_the_table_keeps_its_own_prediction_columns(self):
+        predictions = {"x": [-70.0]}
+        table = DriveTestTable((1.0,), (-70.0,), predictions)
+        predictions["y"] = [999.0]
+        predictions["x"].append(-71.0)
+        assert table.predictions == {"x": (-70.0,)}
+        assert type(table.predictions["x"]) is tuple
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"], ids=["comma", "quote", "cr", "lf"])
+    def test_a_column_name_csv_output_cannot_carry_is_rejected(self, name):
+        message = f"^prediction column {re.escape(repr(name))}: a name may not hold a comma, a quote or a line break$"
+        with pytest.raises(DataError, match=message):
+            DriveTestTable((500.0,), (-58.0,), {name: (-60.0,)})
+        with pytest.raises(DataError, match=message):
+            with_prediction(reference_dataset(), name, reference_dataset().measured_rss_dbm)
+
+    def test_a_quoted_header_cell_holding_a_comma_is_rejected(self):
+        with pytest.raises(DataError, match="prediction column 'a,b': a name may not hold a comma"):
+            parse_drive_test_csv('distance_m,rssi_dbm,"pred_a,b"\n500,-58,-60\n')
 
     def test_with_prediction_checks_the_new_column(self):
         table = parse_drive_test_csv("distance_m,rssi_dbm,pred_sui\n500,-58,-30\n400,-61,-28\n")

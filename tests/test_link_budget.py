@@ -80,6 +80,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             make_site(tx_gain_dbi=math.inf)
 
+    def test_a_budget_past_the_float_range_is_rejected_when_the_site_is_built(self):
+        with pytest.raises(DomainError, match=r"^budget_db must be finite, got inf$"):
+            make_site(tx_power_dbm=1e308, tx_gain_dbi=1e308)
+        with pytest.raises(DomainError, match=r"^budget_db must be finite, got inf$"):
+            site_from_json(json.dumps({**json.loads(site_to_json(REFERENCE_SITE)), "tx_power_dbm": 1e308, "tx_gain_dbi": 1e308}))
+
 
 class TestJson:
     def test_roundtrip(self):
