@@ -17,11 +17,12 @@ import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .dataset import PUBLISHED_CALIBRATION
-from .errors import DataError, DomainError, finite
+from .errors import LEAST_POSITIVE, DataError, DomainError, checked_column, finite, nonnegative
 from .models import MODEL_IDS, _model_arguments, model_from_params
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
@@ -85,10 +86,8 @@ class CalibrationReport:
 def residuals(measured: Sequence[float], predicted: Sequence[float]) -> list[float]:
     """Per-sample measured - predicted, in input order (dB); an overflowing one raises `DomainError`."""
     x = _finite_series("measured", measured)
-    r = list(map(operator.sub, x, _finite_series("predicted", predicted, len(x))))
-    if not all(map(math.isfinite, r)):  # not `sum`: finite residuals may still sum past the float range
-        raise DomainError(_OVERFLOW.format("predicted"))
-    return r
+    r = map(operator.sub, x, _finite_series("predicted", predicted, len(x)))
+    return list(checked_column(r, DomainError, lambda i, v: _OVERFLOW.format("predicted")))
 
 
 def correction_factor(measured: Sequence[float], predicted: Sequence[float]) -> float:
@@ -115,13 +114,9 @@ def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
     return _pearson_centred(*_centred("measured", x), *_centred("predicted", y))
 
 
-def _finite_series(name: str, values: Sequence[float], n: int | None = None) -> list[float]:
-    """The series as floats; a NaN or infinity, or a length that is 0 or not `n`, is a DataError."""
-    series = list(map(float, values))
-    if not math.isfinite(sum(series)):
-        for i, v in enumerate(series, start=1):
-            if not math.isfinite(v):
-                raise DataError(f"{name} series, value {i}: not a finite number ({v!r})")
+def _finite_series(name: str, values: Sequence[float], n: int | None = None) -> tuple[float, ...]:
+    """The series as floats; a value that is not a finite real number, or a length of 0 or not `n`, is a DataError."""
+    series = checked_column(values, DataError, lambda i, v: f"{name} series, value {i}: not a finite number ({v!r})")
     if n is not None and len(series) != n:
         raise DataError(f"series are misaligned: the {name} series has {len(series)} values, not {n}")
     if not series:
@@ -144,7 +139,7 @@ def _fsum(name: str, terms: Iterable[float]) -> float:
     return total
 
 
-def _centred(name: str, values: list[float]) -> tuple[list[float], float]:
+def _centred(name: str, values: Sequence[float]) -> tuple[list[float], float]:
     """Deviations from the mean and their sum of squares, exact for a flat series."""
     mean = _fsum(name, values) / len(values)  # taken even when flat, so that an overflow is reported
     # the ends first: every flat series passes that test, and most others fail it at once
@@ -176,6 +171,8 @@ def calibrate(
     """
     if not predictions:
         raise DataError("calibrate needs at least one prediction series")
+    if acceptable_mse_db2 is not None:
+        acceptable_mse_db2 = nonnegative("acceptable_mse_db2", acceptable_mse_db2)
     x = _finite_series("measured", measured)
     n = len(x)
     dx, sxx = _centred("measured", x)
@@ -216,12 +213,16 @@ def _pearson_centred(dx: list[float], sxx: float, dy: list[float], syy: float) -
     n = len(dy)
     if n < 2:
         raise DomainError(f"pearson_r requires at least 2 samples, got {n}")
-    if sxx == 0.0:
-        raise DomainError("pearson_r is undefined for a zero-variance measured series")
-    if syy == 0.0:
-        raise DomainError("pearson_r is undefined for a zero-variance predicted series")
-    # the split root serves only when the product underflows to zero
-    return math.fsum(map(operator.mul, dx, dy)) / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
+    for series, deviations in (("measured", dx), ("predicted", dy)):
+        if not any(deviations):  # `_centred` leaves a flat series all zeros
+            raise DomainError(f"pearson_r is undefined for a zero-variance {series} series")
+    # r is the same for series scaled by powers of two: bring the largest deviation of each into [0.5, 1)
+    # where a square may lose bits below the normal float range, or the product of the sums leaves it
+    if min(sxx, syy) < n * sys.float_info.min or not sys.float_info.min <= sxx * syy < math.inf:
+        ex, ey = (math.frexp(max(map(abs, deviations)))[1] for deviations in (dx, dy))
+        dx, dy = [math.ldexp(d, -ex) for d in dx], [math.ldexp(d, -ey) for d in dy]
+        return _pearson_centred(dx, _sum_squares("measured", dx), dy, _sum_squares("predicted", dy))
+    return math.fsum(map(operator.mul, dx, dy)) / math.sqrt(sxx * syy)
 
 
 def published_divergence_notes(
@@ -268,13 +269,11 @@ def decade_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> floa
     return _checked_slope(distances_m, loss_db)[2]
 
 
-def _checked_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> tuple[list[float], list[float], float]:
+def _checked_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> tuple[tuple, tuple, float]:
     """Both series as checked floats, and their slope from centred `fsum` sums: the same bits on any Python."""
     distances = _finite_series("distance", distances_m)
     loss = _finite_series("loss", loss_db, len(distances))
-    for i, d in enumerate(distances, start=1):
-        if d <= 0.0:
-            raise DomainError(f"sample {i}: distance must be positive, got {d!r}")
+    checked_column(distances, DomainError, "sample {}: distance must be positive, got {!r}".format, LEAST_POSITIVE)
     dl, sll = _centred("distance", list(map(math.log10, distances)))
     if sll == 0.0:
         raise DomainError("decade slope undefined: every sample lies at the same distance")
@@ -352,7 +351,7 @@ def infer_site_parameters(
         params.update(zip(names, combo))
         try:
             model = model_from_params(model_id, params)
-            error = list(map(operator.sub, model.path_loss_series(distances), target))
+            error = list(map(operator.sub, model._losses(distances), target))  # `distances` is checked once, above
             fit = _sum_squares(model_id, error) / len(error)
         except DomainError as exc:
             first_failure = first_failure or exc

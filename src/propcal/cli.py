@@ -38,7 +38,7 @@ from .dataset import (
     serialize_drive_test_csv,
     with_prediction,
 )
-from .errors import DataError, DomainError, PropcalError
+from .errors import DataError, DomainError, PropcalError, checked_column
 from .link_budget import REFERENCE_SITE, SiteConfig, predict_rss, site_from_json
 from .models import (
     ENVIRONMENTS,
@@ -79,8 +79,7 @@ def _float_arg(text: str, *, allow_zero: bool = False) -> float:
 
 
 def _frange(start: float, stop: float, step: float) -> list[float]:
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise argparse.ArgumentTypeError("range bounds must be finite")
+    checked_column((start, stop, step), argparse.ArgumentTypeError, lambda i, v: "range bounds must be finite")
     if step <= 0.0:
         raise argparse.ArgumentTypeError(f"step must be positive, got {step:g}")
     if stop < start:
@@ -292,8 +291,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
     table = _load_table(args.data)
     models = _bound_models(args, site, _selected_models(args, MODEL_IDS))
     budget = site.budget_db
-    predictions = {
-        mid: [budget - loss for loss in model.path_loss_series(table.distances_m)]
+    predictions = {  # the table checked its distances, so the models evaluate them unchecked
+        mid: [budget - loss for loss in model._losses(table.distances_m)]
         for mid, model in models.items()
     }
     report = calibrate(table.measured_rss_dbm, predictions, acceptable_mse_db2=args.acceptable_mse)
@@ -381,7 +380,11 @@ def _cmd_infer(args: argparse.Namespace) -> str:
         "evaluated": result.evaluated,
     }
     if args.model == "cost231_hata":
-        payload["tx_height_from_slope_m"] = cost231_tx_height_from_slope(result.decade_slope_db)
+        try:
+            payload["tx_height_from_slope_m"] = cost231_tx_height_from_slope(result.decade_slope_db)
+        except DomainError as exc:  # the fit stands; as with an undefined r in calibrate, a note says why
+            payload["tx_height_from_slope_m"] = None
+            payload["notes"] = [f"tx_height_from_slope_m: {exc}; reported as null"]
     if args.format == "json":
         return json.dumps(payload, indent=2) + "\n"
     lines = ["key,value"]
@@ -389,8 +392,8 @@ def _cmd_infer(args: argparse.Namespace) -> str:
         if isinstance(value, dict):
             for name, v in value.items():
                 lines.append(f"params.{name},{v}")
-        else:
-            lines.append(f"{key},{value}")
+        elif key != "notes":  # as in calibrate's CSV, the notes are in the JSON report only
+            lines.append(f"{key},{'' if value is None else value}")
     return "\n".join(lines) + "\n"
 
 
@@ -399,9 +402,9 @@ def _cmd_plot(args: argparse.Namespace) -> str:
     table = _load_table(args.data)
     to_evaluate = [mid for mid in _selected_models(args, ()) if mid not in table.predictions]
     models = _bound_models(args, site, to_evaluate)
-    distances = table.distances_m
+    distances = table.distances_m  # checked by the table, so the models evaluate them unchecked
     for mid in to_evaluate:
-        rss = [predict_rss(site, loss) for loss in models[mid].path_loss_series(distances)]
+        rss = [predict_rss(site, loss) for loss in models[mid]._losses(distances)]
         table = with_prediction(table, mid, rss)
     base_names = list(table.predictions)
     measured = table.measured_rss_dbm

@@ -14,11 +14,10 @@ import csv
 import functools
 import io
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataError
+from .errors import LEAST_POSITIVE, DataError, checked_column
 from .link_budget import SiteConfig
 
 # Plausibility window for any RSS value, measured or predicted.  Real
@@ -53,22 +52,19 @@ class DriveTestTable:
     predictions: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "distances_m", tuple(self.distances_m))
-        object.__setattr__(self, "measured_rss_dbm", tuple(self.measured_rss_dbm))
-        distances, measured = self.distances_m, self.measured_rss_dbm
+        distances, measured = tuple(self.distances_m), tuple(self.measured_rss_dbm)
         if not distances:
             raise DataError("drive test has no samples")
         if len(measured) != len(distances):
             raise DataError(f"rssi_dbm column has {len(measured)} values for {len(distances)} samples")
-        if not (_rss_column_ok(measured) and math.isfinite(sum(distances)) and min(distances) > 0.0):
-            for i, (distance, rss) in enumerate(zip(distances, measured), start=1):
-                if not math.isfinite(distance) or distance <= 0.0:
-                    raise DataError(f"row {i}: distance_m must be positive, got {distance!r}")
-                _check_rss(rss, row=i, column="rssi_dbm")
-        predictions = {name: tuple(values) for name, values in self.predictions.items()}
+        def bad_distance(row: int, value: object) -> str:
+            _rss_column("rssi_dbm", measured[: row - 1])  # rows in order: a bad RSS in an earlier row comes first
+            return f"row {row}: distance_m must be positive, got {value!r}"
+
+        object.__setattr__(self, "distances_m", checked_column(distances, DataError, bad_distance, LEAST_POSITIVE))
+        object.__setattr__(self, "measured_rss_dbm", _rss_column("rssi_dbm", measured))
+        predictions = {name: _prediction_column(name, values, len(distances)) for name, values in self.predictions.items()}
         object.__setattr__(self, "predictions", predictions)
-        for name, values in predictions.items():
-            _check_prediction(name, values, len(distances))
 
     def __len__(self) -> int:
         return len(self.distances_m)
@@ -79,27 +75,19 @@ class DriveTestTable:
         return tuple(map(DriveTestSample, self.distances_m, self.measured_rss_dbm))
 
 
-def _check_rss(value: float, row: int, column: str) -> None:
-    if not math.isfinite(value) or not RSS_MIN_DBM <= value <= RSS_MAX_DBM:
-        raise DataError(
-            f"row {row}, column {column}: RSS {value!r} outside "
-            f"[{RSS_MIN_DBM:g}, {RSS_MAX_DBM:g}] dBm"
-        )
+def _rss_column(column: str, values: Iterable[object]) -> tuple[float, ...]:
+    """`values` as RSS in dBm inside the plausibility window; the first bad one is named by row and `column`."""
+    message = f"row {{}}, column {column}: RSS {{!r}} outside [{RSS_MIN_DBM:g}, {RSS_MAX_DBM:g}] dBm"
+    return checked_column(values, DataError, message.format, RSS_MIN_DBM, RSS_MAX_DBM)
 
 
-def _rss_column_ok(values: Sequence[float]) -> bool:
-    """Whole-column RSS check; a NaN or infinity makes the sum non-finite."""
-    return math.isfinite(sum(values)) and RSS_MIN_DBM <= min(values) and max(values) <= RSS_MAX_DBM
-
-
-def _check_prediction(name: str, values: Sequence[float], rows: int) -> None:
+def _prediction_column(name: str, values: Iterable[object], rows: int) -> tuple[float, ...]:
     if any(char in name for char in ',"\r\n'):  # every CSV writer here emits names unquoted
         raise DataError(f"prediction column {name!r}: a name may not hold a comma, a quote or a line break")
+    values = tuple(values)
     if len(values) != rows:
         raise DataError(f"prediction column {name!r} has {len(values)} values for {rows} samples")
-    if not _rss_column_ok(values):
-        for i, value in enumerate(values, start=1):
-            _check_rss(value, row=i, column=f"{PREDICTION_PREFIX}{name}")
+    return _rss_column(f"{PREDICTION_PREFIX}{name}", values)
 
 
 def _parse_cells(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[float]:
@@ -177,11 +165,10 @@ def serialize_drive_test_csv(table: DriveTestTable) -> str:
 def with_prediction(table: DriveTestTable, name: str, values: Sequence[float]) -> DriveTestTable:
     """New table with one prediction column added or replaced.
 
-    Only the new column is validated; the rest were checked when
-    `table` was built.
+    Only the new column is validated, by the rule of the table's own
+    columns; the rest were checked when `table` was built.
     """
-    column = tuple(float(v) for v in values)
-    _check_prediction(name, column, len(table))
+    column = _prediction_column(name, values, len(table))
     extended = copy.copy(table)
     object.__setattr__(extended, "predictions", {**table.predictions, name: column})
     return extended

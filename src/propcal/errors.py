@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the one check of a numeric parameter."""
+"""Exception types shared across the package, and the one check of a numeric parameter or column."""
 
+import math
 import numbers
 import sys
+from typing import Callable, Iterable
 
 
 class PropcalError(Exception):
@@ -25,6 +27,7 @@ class DataError(PropcalError, ValueError):
 
 
 _LARGEST = sys.float_info.max
+LEAST_POSITIVE = 5e-324  # the least float above zero
 
 
 def finite(name: str, value: object) -> float:
@@ -34,7 +37,7 @@ def finite(name: str, value: object) -> float:
 
 def positive(name: str, value: object) -> float:
     """`value` as a float if it is a finite real number above zero."""
-    return _checked(name, value, 5e-324, "must be a positive finite number")  # the least float above zero
+    return _checked(name, value, LEAST_POSITIVE, "must be a positive finite number")
 
 
 def nonnegative(name: str, value: object) -> float:
@@ -43,9 +46,28 @@ def nonnegative(name: str, value: object) -> float:
 
 
 def _checked(name: str, value: object, low: float, rule: str) -> float:
-    """The one rule: `value` as a float if it is a real number, not a bool, finite and at least `low`."""
-    # `type(...) is float` first: the ABC check costs ten times as much
-    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        if low <= value <= _LARGEST:  # exact for an int of any size, and false for NaN
-            return float(value)
-    raise DomainError(f"{name} {rule}, got {value!r}")
+    """`value` checked as a column of one, or a DomainError naming the parameter and quoting the value."""
+    if type(value) is float and low <= value <= _LARGEST:  # the common case, without building a column
+        return value
+    return checked_column((value,), DomainError, lambda i, v: f"{name} {rule}, got {v!r}", low)[0]
+
+
+def checked_column(values: Iterable[object], error: type[Exception], message: Callable[[int, object], str],
+                   low: float = -_LARGEST, high: float = _LARGEST) -> tuple[float, ...]:
+    """`values` as floats if each is a real number, not a bool, and within [`low`, `high`], which no NaN is.
+
+    Else raises `error(message(i, value))` for the first that is not, `i` counting from 1.
+    A column of floats is checked at once; any other is scanned value by value, as is one that fails.
+    """
+    column = tuple(values)
+    # a NaN or an infinity makes the sum non-finite, and a finite sum leaves only bounds inside the
+    # float range to compare with
+    if set(map(type, column)) <= {float} and math.isfinite(sum(column)):
+        if (low == -_LARGEST or low <= min(column, default=low)) and (high == _LARGEST or max(column, default=high) <= high):
+            return column
+    for i, value in enumerate(column, start=1):
+        # `type(...) is float` first: the ABC check costs ten times as much
+        real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+        if not (real and low <= value <= high):  # exact for an int of any size
+            raise error(message(i, value))
+    return tuple(map(float, column))

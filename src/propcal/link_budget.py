@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .errors import DataError, finite, nonnegative, positive
+from .errors import DataError, checked_column, finite, nonnegative, positive
 
 
 @dataclass(frozen=True)
@@ -85,20 +85,16 @@ def site_from_json(text: str) -> SiteConfig:
         raise DataError(f"invalid site JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError("site JSON must be an object")
-    expected = {f.name for f in fields(SiteConfig)}
-    unknown = set(raw) - expected
+    names = [f.name for f in fields(SiteConfig)]
+    unknown = set(raw) - set(names)
     if unknown:
         raise DataError(f"unknown site fields: {sorted(unknown)}")
-    missing = expected - set(raw)
+    missing = set(names) - set(raw)
     if missing:
         raise DataError(f"missing site fields: {sorted(missing)}")
-    values = {}
-    for key in expected:
-        value = raw[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DataError(f"site field {key} must be a number, got {value!r}")
-        try:
-            values[key] = float(value)
-        except OverflowError:
-            raise DataError(f"site field {key} must fit a float, got an integer too large for one") from None
-    return SiteConfig(**values)
+
+    def bad_field(i: int, value: object) -> str:  # only an int too large for a float is a number here
+        rule = "fit a float, got an integer too large for one" if type(value) is int else f"be a number, got {value!r}"
+        return f"site field {names[i - 1]} must {rule}"
+
+    return SiteConfig(*checked_column((raw[name] for name in names), DataError, bad_field))

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import KW_ONLY, dataclass, replace
 from typing import Mapping, Sequence
 
-from .errors import DomainError, finite, nonnegative, positive
+from .errors import LEAST_POSITIVE, DomainError, checked_column, finite, nonnegative, positive
 
 LIGHT_SPEED_M_PER_S = 299_792_458.0
 
@@ -343,20 +343,24 @@ class PathLossModel:
             object.__setattr__(self, "name", self.model_id)
 
     def path_loss_db(self, distance_m: float) -> float:
-        return self.path_loss_series((positive("distance_m", distance_m),))[0]
+        return self._losses((positive("distance_m", distance_m),))[0]
 
     def path_loss_series(self, distances_m: Sequence[float]) -> list[float]:
         """Path loss in dB at each distance, the column checked once.
 
-        Distances must be positive, finite and above `min_distance_m`;
-        the first one in order that is not raises `DomainError`, as does
-        the first distance whose loss overflows to a non-finite value.
+        Distances must be positive finite numbers, then above `min_distance_m`;
+        the first in order that is not raises `DomainError`, as does the
+        first distance whose loss overflows to a non-finite value.
         """
+        message = "distance {}: distance_m must be a positive finite number, got {!r}"
+        return self._losses(checked_column(distances_m, DomainError, message.format, LEAST_POSITIVE))
+
+    def _losses(self, distances_m: Sequence[float]) -> list[float]:
+        """`path_loss_series` of distances already checked to be positive floats."""
         bound = self.min_distance_m
-        if not (distances_m and math.isfinite(sum(distances_m)) and min(distances_m) > bound):
-            for d in distances_m:
-                if positive("distance_m", d) <= bound:
-                    raise DomainError(f"sui_path_loss requires distance_m > d0 ({bound:g} m), got {d:g} m")
+        if bound and distances_m and min(distances_m) <= bound:
+            d = next(d for d in distances_m if d <= bound)
+            raise DomainError(f"sui_path_loss requires distance_m > d0 ({bound:g} m), got {d:g} m")
         if self.range_notes:
             for _ in distances_m:
                 for note in self.range_notes:

@@ -170,6 +170,20 @@ class TestPearson:
         assert pearson_r([0.0, 1e-92], [0.0, 1e-92]) == 1.0
         assert calibrate([0.0, 1e-92], {"a": [1e-92, 0.0]}).models["a"].pearson_r == -1.0
 
+    def test_squares_below_the_normal_range_still_give_r(self):
+        # the squares of 1e-200 underflow to zero, and those of 9e-160 to subnormals with few bits
+        assert pearson_r([1e-200, -1e-200], [1e-200, -1e-200]) == 1.0
+        assert pearson_r([0.0, 0.0, 1.0], [0.0, 0.0, 1.3967431202431773e-159]) == pytest.approx(1.0, rel=1e-15)
+        report = calibrate([0.0, 0.0, 1.0], {"a": [0.0, 0.0, -1.3967431202431773e-159]})
+        assert report.models["a"].pearson_r == pytest.approx(-1.0, rel=1e-15)
+        assert report.notes == ()
+
+    def test_sums_whose_product_overflows_still_give_r(self):
+        assert pearson_r([1e150, -1e150], [1e150, -1e150]) == 1.0
+        assert pearson_r([1e150, -1e150, 3e149], [1.0, -2.0, 3.0]) == pytest.approx(
+            pearson_r([1.0, -1.0, 0.3], [1.0, -2.0, 3.0]), rel=1e-15
+        )
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DomainError, match="at least 2"):
             pearson_r([-70.0], [-71.0])
@@ -418,10 +432,18 @@ def reference_metrics(measured, predicted):
     after = math.fsum((p + cf - m) ** 2 for m, p in zip(measured, predicted)) / n
     dx = [m - math.fsum(measured) / n for m in measured]
     dy = [p - math.fsum(predicted) / n for p in predicted]
+    # r does not change when a series is scaled: divide each by its largest deviation, so that
+    # no square falls below the normal float range, where it loses bits
+    dx, dy = (_scaled_to_one(deviations) for deviations in (dx, dy))
     sxx, syy = math.fsum(d * d for d in dx), math.fsum(d * d for d in dy)
     if n < 2 or min(measured) == max(measured) or min(predicted) == max(predicted) or not sxx or not syy:
         return cf, before, after, None
     return cf, before, after, math.fsum(a * b for a, b in zip(dx, dy)) / (math.sqrt(sxx) * math.sqrt(syy))
+
+
+def _scaled_to_one(deviations):
+    largest = max(map(abs, deviations))
+    return [d / largest for d in deviations] if largest else deviations
 
 
 @settings(max_examples=300, deadline=None)

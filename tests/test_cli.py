@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -339,13 +340,24 @@ def test_infer_recovers_reference_height(run_cli):
     assert payload["evaluated"] == 42
 
 
-def test_infer_slope_past_the_float_range_exits_3(run_cli, tmp_path):
-    # the loss falls 90 dB over a micrometer, so the implied height overflows
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_infer_keeps_its_fit_when_the_slope_height_leaves_the_float_range(run_cli, tmp_path, fmt):
+    # the loss falls 90 dB over a micrometer, so the implied height overflows; the grid fit still stands
     data = tmp_path / "falling.csv"
     data.write_text("distance_m,rssi_dbm,pred_cost231_hata\n1000,-50,-140\n1000.000001,-100,-50\n")
-    code, out, err = run_cli("infer", "--model", "cost231_hata", "--data", str(data))
-    assert (code, out) == (3, "")
-    assert err.startswith(f"{ERROR_PREFIX}slope -2.07") and err.endswith("implies a transmit height outside the float range\n")
+    code, out, err = run_cli("infer", "--model", "cost231_hata", "--data", str(data), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "csv":
+        # as in calibrate's CSV, a null is an empty cell and the notes are left to the JSON report
+        assert out.endswith("\nevaluated,362\ntx_height_from_slope_m,\n")
+        return
+    payload = json.loads(out)
+    assert math.isfinite(payload["fit_mse_db2"]) and payload["decade_slope_db"] < -2e11
+    assert payload["tx_height_from_slope_m"] is None
+    assert payload["notes"] == [
+        "tx_height_from_slope_m: slope -2.07233e+11 dB/decade implies a transmit height outside the float range;"
+        " reported as null"
+    ]
 
 
 @pytest.mark.parametrize(

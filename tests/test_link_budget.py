@@ -126,6 +126,18 @@ class TestJson:
         with pytest.raises(DataError, match="must be a number"):
             site_from_json(json.dumps(payload))
 
+    def test_the_first_bad_field_in_declaration_order_is_named(self):
+        payload = json.loads(site_to_json(REFERENCE_SITE))
+        payload["freq_mhz"], payload["tx_power_dbm"] = "b", "a"
+        with pytest.raises(DataError, match="^site field tx_power_dbm must be a number, got 'a'$"):
+            site_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(("literal", "value"), [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+    def test_a_non_finite_json_literal_is_not_a_number(self, literal, value):
+        text = site_to_json(REFERENCE_SITE).replace("2530.0", literal)
+        with pytest.raises(DataError, match=f"^site field freq_mhz must be a number, got {value}$"):
+            site_from_json(text)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(DataError, match="invalid site JSON"):
             site_from_json("{not json")

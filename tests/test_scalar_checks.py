@@ -1,37 +1,50 @@
-"""Every public scalar parameter follows one rule.
+"""Every public scalar parameter and every column follows one rule.
 
 A value passes if it is a real number, not a bool, finite and in range.
 Anything else raises `DomainError` naming the parameter and quoting the
-value: the check lives in `propcal.errors`, and these cases pin that each
-public entry point routes its numbers through it.
+value, or, in a column, the entry point's `DataError` or `DomainError`
+naming the column and the position and quoting the value.  The checks
+live in `propcal.errors`, and these cases pin that each public entry
+point routes its numbers through them.
 """
 
 import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from propcal import (
     REFERENCE_SITE,
     TERRAIN_B,
+    DataError,
     DomainError,
+    DriveTestTable,
     EricssonParams,
     SuiParams,
+    calibrate,
+    correction_factor,
     cost231_hata,
     cost231_tx_height_from_slope,
+    decade_slope,
     ericsson_frequency_term,
     ericsson_path_loss,
     extended_cost231,
     fspl,
+    infer_site_parameters,
     make_model,
     mobile_station_correction,
     model_from_params,
+    mse,
     path_loss_from_rss,
+    pearson_r,
     predict_rss,
+    residuals,
     sui_corrections,
     sui_gamma,
     sui_path_loss,
+    with_prediction,
 )
 from propcal.errors import finite, nonnegative, positive
 
@@ -105,6 +118,10 @@ PARAMETERS = {
     "path_loss_from_rss.rss_dbm": ("rss_dbm", lambda v: path_loss_from_rss(REFERENCE_SITE, v)),
     "cost231_tx_height_from_slope.slope_db_per_decade": ("slope_db_per_decade", cost231_tx_height_from_slope),
     "PathLossModel.corrected.cf_db": ("cf_db", lambda v: make_model("ericsson", F, HB, HR).corrected(v)),
+    "calibrate.acceptable_mse_db2": (
+        "acceptable_mse_db2",
+        lambda v: calibrate([-70.0, -60.0], {"a": [-71.0, -62.0]}, acceptable_mse_db2=v),
+    ),
 }
 
 # `model_from_params` reads a None value as an absent key, so None is an
@@ -113,11 +130,13 @@ _NONE_MEANS_ABSENT = {
     f"model_from_params.{key}"
     for key in ("tx_gain_linear", "sui_d0_m", "sui_shadow_db", "sui_xh_denominator_m")
 } | {f"model_from_params.ericsson_a{i}" for i in range(4)}
+# and `calibrate` reads a None threshold as no threshold
+_NONE_IS_ALLOWED = _NONE_MEANS_ABSENT | {"calibrate.acceptable_mse_db2"}
 
 
 @pytest.mark.parametrize(
     ("case", "value"),
-    [(case, value) for case in PARAMETERS for value in BAD_VALUES if not (value is None and case in _NONE_MEANS_ABSENT)],
+    [(case, value) for case in PARAMETERS for value in BAD_VALUES if not (value is None and case in _NONE_IS_ALLOWED)],
     ids=lambda x: x if isinstance(x, str) and x in PARAMETERS else repr(x),
 )
 def test_every_scalar_parameter_rejects_what_is_not_a_finite_real_number(case, value):
@@ -161,3 +180,90 @@ def test_the_checks_return_floats_and_accept_any_real_number(check, low_value):
 def test_the_checks_reject_values_out_of_range(check, value, rule):
     with pytest.raises(DomainError, match=f"^freq_mhz {rule}, got {value!r}$"):
         check("freq_mhz", value)
+
+
+def test_a_none_threshold_adds_no_note():
+    assert calibrate([-70.0, -60.0], {"a": [-71.0, -62.0]}, acceptable_mse_db2=None).notes == ()
+
+
+def _column(value):
+    """A column of three RSS-like values with `value` at position 2."""
+    return [-60.0, value, -62.0]
+
+
+def _distances(value):
+    return [200.0, value, 800.0]
+
+
+def _series_case(metric, series):
+    """A call of `metric` with the value at position 2 of its measured or its predicted series."""
+    if series == "measured":
+        return lambda v: metric(_column(v), _column(-70.0))
+    return lambda v: metric(_column(-70.0), _column(v))
+
+
+THREE_ROWS = DriveTestTable((500.0, 400.0, 300.0), (-58.0, -61.0, -60.0))
+GRID = {"tx_gain_linear": [1.0]}
+
+# id -> (error class, column, position, a call that puts the value at position 2 of that column)
+COLUMNS = {
+    "DriveTestTable.distances_m": (DataError, "distance_m", "row 2", lambda v: DriveTestTable(_distances(v), _column(-70.0))),
+    "DriveTestTable.measured_rss_dbm": (DataError, "rssi_dbm", "row 2", lambda v: DriveTestTable(_distances(400.0), _column(v))),
+    "DriveTestTable.predictions": (
+        DataError, "pred_a", "row 2", lambda v: DriveTestTable(_distances(400.0), _column(-70.0), {"a": _column(v)})
+    ),
+    "with_prediction.values": (DataError, "pred_x", "row 2", lambda v: with_prediction(THREE_ROWS, "x", _column(v))),
+    "PathLossModel.path_loss_series": (
+        DomainError, "distance_m", "distance 2", lambda v: make_model("fspl", F).path_loss_series(_distances(v))
+    ),
+    **{
+        f"{metric.__name__}.{series}": (DataError, f"{series} series", "value 2", _series_case(metric, series))
+        for metric in (residuals, correction_factor, mse, pearson_r)
+        for series in ("measured", "predicted")
+    },
+    "calibrate.measured": (DataError, "measured series", "value 2", lambda v: calibrate(_column(v), {"a": _column(-70.0)})),
+    "calibrate.predictions": (
+        DataError, "predicted 'a' series", "value 2", lambda v: calibrate(_column(-70.0), {"a": _column(v)})
+    ),
+    "decade_slope.distances_m": (DataError, "distance series", "value 2", lambda v: decade_slope(_distances(v), _column(1.0))),
+    "decade_slope.loss_db": (DataError, "loss series", "value 2", lambda v: decade_slope(_distances(400.0), _column(v))),
+    "infer_site_parameters.distances_m": (
+        DataError, "distance series", "value 2", lambda v: infer_site_parameters(_distances(v), _column(1.0), "fspl", GRID)
+    ),
+    "infer_site_parameters.path_loss_db": (
+        DataError, "loss series", "value 2", lambda v: infer_site_parameters(_distances(400.0), _column(v), "fspl", GRID)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("case", "value"),
+    [(case, value) for case in COLUMNS for value in BAD_VALUES],
+    ids=lambda x: x if isinstance(x, str) and x in COLUMNS else repr(x),
+)
+def test_every_column_rejects_what_is_not_a_finite_real_number_naming_its_place(case, value):
+    error, column, position, call = COLUMNS[case]
+    with pytest.raises(error) as excinfo:
+        call(value)
+    message = str(excinfo.value)
+    assert column in message
+    assert position in message
+    assert repr(value) in message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda col: DriveTestTable([d * 100 for d in col], [-d for d in col], {"a": [-d - 1 for d in col]}),
+        lambda col: make_model("sui", F, HB, HR).path_loss_series([d * 1000 for d in col]),
+        lambda col: calibrate([-d for d in col], {"a": [-d * 2 for d in col]}),
+        lambda col: (residuals(col, col[::-1]), mse(col, col[::-1]), pearson_r(col, col[::-1]), decade_slope(col, col)),
+    ],
+    ids=["DriveTestTable", "path_loss_series", "calibrate", "metrics"],
+)
+def test_int_and_numpy_columns_give_the_float_column_result(call):
+    ints = [3, 5, 4, 9, 7]
+    expected = repr(call([float(v) for v in ints]))  # a repr shows an int or a NumPy scalar that was kept
+    assert repr(call(ints)) == expected
+    assert repr(call(list(np.array(ints, dtype=np.float64)))) == expected
+    assert repr(call(np.array(ints, dtype=np.float64))) == expected
