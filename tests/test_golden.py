@@ -4,6 +4,10 @@ per-point model implementation that the log-distance coefficients replaced.
 The comparison is numeric: JSON numbers within 1e-9, fixed-point CSV
 cells (one to four decimals) within one unit in their last place, and
 every other cell (repr floats, integers, names) within 1e-9 or equal.
+
+The CSV outputs under `golden/exact` are compared byte for byte: they
+pin the one CSV layout (unquoted cells, LF line ends, a final newline)
+and every digit printed, on every supported Python.
 """
 
 import json
@@ -93,3 +97,28 @@ def test_cli_output_matches_golden(capsys, name):
     else:
         _close_csv(got, want, name)
 
+
+
+EXACT_DIR = GOLDEN_DIR / "exact"
+# a loss that falls 90 dB over a micrometer: its slope height is null, an empty cell
+FALLING_LOSS_CSV = "distance_m,rssi_dbm,pred_cost231_hata\n1000,-50,-140\n1000.000001,-100,-50\n"
+
+EXACT_COMMANDS = {
+    "predict_all.csv": GOLDEN_COMMANDS["predict_all.csv"],
+    "predict_sui_900.csv": ("predict", "--model", "sui", "--distance-m", "900"),
+    "calibrate_all.csv": GOLDEN_COMMANDS["calibrate_all.csv"],
+    "compare.csv": ("compare", *CORPUS, "--format", "csv"),
+    "infer_cost231_hata.csv": ("infer", "--model", "cost231_hata", *CORPUS, "--format", "csv"),
+    "infer_cost231_hata_falling.csv": ("infer", "--model", "cost231_hata", "--data", "falling.csv", "--format", "csv"),
+    "plot_all_rss.csv": GOLDEN_COMMANDS["plot_all_rss.csv"],
+    "plot_all_pl.csv": GOLDEN_COMMANDS["plot_all_pl.csv"],
+    "reference_dump.csv": ("reference", "--dump"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_COMMANDS))
+def test_cli_csv_output_matches_its_exact_golden_byte_for_byte(capsys, tmp_path, monkeypatch, name):
+    (tmp_path / "falling.csv").write_text(FALLING_LOSS_CSV, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    want = (EXACT_DIR / name).read_bytes()
+    assert _cli_stdout(capsys, EXACT_COMMANDS[name]).encode("utf-8") == want
