@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
-from .dataset import PUBLISHED_CALIBRATION
+from .dataset import PUBLISHED_CALIBRATION, _csv_text
 from .errors import LEAST_POSITIVE, DataError, DomainError, checked_column, finite, nonnegative
 from .models import MODEL_IDS, _model_arguments, model_from_params
 
@@ -76,11 +76,12 @@ class CalibrationReport:
 
     def to_csv(self) -> str:
         """One row per model: its id, the `ModelCalibration` fields, and whether it won."""
-        lines = [",".join(["model_id", *(f.name for f in fields(ModelCalibration)), "best"])]
-        for model_id, calib in self.models.items():
-            cells = ("" if value is None else repr(value) for value in vars(calib).values())
-            lines.append(",".join([model_id, *cells, "true" if model_id == self.best_model else "false"]))
-        return "\n".join(lines) + "\n"
+        header = ["model_id", *(f.name for f in fields(ModelCalibration)), "best"]
+        rows = (
+            [model_id, *("" if v is None else repr(v) for v in vars(calib).values()), str(model_id == self.best_model).lower()]
+            for model_id, calib in self.models.items()
+        )
+        return _csv_text(header, rows)
 
 
 def residuals(measured: Sequence[float], predicted: Sequence[float]) -> list[float]:

@@ -31,6 +31,7 @@ from .calibration import (
 )
 from .dataset import (
     DriveTestTable,
+    _csv_text,
     _format_value,
     emit_plot_series,
     parse_drive_test_csv,
@@ -280,10 +281,8 @@ def _cmd_predict(args: argparse.Namespace) -> str:
     if args.format == "json":
         payload = {"distances_m": distances, "path_loss_db": columns}
         return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(["distance_m"] + [f"pl_{mid}" for mid in model_ids])]
-    for i, d in enumerate(distances):
-        lines.append(",".join([_format_value(d)] + [f"{columns[mid][i]:.4f}" for mid in model_ids]))
-    return "\n".join(lines) + "\n"
+    cells = [map(_format_value, distances)] + [map("{:.4f}".format, columns[mid]) for mid in model_ids]
+    return _csv_text(["distance_m"] + [f"pl_{mid}" for mid in model_ids], zip(*cells))
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> str:
@@ -387,14 +386,12 @@ def _cmd_infer(args: argparse.Namespace) -> str:
             payload["notes"] = [f"tx_height_from_slope_m: {exc}; reported as null"]
     if args.format == "json":
         return json.dumps(payload, indent=2) + "\n"
-    lines = ["key,value"]
-    for key, value in payload.items():
-        if isinstance(value, dict):
-            for name, v in value.items():
-                lines.append(f"params.{name},{v}")
-        elif key != "notes":  # as in calibrate's CSV, the notes are in the JSON report only
-            lines.append(f"{key},{'' if value is None else value}")
-    return "\n".join(lines) + "\n"
+    rows = (
+        (key if name is None else f"{key}.{name}", "" if v is None else str(v))
+        for key, value in payload.items() if key != "notes"  # as in calibrate's CSV, the notes are in the JSON report only
+        for name, v in (value.items() if isinstance(value, dict) else [(None, value)])
+    )
+    return _csv_text(["key", "value"], rows)
 
 
 def _cmd_plot(args: argparse.Namespace) -> str:

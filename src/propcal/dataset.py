@@ -82,7 +82,7 @@ def _rss_column(column: str, values: Iterable[object]) -> tuple[float, ...]:
 
 
 def _prediction_column(name: str, values: Iterable[object], rows: int) -> tuple[float, ...]:
-    if any(char in name for char in ',"\r\n'):  # every CSV writer here emits names unquoted
+    if any(char in name for char in ',"\r\n'):  # `_csv_text` writes names unquoted
         raise DataError(f"prediction column {name!r}: a name may not hold a comma, a quote or a line break")
     values = tuple(values)
     if len(values) != rows:
@@ -153,13 +153,16 @@ def _format_value(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
+def _csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
+    """The one CSV layout: "," between cells, none quoted (hence `_prediction_column`'s name rule), "\\n" after each line."""
+    return "\n".join(map(",".join, itertools.chain((header,), rows))) + "\n"
+
+
 def serialize_drive_test_csv(table: DriveTestTable) -> str:
     """Render a table back to CSV text; parse/serialize round-trips."""
-    names = list(table.predictions)
-    lines = [",".join(CSV_HEADER + tuple(f"{PREDICTION_PREFIX}{n}" for n in names))]
-    for row in zip(table.distances_m, table.measured_rss_dbm, *table.predictions.values()):
-        lines.append(",".join(map(_format_value, row)))
-    return "\n".join(lines) + "\n"
+    header = CSV_HEADER + tuple(f"{PREDICTION_PREFIX}{n}" for n in table.predictions)
+    columns = (table.distances_m, table.measured_rss_dbm, *table.predictions.values())
+    return _csv_text(header, zip(*(map(_format_value, column) for column in columns)))
 
 
 def with_prediction(table: DriveTestTable, name: str, values: Sequence[float]) -> DriveTestTable:
@@ -300,7 +303,5 @@ def emit_plot_series(
         series = [[budget - rss for rss in column] for column in series]
     order = sorted(range(len(table)), key=distances.__getitem__)
     measured_label = "measured_rss_dbm" if quantity == "rss" else "measured_pl_db"
-    lines = [",".join(["distance_m", measured_label] + names)]
-    for i in order:
-        lines.append(",".join([_format_value(distances[i])] + [f"{column[i]:.2f}" for column in series]))
-    return "\n".join(lines) + "\n"
+    cells = [list(map(_format_value, distances))] + [list(map("{:.2f}".format, column)) for column in series]
+    return _csv_text(["distance_m", measured_label] + names, zip(*(map(column.__getitem__, order) for column in cells)))
