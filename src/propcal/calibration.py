@@ -88,7 +88,7 @@ def residuals(measured: Sequence[float], predicted: Sequence[float]) -> list[flo
     """Per-sample measured - predicted, in input order (dB); an overflowing one raises `DomainError`."""
     x = _finite_series("measured", measured)
     r = map(operator.sub, x, _finite_series("predicted", predicted, len(x)))
-    return list(checked_column(r, DomainError, lambda i, v: _OVERFLOW.format("predicted")))
+    return list(checked_column("residual", r, DomainError, lambda i, v: _OVERFLOW.format("predicted")))
 
 
 def correction_factor(measured: Sequence[float], predicted: Sequence[float]) -> float:
@@ -112,12 +112,13 @@ def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
     """
     x = _finite_series("measured", measured)
     y = _finite_series("predicted", predicted, len(x))
-    return _pearson_centred(*_centred("measured", x), *_centred("predicted", y))
+    return _pearson_centred(*_centred("measured", x, scale_free=True), *_centred("predicted", y, scale_free=True))
 
 
 def _finite_series(name: str, values: Sequence[float], n: int | None = None) -> tuple[float, ...]:
     """The series as floats; a value that is not a finite real number, or a length of 0 or not `n`, is a DataError."""
-    series = checked_column(values, DataError, lambda i, v: f"{name} series, value {i}: not a finite number ({v!r})")
+    column = f"{name} series"
+    series = checked_column(column, values, DataError, lambda i, v: f"{column}, value {i}: not a finite number ({v!r})")
     if n is not None and len(series) != n:
         raise DataError(f"series are misaligned: the {name} series has {len(series)} values, not {n}")
     if not series:
@@ -140,12 +141,18 @@ def _fsum(name: str, terms: Iterable[float]) -> float:
     return total
 
 
-def _centred(name: str, values: Sequence[float]) -> tuple[list[float], float]:
-    """Deviations from the mean and their sum of squares, exact for a flat series."""
+def _centred(name: str, values: Sequence[float], *, scale_free: bool = False) -> tuple[list[float], float]:
+    """Deviations from the mean and their sum of squares, exact for a flat series.
+
+    `scale_free` callers, which compute r, take a series of subnormals scaled by 2**1074, to integers: at their
+    own scale `fsum / n` rounds the mean, so the deviations do not sum to zero.  Scaling leaves r as it is.
+    """
     mean = _fsum(name, values) / len(values)  # taken even when flat, so that an overflow is reported
     # the ends first: every flat series passes that test, and most others fail it at once
     if values[0] == values[-1] and min(values) == max(values):
         mean = values[0]  # which `fsum / n` can miss by an ulp
+    elif scale_free and abs(mean) < sys.float_info.min and max(map(abs, values)) < sys.float_info.min:
+        return _centred(name, [math.ldexp(value, 1074) for value in values])
     deviations = list(map(operator.sub, values, itertools.repeat(mean)))
     return deviations, _sum_squares(name, deviations)
 
@@ -176,7 +183,7 @@ def calibrate(
         acceptable_mse_db2 = nonnegative("acceptable_mse_db2", acceptable_mse_db2)
     x = _finite_series("measured", measured)
     n = len(x)
-    dx, sxx = _centred("measured", x)
+    dx, sxx = _centred("measured", x, scale_free=True)
     models: dict[str, ModelCalibration] = {}
     notes: list[str] = []
     for model_id, predicted in predictions.items():
@@ -186,7 +193,7 @@ def calibrate(
         cf = _fsum(name, residual) / n
         error = _sum_squares(name, residual) / n
         # r is invariant under the constant shift, so one value serves both
-        centred_y = _centred(name, y)  # outside the `try`: its overflow is an error, not a note
+        centred_y = _centred(name, y, scale_free=True)  # outside the `try`: its overflow is an error, not a note
         r: float | None
         try:
             r = _pearson_centred(dx, sxx, *centred_y)
@@ -274,7 +281,7 @@ def _checked_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> tu
     """Both series as checked floats, and their slope from centred `fsum` sums: the same bits on any Python."""
     distances = _finite_series("distance", distances_m)
     loss = _finite_series("loss", loss_db, len(distances))
-    checked_column(distances, DomainError, "sample {}: distance must be positive, got {!r}".format, LEAST_POSITIVE)
+    checked_column("distance", distances, DomainError, "sample {}: distance must be positive, got {!r}".format, LEAST_POSITIVE)
     dl, sll = _centred("distance", list(map(math.log10, distances)))
     if sll == 0.0:
         raise DomainError("decade slope undefined: every sample lies at the same distance")

@@ -46,6 +46,7 @@ from .models import (
     MODEL_IDS,
     TERRAINS,
     SuiParams,
+    _checked_distances,
     make_model,
 )
 
@@ -80,7 +81,7 @@ def _float_arg(text: str, *, allow_zero: bool = False) -> float:
 
 
 def _frange(start: float, stop: float, step: float) -> list[float]:
-    checked_column((start, stop, step), argparse.ArgumentTypeError, lambda i, v: "range bounds must be finite")
+    checked_column("range", (start, stop, step), argparse.ArgumentTypeError, lambda i, v: "range bounds must be finite")
     if step <= 0.0:
         raise argparse.ArgumentTypeError(f"step must be positive, got {step:g}")
     if stop < start:
@@ -274,10 +275,10 @@ def _report_output(report: CalibrationReport, fmt: str) -> str:
 
 def _cmd_predict(args: argparse.Namespace) -> str:
     site = _load_site(args)
-    distances = args.distances if args.distances is not None else [args.distance_m]
+    distances = _checked_distances(args.distances if args.distances is not None else [args.distance_m])
     model_ids = _selected_models(args, ())
     models = _bound_models(args, site, model_ids)
-    columns = {mid: models[mid].path_loss_series(distances) for mid in model_ids}
+    columns = {mid: models[mid]._losses(distances) for mid in model_ids}  # the distances are checked once, above
     if args.format == "json":
         payload = {"distances_m": distances, "path_loss_db": columns}
         return json.dumps(payload, indent=2) + "\n"

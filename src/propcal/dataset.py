@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import LEAST_POSITIVE, DataError, checked_column
+from .errors import LEAST_POSITIVE, DataError, as_column, checked_column
 from .link_budget import SiteConfig
 
 # Plausibility window for any RSS value, measured or predicted.  Real
@@ -52,7 +52,8 @@ class DriveTestTable:
     predictions: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        distances, measured = tuple(self.distances_m), tuple(self.measured_rss_dbm)
+        distances = as_column("distance_m", self.distances_m, DataError)
+        measured = as_column("rssi_dbm", self.measured_rss_dbm, DataError)
         if not distances:
             raise DataError("drive test has no samples")
         if len(measured) != len(distances):
@@ -61,7 +62,7 @@ class DriveTestTable:
             _rss_column("rssi_dbm", measured[: row - 1])  # rows in order: a bad RSS in an earlier row comes first
             return f"row {row}: distance_m must be positive, got {value!r}"
 
-        object.__setattr__(self, "distances_m", checked_column(distances, DataError, bad_distance, LEAST_POSITIVE))
+        object.__setattr__(self, "distances_m", checked_column("distance_m", distances, DataError, bad_distance, LEAST_POSITIVE))
         object.__setattr__(self, "measured_rss_dbm", _rss_column("rssi_dbm", measured))
         predictions = {name: _prediction_column(name, values, len(distances)) for name, values in self.predictions.items()}
         object.__setattr__(self, "predictions", predictions)
@@ -78,13 +79,15 @@ class DriveTestTable:
 def _rss_column(column: str, values: Iterable[object]) -> tuple[float, ...]:
     """`values` as RSS in dBm inside the plausibility window; the first bad one is named by row and `column`."""
     message = f"row {{}}, column {column}: RSS {{!r}} outside [{RSS_MIN_DBM:g}, {RSS_MAX_DBM:g}] dBm"
-    return checked_column(values, DataError, message.format, RSS_MIN_DBM, RSS_MAX_DBM)
+    return checked_column(column, values, DataError, message.format, RSS_MIN_DBM, RSS_MAX_DBM)
 
 
 def _prediction_column(name: str, values: Iterable[object], rows: int) -> tuple[float, ...]:
+    if not isinstance(name, str):
+        raise DataError(f"prediction column name must be a string, got {name!r}")
     if any(char in name for char in ',"\r\n'):  # `_csv_text` writes names unquoted
         raise DataError(f"prediction column {name!r}: a name may not hold a comma, a quote or a line break")
-    values = tuple(values)
+    values = as_column(f"prediction column {name!r}", values, DataError)
     if len(values) != rows:
         raise DataError(f"prediction column {name!r} has {len(values)} values for {rows} samples")
     return _rss_column(f"{PREDICTION_PREFIX}{name}", values)

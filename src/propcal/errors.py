@@ -49,17 +49,27 @@ def _checked(name: str, value: object, low: float, rule: str) -> float:
     """`value` checked as a column of one, or a DomainError naming the parameter and quoting the value."""
     if type(value) is float and low <= value <= _LARGEST:  # the common case, without building a column
         return value
-    return checked_column((value,), DomainError, lambda i, v: f"{name} {rule}, got {v!r}", low)[0]
+    return checked_column(name, (value,), DomainError, lambda i, v: f"{name} {rule}, got {v!r}", low)[0]
 
 
-def checked_column(values: Iterable[object], error: type[Exception], message: Callable[[int, object], str],
+def as_column(name: str, values: object, error: type[Exception]) -> tuple[object, ...]:
+    """`values` as a tuple; an argument that cannot be iterated raises `error` naming the column `name`."""
+    try:
+        iter(values)  # only the call: a TypeError raised while iterating is not this one
+    except TypeError:
+        raise error(f"{name}: not a column of numbers, got {values!r}") from None
+    return tuple(values)
+
+
+def checked_column(name: str, values: Iterable[object], error: type[Exception], message: Callable[[int, object], str],
                    low: float = -_LARGEST, high: float = _LARGEST) -> tuple[float, ...]:
     """`values` as floats if each is a real number, not a bool, and within [`low`, `high`], which no NaN is.
 
-    Else raises `error(message(i, value))` for the first that is not, `i` counting from 1.
+    Else raises `error(message(i, value))` for the first that is not, `i` counting from 1,
+    or, if `values` cannot be iterated, `error` naming the column `name`.
     A column of floats is checked at once; any other is scanned value by value, as is one that fails.
     """
-    column = tuple(values)
+    column = as_column(name, values, error)
     # a NaN or an infinity makes the sum non-finite, and a finite sum leaves only bounds inside the
     # float range to compare with
     if set(map(type, column)) <= {float} and math.isfinite(sum(column)):

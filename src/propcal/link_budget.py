@@ -97,4 +97,4 @@ def site_from_json(text: str) -> SiteConfig:
         rule = "fit a float, got an integer too large for one" if type(value) is int else f"be a number, got {value!r}"
         return f"site field {names[i - 1]} must {rule}"
 
-    return SiteConfig(*checked_column((raw[name] for name in names), DataError, bad_field))
+    return SiteConfig(*checked_column("site", (raw[name] for name in names), DataError, bad_field))

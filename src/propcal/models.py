@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import KW_ONLY, dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import LEAST_POSITIVE, DomainError, checked_column, finite, nonnegative, positive
 
@@ -352,11 +352,10 @@ class PathLossModel:
         the first in order that is not raises `DomainError`, as does the
         first distance whose loss overflows to a non-finite value.
         """
-        message = "distance {}: distance_m must be a positive finite number, got {!r}"
-        return self._losses(checked_column(distances_m, DomainError, message.format, LEAST_POSITIVE))
+        return self._losses(_checked_distances(distances_m))
 
     def _losses(self, distances_m: Sequence[float]) -> list[float]:
-        """`path_loss_series` of distances already checked to be positive floats."""
+        """`path_loss_series` of distances already checked to be positive floats, as by `_checked_distances`."""
         bound = self.min_distance_m
         if bound and distances_m and min(distances_m) <= bound:
             d = next(d for d in distances_m if d <= bound)
@@ -377,6 +376,12 @@ class PathLossModel:
     def corrected(self, cf_db: float) -> "PathLossModel":
         """New model whose path loss is this one's minus cf_db."""
         return replace(self, c0=self.c0 - finite("cf_db", cf_db), name=f"{self.name}_corrected")
+
+
+def _checked_distances(distances_m: Iterable[object]) -> tuple[float, ...]:
+    """`distances_m` as floats; the first that is not a positive finite number raises `DomainError`."""
+    message = "distance {}: distance_m must be a positive finite number, got {!r}"
+    return checked_column("distances_m", distances_m, DomainError, message.format, LEAST_POSITIVE)
 
 
 def make_model(

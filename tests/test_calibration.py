@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from propcal import (
@@ -184,6 +184,12 @@ class TestPearson:
             pearson_r([1.0, -1.0, 0.3], [1.0, -2.0, 3.0]), rel=1e-15
         )
 
+    def test_a_series_of_subnormals_gives_the_r_of_its_points(self):
+        # the mean of 0 and 5e-324 lies between two floats, so a rounded one leaves deviations that do not sum to zero
+        assert pearson_r([0.0, 1.0], [0.0, 5e-324]) == 1.0
+        assert calibrate([0.0, 1.0], {"a": [0.0, 5e-324]}).models["a"].pearson_r == 1.0
+        assert pearson_r([5e-324, 0.0, 1e-323], [2.0, 1.0, 3.0]) == 1.0
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DomainError, match="at least 2"):
             pearson_r([-70.0], [-71.0])
@@ -191,6 +197,34 @@ class TestPearson:
             pearson_r([-70.0, -70.0], [-71.0, -72.0])
         with pytest.raises(DomainError, match="zero-variance predicted series"):
             pearson_r([-70.0, -75.0], [-71.0, -71.0])
+
+
+@st.composite
+def two_points(draw):
+    """Two distinct points with integer coordinates, each axis scaled by a power of two from 5e-324 to about 1e300."""
+
+    def axis():
+        a = draw(st.integers(-1000, 1000))
+        b = draw(st.integers(-1000, 1000).filter(lambda v: v != a))
+        exponent = draw(st.integers(-1074, 986))  # 1000 * 2**986 < 1e300
+        return [math.ldexp(a, exponent), math.ldexp(b, exponent)]
+
+    return axis(), axis()
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_points())
+def test_two_distinct_points_are_perfectly_correlated_at_every_scale(points):
+    x, y = points
+    try:
+        r = pearson_r(x, y)
+        report = calibrate(x, {"a": y})
+    except DomainError as exc:  # the squares of values near 1e300, or of their residuals, leave the float range
+        assume("overflows the float range" not in str(exc))
+        raise
+    sign = 1.0 if (x[1] > x[0]) == (y[1] > y[0]) else -1.0
+    assert abs(r - sign) <= 1e-15
+    assert report.models["a"].pearson_r == r
 
 
 @pytest.mark.parametrize(

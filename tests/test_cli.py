@@ -88,6 +88,13 @@ def test_predict_sui_below_reference_distance(run_cli):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("selection", [("--all",), ("--model", "fspl")])
+def test_predict_names_the_first_distance_that_is_not_positive(run_cli, selection):
+    code, out, err = run_cli("predict", *selection, "--distances", "0:1000:100")
+    assert (code, out) == (3, "")
+    assert err == f"{ERROR_PREFIX}distance 1: distance_m must be a positive finite number, got 0.0\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -195,11 +195,11 @@ def _distances(value):
     return [200.0, value, 800.0]
 
 
-def _series_case(metric, series):
-    """A call of `metric` with the value at position 2 of its measured or its predicted series."""
+def _series_case(metric, series, column=_column):
+    """A call of `metric` with `column(value)`, by default the value at position 2, as its measured or its predicted series."""
     if series == "measured":
-        return lambda v: metric(_column(v), _column(-70.0))
-    return lambda v: metric(_column(-70.0), _column(v))
+        return lambda v: metric(column(v), _column(-70.0))
+    return lambda v: metric(_column(-70.0), column(v))
 
 
 THREE_ROWS = DriveTestTable((500.0, 400.0, 300.0), (-58.0, -61.0, -60.0))
@@ -249,6 +249,52 @@ def test_every_column_rejects_what_is_not_a_finite_real_number_naming_its_place(
     assert column in message
     assert position in message
     assert repr(value) in message
+
+
+# id -> (error class, the name the error must hold, a call that passes the value as a whole column or as a column name);
+# the cases of `COLUMNS` put a value inside a column, these put one in the column's place
+NOT_ITERABLE = {
+    "DriveTestTable.distances_m": (DataError, "distance_m", lambda v: DriveTestTable(v, _column(-70.0))),
+    "DriveTestTable.measured_rss_dbm": (DataError, "rssi_dbm", lambda v: DriveTestTable(_distances(400.0), v)),
+    "DriveTestTable.predictions": (
+        DataError, "prediction column 'a'", lambda v: DriveTestTable(_distances(400.0), _column(-70.0), {"a": v})
+    ),
+    "DriveTestTable.predictions.name": (
+        DataError, "prediction column name", lambda v: DriveTestTable(_distances(400.0), _column(-70.0), {v: _column(-70.0)})
+    ),
+    "with_prediction.values": (DataError, "prediction column 'x'", lambda v: with_prediction(THREE_ROWS, "x", v)),
+    "with_prediction.name": (DataError, "prediction column name", lambda v: with_prediction(THREE_ROWS, v, _column(-70.0))),
+    "PathLossModel.path_loss_series": (DomainError, "distances_m", lambda v: make_model("fspl", F).path_loss_series(v)),
+    **{
+        f"{metric.__name__}.{series}": (DataError, f"{series} series", _series_case(metric, series, column=lambda v: v))
+        for metric in (residuals, correction_factor, mse, pearson_r)
+        for series in ("measured", "predicted")
+    },
+    "calibrate.measured": (DataError, "measured series", lambda v: calibrate(v, {"a": _column(-70.0)})),
+    "calibrate.predictions": (DataError, "predicted 'a' series", lambda v: calibrate(_column(-70.0), {"a": v})),
+    "decade_slope.distances_m": (DataError, "distance series", lambda v: decade_slope(v, _column(1.0))),
+    "decade_slope.loss_db": (DataError, "loss series", lambda v: decade_slope(_distances(400.0), v)),
+    "infer_site_parameters.distances_m": (
+        DataError, "distance series", lambda v: infer_site_parameters(v, _column(1.0), "fspl", GRID)
+    ),
+    "infer_site_parameters.path_loss_db": (
+        DataError, "loss series", lambda v: infer_site_parameters(_distances(400.0), v, "fspl", GRID)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("case", "value"),
+    [(case, value) for case in NOT_ITERABLE for value in (None, 5)],
+    ids=lambda x: x if isinstance(x, str) else repr(x),
+)
+def test_a_column_or_a_column_name_in_the_wrong_place_is_named(case, value):
+    error, name, call = NOT_ITERABLE[case]
+    with pytest.raises(error) as excinfo:
+        call(value)
+    message = str(excinfo.value)
+    assert name in message
+    assert f"got {value!r}" in message
 
 
 @pytest.mark.parametrize(
