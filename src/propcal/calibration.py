@@ -27,6 +27,7 @@ from .models import MODEL_IDS, _model_arguments, model_from_params
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
 _OVERFLOW = "{} series: a sum over its values overflows the float range"
+_EPS = 2.0**-53  # the unit roundoff: a rounded float lies within EPS*|value| of the exact one
 
 # (field, label, unit, tolerance): each metric `published_divergence_notes`
 # checks, and how far it may lie from its published value unreported
@@ -112,7 +113,7 @@ def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
     """
     x = _finite_series("measured", measured)
     y = _finite_series("predicted", predicted, len(x))
-    return _pearson_centred(*_centred("measured", x, scale_free=True), *_centred("predicted", y, scale_free=True))
+    return _pearson_centred(*_centred("measured", x), *_centred("predicted", y))
 
 
 def _finite_series(name: str, values: Sequence[float], n: int | None = None) -> tuple[float, ...]:
@@ -141,20 +142,14 @@ def _fsum(name: str, terms: Iterable[float]) -> float:
     return total
 
 
-def _centred(name: str, values: Sequence[float], *, scale_free: bool = False) -> tuple[list[float], float]:
-    """Deviations from the mean and their sum of squares, exact for a flat series.
-
-    `scale_free` callers, which compute r, take a series of subnormals scaled by 2**1074, to integers: at their
-    own scale `fsum / n` rounds the mean, so the deviations do not sum to zero.  Scaling leaves r as it is.
-    """
+def _centred(name: str, values: Sequence[float]) -> tuple[list[float], float, float]:
+    """Deviations from the mean, their sum of squares, and the mean; exact for a flat series."""
     mean = _fsum(name, values) / len(values)  # taken even when flat, so that an overflow is reported
     # the ends first: every flat series passes that test, and most others fail it at once
     if values[0] == values[-1] and min(values) == max(values):
         mean = values[0]  # which `fsum / n` can miss by an ulp
-    elif scale_free and abs(mean) < sys.float_info.min and max(map(abs, values)) < sys.float_info.min:
-        return _centred(name, [math.ldexp(value, 1074) for value in values])
     deviations = list(map(operator.sub, values, itertools.repeat(mean)))
-    return deviations, _sum_squares(name, deviations)
+    return deviations, _sum_squares(name, deviations), mean
 
 
 def calibrate(
@@ -183,7 +178,7 @@ def calibrate(
         acceptable_mse_db2 = nonnegative("acceptable_mse_db2", acceptable_mse_db2)
     x = _finite_series("measured", measured)
     n = len(x)
-    dx, sxx = _centred("measured", x, scale_free=True)
+    centred_x = _centred("measured", x)
     models: dict[str, ModelCalibration] = {}
     notes: list[str] = []
     for model_id, predicted in predictions.items():
@@ -193,10 +188,10 @@ def calibrate(
         cf = _fsum(name, residual) / n
         error = _sum_squares(name, residual) / n
         # r is invariant under the constant shift, so one value serves both
-        centred_y = _centred(name, y, scale_free=True)  # outside the `try`: its overflow is an error, not a note
+        centred_y = _centred(name, y)  # outside the `try`: its overflow is an error, not a note
         r: float | None
         try:
-            r = _pearson_centred(dx, sxx, *centred_y)
+            r = _pearson_centred(*centred_x, *centred_y)
         except DomainError as exc:
             r = None
             notes.append(f"{model_id}: {exc}; reported as null")
@@ -216,7 +211,7 @@ def calibrate(
     return CalibrationReport(models, min(models, key=rank), SELECTION_RULE, tuple(notes))
 
 
-def _pearson_centred(dx: list[float], sxx: float, dy: list[float], syy: float) -> float:
+def _pearson_centred(dx: list[float], sxx: float, mx: float, dy: list[float], syy: float, my: float) -> float:
     """`pearson_r` of two series already centred by `_centred`."""
     n = len(dy)
     if n < 2:
@@ -224,12 +219,14 @@ def _pearson_centred(dx: list[float], sxx: float, dy: list[float], syy: float) -
     for series, deviations in (("measured", dx), ("predicted", dy)):
         if not any(deviations):  # `_centred` leaves a flat series all zeros
             raise DomainError(f"pearson_r is undefined for a zero-variance {series} series")
-    # r is the same for series scaled by powers of two: bring the largest deviation of each into [0.5, 1)
-    # where a square may lose bits below the normal float range, or the product of the sums leaves it
-    if min(sxx, syy) < n * sys.float_info.min or not sys.float_info.min <= sxx * syy < math.inf:
+    # r is the same for series scaled by powers of two.  Where a square may lose bits below the normal float range,
+    # the product of the sums leaves it, or the mean's rounding (<= 2*EPS*|mean|) moves r by up to 8*n*(EPS*mean)**2/s
+    # > EPS for a sum of squares s, bring each series' largest deviation into [0.5, 1) and centre it again
+    if (min(sxx, syy) < n * sys.float_info.min or not sys.float_info.min <= sxx * syy < math.inf
+            or sxx < 8 * n * _EPS * mx * mx or syy < 8 * n * _EPS * my * my):
         ex, ey = (math.frexp(max(map(abs, deviations)))[1] for deviations in (dx, dy))
-        dx, dy = [math.ldexp(d, -ex) for d in dx], [math.ldexp(d, -ey) for d in dy]
-        return _pearson_centred(dx, _sum_squares("measured", dx), dy, _sum_squares("predicted", dy))
+        return _pearson_centred(*_centred("measured", [math.ldexp(d, -ex) for d in dx]),
+                                *_centred("predicted", [math.ldexp(d, -ey) for d in dy]))
     return math.fsum(map(operator.mul, dx, dy)) / math.sqrt(sxx * syy)
 
 
@@ -282,10 +279,10 @@ def _checked_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> tu
     distances = _finite_series("distance", distances_m)
     loss = _finite_series("loss", loss_db, len(distances))
     checked_column("distance", distances, DomainError, "sample {}: distance must be positive, got {!r}".format, LEAST_POSITIVE)
-    dl, sll = _centred("distance", list(map(math.log10, distances)))
+    dl, sll, _ = _centred("distance", list(map(math.log10, distances)))
     if sll == 0.0:
         raise DomainError("decade slope undefined: every sample lies at the same distance")
-    dy, _ = _centred("loss", loss)  # its sum of squares is taken only to report an overflow
+    dy = _centred("loss", loss)[0]  # its sum of squares is taken only to report an overflow
     return distances, loss, math.fsum(map(operator.mul, dl, dy)) / sll
 
 

@@ -190,6 +190,14 @@ class TestPearson:
         assert calibrate([0.0, 1.0], {"a": [0.0, 5e-324]}).models["a"].pearson_r == 1.0
         assert pearson_r([5e-324, 0.0, 1e-323], [2.0, 1.0, 3.0]) == 1.0
 
+    def test_a_near_flat_series_at_normal_scale_gives_the_r_of_its_points(self):
+        # the mean of 1 and 1 + 2**-52 rounds to 1, which leaves both points on one side of it
+        assert pearson_r([0.0, 1.0], [1.0, 1.0000000000000002]) == 1.0
+        assert calibrate([0.0, 1.0], {"a": [1.0, 1.0000000000000002]}).models["a"].pearson_r == 1.0
+        # the exact r of these three points is -sqrt(3)/2; a rounded mean gave -0.5
+        r = pearson_r([-70.00000000000001, -70.00000000000003, -70.00000000000003], [1.0, 3.0, 2.0])
+        assert r == pytest.approx(-math.sqrt(3.0) / 2.0, abs=1e-15)
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DomainError, match="at least 2"):
             pearson_r([-70.0], [-71.0])
