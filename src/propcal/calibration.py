@@ -18,11 +18,11 @@ import json
 import math
 import operator
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
 
 from .dataset import PUBLISHED_CALIBRATION, _csv_text
-from .errors import LEAST_POSITIVE, DataError, DomainError, checked_column, finite, nonnegative
+from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_mapping, checked_column, finite, nonnegative
 from .models import MODEL_IDS, _model_arguments, model_from_params
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
@@ -93,13 +93,16 @@ def residuals(measured: Sequence[float], predicted: Sequence[float]) -> list[flo
 
 
 def correction_factor(measured: Sequence[float], predicted: Sequence[float]) -> float:
-    """Mean residual in dB: the constant that minimizes corrected MSE."""
+    """Mean residual in dB: the constant that minimizes corrected MSE.
+
+    Within 4*eps*mean|r_i| + 2**-1074 of the exact mean of the exact residuals r_i, eps = 2**-53.
+    """
     r = residuals(measured, predicted)
     return _fsum("predicted", r) / len(r)
 
 
 def mse(measured: Sequence[float], predicted: Sequence[float]) -> float:
-    """Mean squared error between the series, in dB^2."""
+    """Mean squared error between the series, in dB^2, within 6*eps*mse + 2**-1074 of the exact one, eps = 2**-53."""
     r = residuals(measured, predicted)
     return _sum_squares("predicted", r) / len(r)
 
@@ -109,7 +112,8 @@ def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
 
     Requires at least two samples and nonzero variance in both series;
     the error for a flat series names the measured or the predicted one.
-    Invariant under positive affine transforms of either series.
+    Invariant under positive affine transforms of either series.  Within
+    4*eps of the exact r of the inputs at any scale, eps = 2**-53.
     """
     x = _finite_series("measured", measured)
     y = _finite_series("predicted", predicted, len(x))
@@ -169,10 +173,14 @@ def calibrate(
     large that a sum over a series overflows raise `DomainError`.
 
     Each series is scored in one pass with the same arithmetic as
-    `correction_factor`, `mse` and `pearson_r`, and the measured series
-    is centred once for all models.
+    `correction_factor`, `mse` and `pearson_r`, so cf, the before-correction
+    MSE and r keep their error bounds, and the measured series is centred
+    once for all models.  y + cf is rounded at the scale of the values, so
+    the after-correction MSE is within 2*h*sqrt(mse_after) + h**2 +
+    6*eps*mse_after + 2**-1074 of the exact one, where eps = 2**-53 and
+    h = 8*eps*max(|x_i| + |y_i|) + 2**-1074.
     """
-    if not predictions:
+    if not as_mapping("predictions", predictions, DataError):
         raise DataError("calibrate needs at least one prediction series")
     if acceptable_mse_db2 is not None:
         acceptable_mse_db2 = nonnegative("acceptable_mse_db2", acceptable_mse_db2)
@@ -220,8 +228,8 @@ def _pearson_centred(dx: list[float], sxx: float, mx: float, dy: list[float], sy
         if not any(deviations):  # `_centred` leaves a flat series all zeros
             raise DomainError(f"pearson_r is undefined for a zero-variance {series} series")
     # r is the same for series scaled by powers of two.  Where a square may lose bits below the normal float range,
-    # the product of the sums leaves it, or the mean's rounding (<= 2*EPS*|mean|) moves r by up to 8*n*(EPS*mean)**2/s
-    # > EPS for a sum of squares s, bring each series' largest deviation into [0.5, 1) and centre it again
+    # the product of the sums leaves it, or a sum of squares s is so small that the mean's rounding, <= 2*EPS*|mean|,
+    # can move r by 8*n*(EPS*mean)**2/s > EPS, bring each series' largest deviation into [0.5, 1) and centre it again
     if (min(sxx, syy) < n * sys.float_info.min or not sys.float_info.min <= sxx * syy < math.inf
             or sxx < 8 * n * _EPS * mx * mx or syy < 8 * n * _EPS * my * my):
         ex, ey = (math.frexp(max(map(abs, deviations)))[1] for deviations in (dx, dy))
@@ -270,7 +278,13 @@ def published_divergence_notes(
 
 
 def decade_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> float:
-    """Least-squares slope of loss versus log10(distance), dB per decade; a single distance raises DomainError."""
+    """Least-squares slope of loss versus log10(distance), dB per decade; a single distance raises DomainError.
+
+    For the log10 values `math.log10` gives, the error is at most (6*eps + n*dl**2/sll)*|slope| +
+    3*eps*sqrt(syy/sll) + n*(|dl*dy| + 2**-1074)/sll + 2**-1074, eps = 2**-53: sll and syy are the sums of
+    squared deviations of the logs and of the loss, and dl, dy the rounding of each mean, at most
+    2*eps*|mean| + 2**-1074.  The dl**2 term is large only for logs a few units in the last place apart.
+    """
     return _checked_slope(distances_m, loss_db)[2]
 
 
@@ -336,11 +350,11 @@ def infer_site_parameters(
     distances, target, slope = _checked_slope(distances_m, path_loss_db)
     if model_id not in MODEL_IDS:
         raise DomainError(f"unknown model id {model_id!r}")
-    if not grid:
+    if not as_mapping("grid", grid, DomainError):
         raise DomainError("parameter grid is empty")
     names = list(grid)
-    axes = [list(grid[name]) for name in names]
-    fixed = dict(base) if base else {}
+    axes = [as_column(f"parameter grid axis {name!r}", grid[name], DomainError) for name in names]
+    fixed = {} if base is None else dict(as_mapping("base", base, DomainError))
     _model_arguments(fixed)
     for name, axis in zip(names, axes):
         if not axis:

@@ -18,8 +18,7 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from .calibration import (
     CalibrationReport,
@@ -231,7 +230,8 @@ def _load_site(args: argparse.Namespace) -> SiteConfig:
 
 def _read_text(path: str, encoding: str) -> str:
     try:
-        return Path(path).read_text(encoding=encoding)
+        with open(path, encoding=encoding) as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
@@ -438,7 +438,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         output = _COMMANDS[args.command](args)
         if args.out:
-            Path(args.out).write_text(output, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as file:
+                file.write(output)
         else:
             sys.stdout.write(output)
     except SystemExit as exc:  # --help

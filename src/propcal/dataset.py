@@ -14,10 +14,10 @@ import csv
 import functools
 import io
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
-from .errors import LEAST_POSITIVE, DataError, as_column, checked_column
+from .errors import LEAST_POSITIVE, DataError, as_column, as_mapping, checked_column
 from .link_budget import SiteConfig
 
 # Plausibility window for any RSS value, measured or predicted.  Real
@@ -64,7 +64,8 @@ class DriveTestTable:
 
         object.__setattr__(self, "distances_m", checked_column("distance_m", distances, DataError, bad_distance, LEAST_POSITIVE))
         object.__setattr__(self, "measured_rss_dbm", _rss_column("rssi_dbm", measured))
-        predictions = {name: _prediction_column(name, values, len(distances)) for name, values in self.predictions.items()}
+        predictions = as_mapping("predictions", self.predictions, DataError)
+        predictions = {name: _prediction_column(name, values, len(distances)) for name, values in predictions.items()}
         object.__setattr__(self, "predictions", predictions)
 
     def __len__(self) -> int:

@@ -3,7 +3,7 @@
 import math
 import numbers
 import sys
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 
 
 class PropcalError(Exception):
@@ -59,6 +59,13 @@ def as_column(name: str, values: object, error: type[Exception]) -> tuple[object
     except TypeError:
         raise error(f"{name}: not a column of numbers, got {values!r}") from None
     return tuple(values)
+
+
+def as_mapping(name: str, value: object, error: type[Exception]) -> Mapping:
+    """`value` if it is a mapping; anything else raises `error` naming the argument `name`."""
+    if not isinstance(value, Mapping):
+        raise error(f"{name}: not a mapping, got {value!r}")
+    return value
 
 
 def checked_column(name: str, values: Iterable[object], error: type[Exception], message: Callable[[int, object], str],

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import KW_ONLY, dataclass, replace
-from typing import Iterable, Mapping, Sequence
 
-from .errors import LEAST_POSITIVE, DomainError, checked_column, finite, nonnegative, positive
+from .errors import LEAST_POSITIVE, DomainError, as_mapping, checked_column, finite, nonnegative, positive
 
 LIGHT_SPEED_M_PER_S = 299_792_458.0
 
@@ -323,8 +323,8 @@ class PathLossModel:
     c0.  `range_notes` are the documented-range violations found at bind
     time: every evaluated distance raises each of them once as a
     `ModelRangeWarning`.  `name` defaults to `model_id`.  A coefficient
-    that is not finite raises `DomainError`.  Instances are frozen:
-    `corrected` returns a new model.
+    that is not a finite real number raises `DomainError`.  Instances
+    are frozen: `corrected` returns a new model.
     """
 
     model_id: str
@@ -337,8 +337,13 @@ class PathLossModel:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.c0, self.c1, self.c2))):
-            raise _non_finite_error(self.model_id)
+        c0, c1, c2 = self.c0, self.c1, self.c2
+        # three floats with a finite sum are finite; anything else is checked coefficient by coefficient
+        if not (type(c0) is type(c1) is type(c2) is float and math.isfinite(c0 + c1 + c2)):
+            for label, value in (("c0", c0), ("c1", c1), ("c2", c2)):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise _non_finite_error(self.model_id)
+                finite(f"{self.model_id} coefficient {label}", value)
         if self.name is None:
             object.__setattr__(self, "name", self.model_id)
 
@@ -515,7 +520,7 @@ def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossMo
     ericsson_a0..ericsson_a3, tx_gain_linear, rx_gain_variant.
     Environment and terrain accept either the objects or their names.
     """
-    args = _model_arguments(params)
+    args = _model_arguments(as_mapping("params", params, DomainError))
     freq_mhz = args.pop("freq_mhz", None)  # a missing one fails `make_model`'s check
     sui = {field: args.pop(key) for key, field in _SUI_FIELDS.items() if key in args}
     ericsson = {field: args.pop(key) for key, field in _ERICSSON_FIELDS.items() if key in args}

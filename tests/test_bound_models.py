@@ -18,6 +18,7 @@ from propcal import (
     DomainError,
     EricssonParams,
     ModelRangeWarning,
+    PathLossModel,
     SuiParams,
     cost231_hata,
     ericsson_path_loss,
@@ -217,6 +218,19 @@ def test_bind_time_validation_keeps_its_messages():
 def test_non_finite_coefficients_raise_at_bind_time(model_id, kwargs):
     with pytest.raises(DomainError, match=f"^{model_id}: the parameters give a non-finite path-loss coefficient$"):
         make_model(model_id, **kwargs)
+
+
+@pytest.mark.parametrize("coefficient", ["c0", "c1", "c2"])
+@pytest.mark.parametrize(
+    "value", [None, "1", True, 10**400, math.nan, -math.inf], ids=["None", "str", "bool", "huge_int", "nan", "-inf"]
+)
+def test_a_coefficient_that_is_not_a_finite_real_number_raises(coefficient, value):
+    with pytest.raises(DomainError) as excinfo:
+        PathLossModel("x", **{"c0": 1.0, "c1": 1.0, coefficient: value})
+    if isinstance(value, float):  # a NaN or an infinity keeps the message a bind gives
+        assert str(excinfo.value) == "x: the parameters give a non-finite path-loss coefficient"
+    else:
+        assert str(excinfo.value) == f"x coefficient {coefficient} must be finite, got {value!r}"
 
 
 def test_a_bound_model_is_a_frozen_value():

@@ -519,6 +519,20 @@ def test_the_runtime_needs_only_the_standard_library():
     assert (result.returncode, result.stderr) == (0, "0 0\n")
 
 
+def test_importing_the_cli_loads_neither_typing_nor_pathlib():
+    # a fresh -I -S interpreter pays for every module that `import propcal.cli` loads; neither is needed
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import propcal.cli; "
+        "print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, str(Path(propcal.__file__).resolve().parent.parent)],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n")
+
+
 def test_console_script():
     if shutil.which("propcal") is None:
         pytest.skip("console script not on PATH")

@@ -280,6 +280,21 @@ NOT_ITERABLE = {
     "infer_site_parameters.path_loss_db": (
         DataError, "loss series", lambda v: infer_site_parameters(_distances(400.0), v, "fspl", GRID)
     ),
+    "infer_site_parameters.grid_axis": (
+        DomainError,
+        "parameter grid axis 'tx_gain_linear'",
+        lambda v: infer_site_parameters(_distances(400.0), _column(1.0), "fspl", {"tx_gain_linear": v}),
+    ),
+}
+# id -> (error class, the argument the error must name, a call that passes the value where a mapping is due)
+NOT_A_MAPPING = {
+    "DriveTestTable.predictions": (DataError, "predictions", lambda v: DriveTestTable(_distances(400.0), _column(-70.0), v)),
+    "calibrate.predictions": (DataError, "predictions", lambda v: calibrate(_column(-70.0), v)),
+    "model_from_params.params": (DomainError, "params", lambda v: model_from_params("fspl", v)),
+    "infer_site_parameters.grid": (DomainError, "grid", lambda v: infer_site_parameters(_distances(400.0), _column(1.0), "fspl", v)),
+    "infer_site_parameters.base": (
+        DomainError, "base", lambda v: infer_site_parameters(_distances(400.0), _column(1.0), "fspl", GRID, base=v)
+    ),
 }
 
 
@@ -295,6 +310,20 @@ def test_a_column_or_a_column_name_in_the_wrong_place_is_named(case, value):
     message = str(excinfo.value)
     assert name in message
     assert f"got {value!r}" in message
+
+
+@pytest.mark.parametrize(
+    ("case", "value"),
+    # None is the default `base`, so it is no error there
+    [(case, value) for case in NOT_A_MAPPING for value in (None, 5, "fspl", [("a", 1.0)])
+     if not (value is None and case == "infer_site_parameters.base")],
+    ids=lambda x: x if isinstance(x, str) and x in NOT_A_MAPPING else repr(x),
+)
+def test_a_mapping_argument_that_is_not_a_mapping_is_named(case, value):
+    error, name, call = NOT_A_MAPPING[case]
+    with pytest.raises(error, match=f"^{name}: not a mapping, got ") as excinfo:
+        call(value)
+    assert str(excinfo.value).endswith(f"got {value!r}")
 
 
 @pytest.mark.parametrize(
