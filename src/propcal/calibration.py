@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 from .dataset import PUBLISHED_CALIBRATION, _csv_text
 from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_mapping, checked_column, finite, nonnegative
-from .models import MODEL_IDS, _model_arguments, model_from_params
+from .models import MODEL_IDS, PathLossModel, _model_arguments, _range_warnings, model_from_params
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
 _OVERFLOW = "{} series: a sum over its values overflows the float range"
@@ -136,9 +136,20 @@ def _sum_squares(name: str, values: Sequence[float]) -> float:
 
 
 def _fsum(name: str, terms: Iterable[float]) -> float:
-    """`math.fsum`; a sum that leaves the float range is a DomainError naming the series."""
+    """`math.fsum`; a sum that leaves the float range is a DomainError naming the series.
+
+    A running sum of a list or tuple may overflow where its total does not: the terms are then summed
+    scaled by a power of two and the total scaled back.  Terms given as an iterator are squares or absolute
+    values, whose running sums only grow.
+    """
     try:
-        total = math.fsum(terms)
+        try:
+            total = math.fsum(terms)
+        except OverflowError:
+            if not isinstance(terms, (list, tuple)):
+                raise
+            k = len(terms).bit_length() + 1  # n terms below 2**(1024 - k) sum to less than 2**1023
+            total = math.ldexp(math.fsum(math.ldexp(term, -k) for term in terms), k)
     except (OverflowError, ValueError):  # ValueError: terms that overflowed both ways, inf + -inf
         total = math.inf
     if not math.isfinite(total):
@@ -228,14 +239,23 @@ def _pearson_centred(dx: list[float], sxx: float, mx: float, dy: list[float], sy
         if not any(deviations):  # `_centred` leaves a flat series all zeros
             raise DomainError(f"pearson_r is undefined for a zero-variance {series} series")
     # r is the same for series scaled by powers of two.  Where a square may lose bits below the normal float range,
-    # the product of the sums leaves it, or a sum of squares s is so small that the mean's rounding, <= 2*EPS*|mean|,
-    # can move r by 8*n*(EPS*mean)**2/s > EPS, bring each series' largest deviation into [0.5, 1) and centre it again
+    # the product of the sums leaves it, or a mean's rounding matters (`_near_flat`), rescale and centre again
     if (min(sxx, syy) < n * sys.float_info.min or not sys.float_info.min <= sxx * syy < math.inf
-            or sxx < 8 * n * _EPS * mx * mx or syy < 8 * n * _EPS * my * my):
-        ex, ey = (math.frexp(max(map(abs, deviations)))[1] for deviations in (dx, dy))
-        return _pearson_centred(*_centred("measured", [math.ldexp(d, -ex) for d in dx]),
-                                *_centred("predicted", [math.ldexp(d, -ey) for d in dy]))
+            or _near_flat(sxx, n, mx) or _near_flat(syy, n, my)):
+        return _pearson_centred(*_rescaled("measured", dx)[0], *_rescaled("predicted", dy)[0])
     return math.fsum(map(operator.mul, dx, dy)) / math.sqrt(sxx * syy)
+
+
+def _near_flat(s: float, n: int, mean: float) -> bool:
+    """Whether a mean's rounding, at most 2*EPS*|mean|, can move r or a slope over the deviations, whose squares
+    sum to `s`, by 8*n*(EPS*mean)**2/s > EPS."""
+    return s < 8 * n * _EPS * mean * mean
+
+
+def _rescaled(name: str, deviations: list[float]) -> tuple[tuple[list[float], float, float], int]:
+    """`_centred` of the deviations scaled by 2**-e, which brings the largest into [0.5, 1), and e."""
+    e = math.frexp(max(map(abs, deviations)))[1]
+    return _centred(name, [math.ldexp(d, -e) for d in deviations]), e
 
 
 def published_divergence_notes(
@@ -280,10 +300,10 @@ def published_divergence_notes(
 def decade_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> float:
     """Least-squares slope of loss versus log10(distance), dB per decade; a single distance raises DomainError.
 
-    For the log10 values `math.log10` gives, the error is at most (6*eps + n*dl**2/sll)*|slope| +
-    3*eps*sqrt(syy/sll) + n*(|dl*dy| + 2**-1074)/sll + 2**-1074, eps = 2**-53: sll and syy are the sums of
-    squared deviations of the logs and of the loss, and dl, dy the rounding of each mean, at most
-    2*eps*|mean| + 2**-1074.  The dl**2 term is large only for logs a few units in the last place apart.
+    For the log10 values `math.log10` gives, the error is at most 6*eps*|slope| + 3*eps*sqrt(syy/sll) +
+    n*(|dl*dy| + 2**-1074)/sll + 2**-1074, eps = 2**-53: sll and syy are the sums of squared deviations of
+    the logs and of the loss, and dl, dy the rounding of each mean, at most 2*eps*|mean| + 2**-1074.  Logs
+    so near-flat that their mean's rounding matters are rescaled and centred again, as in `pearson_r`.
     """
     return _checked_slope(distances_m, loss_db)[2]
 
@@ -293,9 +313,12 @@ def _checked_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> tu
     distances = _finite_series("distance", distances_m)
     loss = _finite_series("loss", loss_db, len(distances))
     checked_column("distance", distances, DomainError, "sample {}: distance must be positive, got {!r}".format, LEAST_POSITIVE)
-    dl, sll, _ = _centred("distance", list(map(math.log10, distances)))
+    dl, sll, ml = _centred("distance", list(map(math.log10, distances)))
     if sll == 0.0:
         raise DomainError("decade slope undefined: every sample lies at the same distance")
+    if _near_flat(sll, len(dl), ml):  # the slope over deviations scaled by 2**-e is 2**e times as large
+        (dl, sll, _), e = _rescaled("distance", dl)
+        sll = math.ldexp(sll, e)
     dy = _centred("loss", loss)[0]  # its sum of squares is taken only to report an overflow
     return distances, loss, math.fsum(map(operator.mul, dl, dy)) / sll
 
@@ -337,15 +360,30 @@ def infer_site_parameters(
 ) -> InferenceResult:
     """Recover model parameters that best reproduce a path-loss series.
 
-    Exhaustive search over the cartesian product of `grid`, scored by
-    MSE against the series; `base` supplies the fixed parameters.  The
-    spaces are tiny, so exhaustiveness and reproducibility beat speed.
-    Every key and value of `grid` and `base` is checked once, before the
-    search: an unknown key, or a value that is neither a number nor a
-    known name, raises as in `model_from_params`.  Combinations that
-    violate a model precondition, or whose squared errors overflow, are
-    skipped; if all are, `DomainError` names the model and why the first
-    one fails, so `fit_mse_db2` is always finite.
+    Searches the cartesian product of `grid`, scored by MSE against the
+    series; `base` supplies the fixed parameters.  Every key and value of
+    `grid` and `base` is checked once, before the search: an unknown key,
+    or a value that is neither a number nor a known name, raises as in
+    `model_from_params`.  Combinations that violate a model precondition,
+    or whose squared errors overflow, are skipped; if all are,
+    `DomainError` names the model and why the first one fails, so
+    `fit_mse_db2` is always finite.
+
+    The result is the one that scoring every point sample by sample gives:
+    the lowest fit, ties to the first point in product order.  Each point
+    is screened in O(1) instead.  With L_i = log10(d_i) - 3 and t_i the
+    target, its squared error is the quadratic form Q of (c0, c1, c2, -1)
+    over sums of L_i**k (k <= 4), L_i**k * t_i (k <= 2) and t_i**2, and
+    its fit lies within B = 32*eps*T/n of Q/n, where eps = 2**-53 and T is
+    the form's sum of |coefficient| * (sum of absolute values) over its
+    terms.  B covers the rounding of the form and that of scoring sample
+    by sample, given that each coefficient and target is 0 or of magnitude
+    in [1e-60, 1e100].  A point outside that, or with a SUI d0 not below
+    every distance, is scored sample by sample, in order.  Only points
+    whose lower bound is at most the lowest upper bound so far are kept,
+    and only those are scored sample by sample at the end.  A screened
+    point raises each of its range notes once; a point scored sample by
+    sample raises them per sample.
     """
     distances, target, slope = _checked_slope(distances_m, path_loss_db)
     if model_id not in MODEL_IDS:
@@ -362,22 +400,71 @@ def infer_site_parameters(
         for value in axis:
             _model_arguments({name: value})
 
-    best_params: dict[str, object] | None = None
-    best_mse = math.inf
+    sums = _screen_sums(distances, target) if _screenable(*target) else None
+    nearest = min(distances)
+    ceiling = math.inf  # the lowest upper bound on a fit so far
+    kept: list[tuple[float, dict[str, object], PathLossModel, float | None]] = []  # low, params, model, fit if known
     first_failure: DomainError | None = None
     for combo in itertools.product(*axes):
         params = dict(fixed)
         params.update(zip(names, combo))
         try:
             model = model_from_params(model_id, params)
-            error = list(map(operator.sub, model._losses(distances), target))  # `distances` is checked once, above
-            fit = _sum_squares(model_id, error) / len(error)
+            screened = sums is not None and model.min_distance_m < nearest and _screenable(model.c0, model.c1, model.c2)
+            fit = None if screened else _fit(model, distances, target)
         except DomainError as exc:
             first_failure = first_failure or exc
             continue
-        if fit < best_mse:
-            best_mse = fit
-            best_params = params
-    if best_params is None:
+        low, high = _fit_bounds(model, sums) if fit is None else (fit, fit)
+        if low <= ceiling:
+            kept.append((low, params, model, fit))
+            if high < ceiling:
+                ceiling = high
+                kept = [point for point in kept if point[0] <= ceiling]
+    if not kept:
         raise DomainError(f"no {model_id} grid point can be scored; the first fails: {first_failure}")
+    fits = ((_fit(model, distances, target) if fit is None else fit, params) for _, params, model, fit in kept)
+    best_mse, best_params = min(fits, key=operator.itemgetter(0))  # the first of equal fits: product order
     return InferenceResult(model_id, best_params, best_mse, slope, math.prod(map(len, axes)))
+
+
+def _screenable(*values: float) -> bool:
+    """Whether each value is 0 or of a magnitude at which no product in `_fit_bounds` or `_fit` leaves the normal range."""
+    return all(v == 0.0 or 1e-60 <= abs(v) <= 1e100 for v in values)
+
+
+def _fit(model: PathLossModel, distances: Sequence[float], target: Sequence[float]) -> float:
+    """The model's mean squared error against the target, sample by sample: the fit `infer_site_parameters` reports."""
+    error = list(map(operator.sub, model._losses(distances), target))  # `distances` is checked once, by the caller
+    return _sum_squares(model.model_id, error) / len(error)
+
+
+def _screen_sums(distances: Sequence[float], target: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The sum each term of the quadratic form takes, signed and of absolute values, in the order `_fit_bounds` uses."""
+    l1 = [math.log10(d) - 3.0 for d in distances]  # the floats `PathLossModel._losses` evaluates at
+    l2 = list(map(operator.mul, l1, l1))
+    pairs = ((l2, l1), (l2, l2), (l1, target), (l2, target), (target, target))
+    l3, l4, l1t, l2t, tt = (list(map(operator.mul, a, b)) for a, b in pairs)
+    s1, s2, s3, s4, s0t, s1t, s2t, stt = (_fsum("loss", column) for column in (l1, l2, l3, l4, target, l1t, l2t, tt))
+    a1, a3, a0t, a1t, a2t = (_fsum("loss", map(abs, column)) for column in (l1, l3, target, l1t, l2t))
+    n = float(len(target))
+    return [n, s1, s2, s2, s3, s4, s0t, s1t, s2t, stt], [n, a1, s2, s2, a3, s4, a0t, a1t, a2t, stt]
+
+
+def _fit_bounds(model: PathLossModel, sums: tuple[list[float], list[float]]) -> tuple[float, float]:
+    """Bounds on `_fit` of a model with screenable coefficients, from `_screen_sums`; raises its range notes once each.
+
+    Why B holds, no product leaving the normal range: the exact E = sum e_i**2 and sum m_i**2, where
+    m_i = |c0| + |c1*L_i| + |c2*L_i**2|, are both at most T.  A sum of products over the series lies within 4*eps of
+    its sum of absolute values, and a term of the form within 6*eps of |coefficient| * that sum, so Q lies within
+    8*eps*T of E.  Sample by sample, e_i comes out as e_i*(1 + d) + r_i, |d| <= eps, |r_i| <= 5*eps*m_i; squaring,
+    summing and dividing round 3 times more, so n*fit lies within 5*eps*E + 10*eps*sqrt(E*T) + 25*eps**2*T, at most
+    15.01*eps*T, of E.  That leaves over 8*eps*T of B*n for the rounding of Q/n and of B.
+    """
+    _range_warnings(model.range_notes)
+    c0, c1, c2 = model.c0, model.c1, model.c2
+    signed, absolute = sums
+    weights = (c0 * c0, 2 * c0 * c1, 2 * c0 * c2, c1 * c1, 2 * c1 * c2, c2 * c2, -2 * c0, -2 * c1, -2 * c2, 1.0)
+    form, n = math.fsum(map(operator.mul, weights, signed)), signed[0]
+    radius = 32 * _EPS * math.fsum(map(operator.mul, map(abs, weights), absolute)) / n
+    return form / n - radius, form / n + radius

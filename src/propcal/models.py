@@ -366,9 +366,7 @@ class PathLossModel:
             d = next(d for d in distances_m if d <= bound)
             raise DomainError(f"sui_path_loss requires distance_m > d0 ({bound:g} m), got {d:g} m")
         if self.range_notes:
-            for _ in distances_m:
-                for note in self.range_notes:
-                    warnings.warn(note, ModelRangeWarning)
+            _range_warnings(self.range_notes, len(distances_m))
         log10 = math.log10
         c0, c1, c2 = self.c0, self.c1, self.c2
         losses = [c0 + (c1 + c2 * (L := log10(d) - 3.0)) * L for d in distances_m]
@@ -381,6 +379,13 @@ class PathLossModel:
     def corrected(self, cf_db: float) -> "PathLossModel":
         """New model whose path loss is this one's minus cf_db."""
         return replace(self, c0=self.c0 - finite("cf_db", cf_db), name=f"{self.name}_corrected")
+
+
+def _range_warnings(notes: tuple[str, ...], times: int = 1) -> None:
+    """Raise each range note `times` times as a `ModelRangeWarning`; every range warning comes from this function."""
+    for _ in range(times):
+        for note in notes:
+            warnings.warn(note, ModelRangeWarning)
 
 
 def _checked_distances(distances_m: Iterable[object]) -> tuple[float, ...]:

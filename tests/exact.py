@@ -35,15 +35,6 @@ def centred(values):
     return deviations, sum(d * d for d in deviations)
 
 
-def prefix_peak(values):
-    """The largest magnitude of a running sum, taken in order: `math.fsum` raises where it overflows."""
-    total, peak = Fraction(0), Fraction(0)
-    for value in values:
-        total += value
-        peak = max(peak, abs(total))
-    return peak
-
-
 def residuals(measured, predicted):
     """measured - predicted, per sample."""
     return [x - y for x, y in zip(exact(measured), exact(predicted))]
@@ -120,12 +111,10 @@ def decade_slope(log_distances, loss):
 
 
 def decade_slope_bound(log_distances, loss):
-    """propcal's bound: (6*EPS + n*dl**2/sll)*|slope| + 3*EPS*sqrt(syy/sll) + n*(|dl*dy| + TINY)/sll + TINY.
+    """propcal's bound: 6*EPS*|slope| + 3*EPS*sqrt(syy/sll) + n*(|dl*dy| + TINY)/sll + TINY.
 
     sll and syy are the sums of squared deviations of the logs and of the
     loss, and dl, dy the rounding of each mean, at most 2*EPS*|mean| + TINY.
-    The n*dl**2/sll term is large only where the logs lie within a few
-    units in their last place of each other.
     """
     logs, y = exact(log_distances), exact(loss)
     n = len(logs)
@@ -133,7 +122,7 @@ def decade_slope_bound(log_distances, loss):
     _, syy = centred(y)
     dl, dy = (2 * EPS * abs(mean(values)) + TINY for values in (logs, y))
     slope = decade_slope(log_distances, loss)
-    return (6 * EPS + n * dl * dl / sll) * abs(slope) + 3 * EPS * _sqrt_above(syy / sll) + n * (dl * dy + TINY) / sll + TINY
+    return 6 * EPS * abs(slope) + 3 * EPS * _sqrt_above(syy / sll) + n * (dl * dy + TINY) / sll + TINY
 
 
 def _sqrt_above(value):
