@@ -41,11 +41,10 @@ from .dataset import (
 from .errors import DataError, DomainError, PropcalError, checked_column
 from .link_budget import REFERENCE_SITE, SiteConfig, predict_rss, site_from_json
 from .models import (
-    ENVIRONMENTS,
     MODEL_IDS,
     TERRAINS,
-    SuiParams,
     _checked_distances,
+    _make_model_kwargs,
     make_model,
 )
 
@@ -249,24 +248,23 @@ def _selected_models(args: argparse.Namespace, default: tuple[str, ...]) -> tupl
     return (args.model,) if args.model else default
 
 
-def _bound_models(args: argparse.Namespace, site: SiteConfig, model_ids: Sequence[str]) -> dict[str, object]:
-    sui_params = SuiParams(
-        terrain=TERRAINS[args.terrain],
-        shadow_db=args.sui_shadow,
-        xh_denominator_m=args.sui_xh_denom,
-    )
+def _model_params(args: argparse.Namespace, site: SiteConfig) -> dict[str, object]:
+    """The model parameters the site and model flags give, by `model_from_params` name: what every command binds."""
     return {
-        mid: make_model(
-            mid,
-            site.freq_mhz,
-            site.tx_height_m,
-            site.rx_height_m,
-            environment=ENVIRONMENTS[_ENV_CHOICES[args.env]],
-            sui_params=sui_params,
-            tx_gain_linear=args.tx_gain_linear,
-        )
-        for mid in model_ids
+        "freq_mhz": site.freq_mhz,
+        "tx_height_m": site.tx_height_m,
+        "rx_height_m": site.rx_height_m,
+        "environment": _ENV_CHOICES[args.env],
+        "terrain": args.terrain,
+        "sui_shadow_db": args.sui_shadow,
+        "sui_xh_denominator_m": args.sui_xh_denom,
+        "tx_gain_linear": args.tx_gain_linear,
     }
+
+
+def _bound_models(args: argparse.Namespace, site: SiteConfig, model_ids: Sequence[str]) -> dict[str, object]:
+    kwargs = _make_model_kwargs(_model_params(args, site))
+    return {mid: make_model(mid, **kwargs) for mid in model_ids}  # type: ignore[arg-type]
 
 
 def _report_output(report: CalibrationReport, fmt: str) -> str:
@@ -360,17 +358,7 @@ def _cmd_infer(args: argparse.Namespace) -> str:
         raise DataError(f"data has no prediction column {column!r}")
     budget = site.budget_db
     loss = [budget - rss for rss in table.predictions[column]]
-    base: dict[str, object] = {
-        "freq_mhz": site.freq_mhz,
-        "tx_height_m": site.tx_height_m,
-        "rx_height_m": site.rx_height_m,
-        "environment": _ENV_CHOICES[args.env],
-        "terrain": args.terrain,
-        "sui_shadow_db": args.sui_shadow,
-        "sui_xh_denominator_m": args.sui_xh_denom,
-        "tx_gain_linear": args.tx_gain_linear,
-    }
-    result = infer_site_parameters(table.distances_m, loss, args.model, grid, base=base)
+    result = infer_site_parameters(table.distances_m, loss, args.model, grid, base=_model_params(args, site))
     payload: dict[str, object] = {
         "model": result.model_id,
         "column": column,

@@ -516,6 +516,19 @@ def _model_arguments(params: Mapping[str, object]) -> dict[str, object]:
     return args
 
 
+def _make_model_kwargs(params: Mapping[str, object]) -> dict[str, object]:
+    """`params` as `make_model`'s keyword arguments: `_model_arguments`, the SUI and Ericsson keys gathered into their objects."""
+    args = _model_arguments(params)
+    args.setdefault("freq_mhz", None)  # a missing one fails `make_model`'s check
+    sui = {field: args.pop(key) for key, field in _SUI_FIELDS.items() if key in args}
+    ericsson = {field: args.pop(key) for key, field in _ERICSSON_FIELDS.items() if key in args}
+    if sui:
+        args["sui_params"] = SuiParams(**sui)  # type: ignore[arg-type]
+    if ericsson:
+        args["ericsson_params"] = EricssonParams(**ericsson)  # type: ignore[arg-type]
+    return args
+
+
 def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossModel:
     """Build a model from a flat parameter mapping.
 
@@ -525,14 +538,4 @@ def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossMo
     ericsson_a0..ericsson_a3, tx_gain_linear, rx_gain_variant.
     Environment and terrain accept either the objects or their names.
     """
-    args = _model_arguments(as_mapping("params", params, DomainError))
-    freq_mhz = args.pop("freq_mhz", None)  # a missing one fails `make_model`'s check
-    sui = {field: args.pop(key) for key, field in _SUI_FIELDS.items() if key in args}
-    ericsson = {field: args.pop(key) for key, field in _ERICSSON_FIELDS.items() if key in args}
-    return make_model(
-        model_id,
-        freq_mhz,  # type: ignore[arg-type]
-        sui_params=SuiParams(**sui) if sui else None,  # type: ignore[arg-type]
-        ericsson_params=EricssonParams(**ericsson) if ericsson else None,  # type: ignore[arg-type]
-        **args,  # type: ignore[arg-type]
-    )
+    return make_model(model_id, **_make_model_kwargs(as_mapping("params", params, DomainError)))  # type: ignore[arg-type]
