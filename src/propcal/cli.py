@@ -124,6 +124,7 @@ def _parse_grid_axis(text: str) -> tuple[str, list[object]]:
 
 
 def _build_parser() -> _Parser:
+    nonnegative_arg = functools.partial(_float_arg, allow_zero=True)
     site_flags = argparse.ArgumentParser(add_help=False)
     site_flags.add_argument(
         "--site",
@@ -146,7 +147,7 @@ def _build_parser() -> _Parser:
         metavar="{2,2000}",
         help="receiver-height normalizer in the SUI height correction (default 2)",
     )
-    model_flags.add_argument("--sui-shadow", type=functools.partial(_float_arg, allow_zero=True), default=0.0, metavar="S", help="SUI shadow term in dB (default 0)")
+    model_flags.add_argument("--sui-shadow", type=nonnegative_arg, default=0.0, metavar="S", help="SUI shadow term in dB (default 0)")
     model_flags.add_argument("--tx-gain-linear", type=_float_arg, default=1.0, metavar="G", help="linear transmit gain used by fspl (default 1)")
 
     data_flags = argparse.ArgumentParser(add_help=False)
@@ -176,11 +177,11 @@ def _build_parser() -> _Parser:
     group = cal.add_mutually_exclusive_group()
     group.add_argument("--model", choices=MODEL_IDS)
     group.add_argument("--all", action="store_true", help="all five models (default)")
-    cal.add_argument("--acceptable-mse", type=_float_arg, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
+    cal.add_argument("--acceptable-mse", type=nonnegative_arg, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
     cal.add_argument("--format", choices=("json", "csv"), default="json")
 
     comp = commands.add_parser("compare", parents=[data_flags, site_flags, out_flags], help="calibrate the prediction columns already in the data")
-    comp.add_argument("--acceptable-mse", type=_float_arg, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
+    comp.add_argument("--acceptable-mse", type=nonnegative_arg, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
     comp.add_argument("--format", choices=("json", "csv"), default="json")
 
     ref = commands.add_parser("reference", parents=[out_flags], help="dump or summarize the bundled reference corpus")
@@ -344,7 +345,11 @@ def _default_grid(model_id: str) -> dict[str, list[object]]:
 
 
 def _cmd_infer(args: argparse.Namespace) -> str:
-    grid: dict[str, list[object]] = dict(args.grid) if args.grid else _default_grid(args.model)
+    grid: dict[str, list[object]] = {} if args.grid else _default_grid(args.model)
+    for name, axis in args.grid or ():
+        if name in grid:
+            raise UsageError(f"argument --grid: axis {name!r} is given more than once")
+        grid[name] = axis
     points = math.prod(len(axis) for axis in grid.values())
     if points > MAX_RANGE_POINTS:
         raise UsageError(

@@ -18,9 +18,10 @@ deterministic; shadowing is an explicit parameter, never sampled.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import KW_ONLY, dataclass, replace
 
 from .errors import LEAST_POSITIVE, DomainError, as_mapping, checked_column, finite, nonnegative, positive
@@ -183,8 +184,7 @@ def mobile_station_correction(rx_height_m: float) -> float:
 
     3.2*(log10(11.75*hr))^2 - 4.97; close to zero at the usual 1.5 m.
     """
-    rx_height_m = positive("rx_height_m", rx_height_m)
-    return 3.2 * math.log10(11.75 * rx_height_m) ** 2 - 4.97
+    return 3.2 * math.log10(11.75 * positive("rx_height_m", rx_height_m)) ** 2 - 4.97
 
 
 def cost231_hata(
@@ -394,6 +394,24 @@ def _checked_distances(distances_m: Iterable[object]) -> tuple[float, ...]:
     return checked_column("distances_m", distances_m, DomainError, message.format, LEAST_POSITIVE)
 
 
+def _defined(name: str, compute: Callable[..., object], *args: object, **kwargs: object) -> object:
+    """`compute(*args, **kwargs)` under the one rule for a model's arithmetic.
+
+    Where an intermediate over- or underflows into a division by zero or
+    a log10(0), or a float result is not finite, `DomainError` names
+    `name`: the model for `make_model`, the function for a helper.
+    """
+    try:
+        result = compute(*args, **kwargs)
+    except DomainError:
+        raise
+    except (ArithmeticError, ValueError):
+        raise _non_finite_error(name) from None
+    if isinstance(result, float) and not math.isfinite(result):
+        raise _non_finite_error(name)
+    return result
+
+
 def make_model(
     model_id: str,
     freq_mhz: float,
@@ -416,57 +434,62 @@ def make_model(
     where every log10(d) term vanishes.  Parameters so extreme that a
     coefficient is not finite raise `DomainError` naming the model.
     """
-    try:
-        freq_mhz = positive("freq_mhz", freq_mhz)
-        if model_id == "fspl":
-            gt = positive("tx_gain_linear", tx_gain_linear)
-            c0 = 32.45 - 10.0 * math.log10(gt) + 20.0 * math.log10(freq_mhz)
-            return PathLossModel(model_id, c0, 20.0)
+    return _defined(  # type: ignore[return-value]
+        model_id, _bind, model_id, freq_mhz, tx_height_m, rx_height_m,
+        environment, sui_params, ericsson_params, tx_gain_linear, rx_gain_variant,
+    )
 
-        if model_id not in MODEL_IDS:
-            raise DomainError(f"unknown model id {model_id!r}")
-        hb = positive("tx_height_m", tx_height_m)
-        hr = positive("rx_height_m", rx_height_m)
-        log_hb = math.log10(hb)
 
-        if model_id == "cost231_hata":
-            c0 = (
-                46.3
-                + 33.9 * math.log10(freq_mhz)
-                - 13.82 * log_hb
-                - mobile_station_correction(hr)
-                + environment.clutter_db
-            )
-            return PathLossModel(
-                model_id,
-                c0,
-                44.9 - 6.55 * log_hb,
-                range_notes=_cost231_range_notes(freq_mhz, hb, hr),
-            )
-        if model_id == "extended_cost231":
-            c0 = extended_cost231(freq_mhz, hb, hr, 1000.0, rx_gain_variant).total_db
-            return PathLossModel(model_id, c0, 20.0 + 9.83, -5.8 * math.log10(hb / 200.0))
-        if model_id == "sui":
-            sui_p = sui_params if sui_params is not None else SuiParams()
-            wavelength_m = LIGHT_SPEED_M_PER_S / (freq_mhz * 1e6)
-            intercept = 20.0 * math.log10(4.0 * math.pi * sui_p.d0_m / wavelength_m)
-            xf, xh = sui_corrections(freq_mhz, hr, sui_p)
-            c1 = 10.0 * sui_gamma(hb, sui_p.terrain)
-            c0 = intercept + xf + xh + sui_p.shadow_db - c1 * (math.log10(sui_p.d0_m) - 3.0)
-            return PathLossModel(model_id, c0, c1, min_distance_m=sui_p.d0_m)
-        eric_p = ericsson_params if ericsson_params is not None else ERICSSON_URBAN
+def _bind(
+    model_id: str, freq_mhz: float, tx_height_m: float | None, rx_height_m: float | None, environment: Environment,
+    sui_params: SuiParams | None, ericsson_params: EricssonParams | None, tx_gain_linear: float, rx_gain_variant: str,
+) -> PathLossModel:
+    """The body of `make_model`, which runs it under `_defined`; it calls each helper's undecorated `__wrapped__`."""
+    freq_mhz = positive("freq_mhz", freq_mhz)
+    if model_id == "fspl":
+        gt = positive("tx_gain_linear", tx_gain_linear)
+        c0 = 32.45 - 10.0 * math.log10(gt) + 20.0 * math.log10(freq_mhz)
+        return PathLossModel(model_id, c0, 20.0)
+
+    if model_id not in MODEL_IDS:
+        raise DomainError(f"unknown model id {model_id!r}")
+    hb = positive("tx_height_m", tx_height_m)
+    hr = positive("rx_height_m", rx_height_m)
+    log_hb = math.log10(hb)
+
+    if model_id == "cost231_hata":
         c0 = (
-            eric_p.a0
-            + eric_p.a2 * log_hb
-            - 3.2 * math.log10(11.75 * hr) ** 2
-            + ericsson_frequency_term(freq_mhz)
+            46.3
+            + 33.9 * math.log10(freq_mhz)
+            - 13.82 * log_hb
+            - mobile_station_correction.__wrapped__(hr)  # type: ignore[attr-defined]
+            + environment.clutter_db
         )
-        return PathLossModel(model_id, c0, eric_p.a1 + eric_p.a3 * log_hb)
-    except DomainError:
-        raise
-    except (ArithmeticError, ValueError):
-        # an intermediate over- or underflowed into a division by zero or a log10(0)
-        raise _non_finite_error(model_id) from None
+        return PathLossModel(
+            model_id,
+            c0,
+            44.9 - 6.55 * log_hb,
+            range_notes=_cost231_range_notes(freq_mhz, hb, hr),
+        )
+    if model_id == "extended_cost231":
+        c0 = extended_cost231.__wrapped__(freq_mhz, hb, hr, 1000.0, rx_gain_variant).total_db  # type: ignore[attr-defined]
+        return PathLossModel(model_id, c0, 20.0 + 9.83, -5.8 * math.log10(hb / 200.0))
+    if model_id == "sui":
+        sui_p = sui_params if sui_params is not None else SuiParams()
+        wavelength_m = LIGHT_SPEED_M_PER_S / (freq_mhz * 1e6)
+        intercept = 20.0 * math.log10(4.0 * math.pi * sui_p.d0_m / wavelength_m)
+        xf, xh = sui_corrections.__wrapped__(freq_mhz, hr, sui_p)  # type: ignore[attr-defined]
+        c1 = 10.0 * sui_gamma.__wrapped__(hb, sui_p.terrain)  # type: ignore[attr-defined]
+        c0 = intercept + xf + xh + sui_p.shadow_db - c1 * (math.log10(sui_p.d0_m) - 3.0)
+        return PathLossModel(model_id, c0, c1, min_distance_m=sui_p.d0_m)
+    eric_p = ericsson_params if ericsson_params is not None else ERICSSON_URBAN
+    c0 = (
+        eric_p.a0
+        + eric_p.a2 * log_hb
+        - 3.2 * math.log10(11.75 * hr) ** 2
+        + ericsson_frequency_term(freq_mhz)
+    )
+    return PathLossModel(model_id, c0, eric_p.a1 + eric_p.a3 * log_hb)
 
 
 # `model_from_params` keys that take a name: the object type each also
@@ -539,3 +562,18 @@ def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossMo
     Environment and terrain accept either the objects or their names.
     """
     return make_model(model_id, **_make_model_kwargs(as_mapping("params", params, DomainError)))  # type: ignore[arg-type]
+
+
+def _helper(function: Callable[..., object]) -> Callable[..., object]:
+    """`function` under `_defined`, its errors naming it; `_bind` calls the undecorated `__wrapped__`."""
+    @functools.wraps(function)
+    def checked(*args: object, **kwargs: object) -> object:
+        return _defined(function.__name__, function, *args, **kwargs)
+    return checked
+
+
+# Each component helper under `_defined`: called alone, its error names it; in a bind, the model's does.
+mobile_station_correction = _helper(mobile_station_correction)
+extended_cost231 = _helper(extended_cost231)
+sui_gamma = _helper(sui_gamma)
+sui_corrections = _helper(sui_corrections)

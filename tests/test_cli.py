@@ -152,6 +152,25 @@ def test_bounded_number_flags_keep_their_messages(run_cli):
     assert run_cli("calibrate", "--data", "embedded:reference", "--sui-shadow", "0")[0] == 0
 
 
+@pytest.mark.parametrize("command", ["calibrate", "compare"])
+def test_an_acceptable_mse_of_zero_flags_every_model(run_cli, command):
+    # the library takes a threshold of 0, so the flag does too
+    code, out, err = run_cli(command, "--data", "embedded:reference", "--acceptable-mse", "0")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    threshold_notes = [note for note in report["notes"] if "exceeds the acceptable threshold 0 dB^2" in note]
+    assert [note.split(":")[0] for note in threshold_notes] == list(report["models"])
+
+
+def test_a_grid_axis_given_twice_exits_1_naming_it(run_cli):
+    code, out, err = run_cli(
+        "infer", "--model", "sui", "--data", "embedded:reference",
+        "--grid", "tx_height_m=10,20", "--grid", "terrain=A", "--grid", "tx_height_m=30",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"{ERROR_PREFIX}argument --grid: axis 'tx_height_m' is given more than once\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -441,6 +460,26 @@ def test_a_column_name_holding_a_comma_exits_2(run_cli, tmp_path, argv):
     assert err == f"{ERROR_PREFIX}prediction column 'a,b': a name may not hold a comma, a quote or a line break\n"
 
 
+# the site and model flags, each away from its default
+VARIANT_FLAGS = (
+    "--env", "metro", "--terrain", "C", "--sui-xh-denom", "2000", "--sui-shadow", "8.2",
+    "--tx-gain-linear", "2", "--tx-height", "55", "--rx-height", "1.5", "--freq-mhz", "1800",
+)
+
+
+@pytest.mark.parametrize("model_id", propcal.MODEL_IDS)
+def test_infer_reports_the_parameters_the_other_commands_bind(run_cli, model_id):
+    column = ("--column", "sui") if model_id == "fspl" else ()  # the corpus has no fspl column
+    code, out, err = run_cli(
+        "infer", "--model", model_id, "--data", "embedded:reference", *column, "--grid", "tx_height_m=55", *VARIANT_FLAGS
+    )
+    assert (code, err) == (0, "")
+    inferred = propcal.model_from_params(model_id, json.loads(out)["params"])
+    code, out, err = run_cli("predict", "--model", model_id, "--distance-m", "900", *VARIANT_FLAGS)
+    assert (code, err) == (0, "")
+    assert out == f"distance_m,pl_{model_id}\n900,{inferred.path_loss_db(900.0):.4f}\n"
+
+
 def test_infer_csv_flattens_the_report_one_key_per_line(run_cli):
     code, out, err = run_cli("infer", "--model", "cost231_hata", "--data", "embedded:reference", "--format", "csv")
     assert (code, err) == (0, "")
@@ -489,6 +528,60 @@ def test_help_exits_zero(run_cli):
     code, out, _ = run_cli("--help")
     assert code == 0
     assert "predict" in out and "compare" in out
+
+
+_HELP = {"-h --help": (argparse.SUPPRESS, None)}
+_SITE = {"--site": ("table3", None), "--freq-mhz": (None, None), "--tx-height": (None, None), "--rx-height": (None, None)}
+_MODEL = {
+    "--env": ("medium", ["medium", "metro"]),
+    "--terrain": ("B", ["A", "B", "C"]),
+    "--sui-xh-denom": (2.0, [2.0, 2000.0]),
+    "--sui-shadow": (0.0, None),
+    "--tx-gain-linear": (1.0, None),
+}
+_DATA = {"--data": (None, None)}
+_OUT = {"--out": (None, None)}
+_MODEL_IDS = ["fspl", "cost231_hata", "extended_cost231", "sui", "ericsson"]
+_FORMAT = ["json", "csv"]
+# each subcommand's option strings, in order, with their defaults and choices
+FLAG_SURFACE = {
+    "predict": {
+        **_HELP, **_SITE, **_MODEL, **_OUT,
+        "--model": (None, _MODEL_IDS), "--all": (False, None),
+        "--distance-m": (None, None), "--distances": (None, None), "--format": ("csv", _FORMAT),
+    },
+    "calibrate": {
+        **_HELP, **_DATA, **_SITE, **_MODEL, **_OUT,
+        "--model": (None, _MODEL_IDS), "--all": (False, None), "--acceptable-mse": (None, None), "--format": ("json", _FORMAT),
+    },
+    "compare": {**_HELP, **_DATA, **_SITE, **_OUT, "--acceptable-mse": (None, None), "--format": ("json", _FORMAT)},
+    "reference": {**_HELP, **_OUT, "--dump": (False, None)},
+    "infer": {
+        **_HELP, **_DATA, **_SITE, **_MODEL, **_OUT,
+        "--model": (None, _MODEL_IDS), "--column": (None, None), "--grid": (None, None), "--format": ("json", _FORMAT),
+    },
+    "plot": {
+        **_HELP, **_SITE, **_MODEL, **_OUT,
+        "--data": ("embedded:reference", None), "--model": (None, _MODEL_IDS), "--all": (False, None),
+        "--quantity": ("rss", ["rss", "pl"]),
+    },
+}
+
+
+def test_the_flag_surface_is_pinned():
+    # argparse's actions, not the --help text, which differs between Python versions
+    def surface(parser):
+        return [
+            (" ".join(action.option_strings), (action.default, None if action.choices is None else list(action.choices)))
+            for action in parser._actions if action.option_strings
+        ]
+
+    parser = cli._build_parser()
+    [commands] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert surface(parser) == list(_HELP.items())
+    assert list(commands.choices) == list(FLAG_SURFACE)
+    for name, subparser in commands.choices.items():
+        assert surface(subparser) == list(FLAG_SURFACE[name].items()), name
 
 
 def test_module_entrypoint():

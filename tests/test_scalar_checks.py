@@ -14,15 +14,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propcal import (
+    ENVIRONMENTS,
+    MODEL_IDS,
     REFERENCE_SITE,
     TERRAIN_B,
+    TERRAINS,
     DataError,
     DomainError,
     DriveTestTable,
     EricssonParams,
+    ExtendedCost231Loss,
     SuiParams,
+    TerrainCategory,
     calibrate,
     correction_factor,
     cost231_hata,
@@ -342,3 +349,71 @@ def test_int_and_numpy_columns_give_the_float_column_result(call):
     assert repr(call(ints)) == expected
     assert repr(call(list(np.array(ints, dtype=np.float64)))) == expected
     assert repr(call(np.array(ints, dtype=np.float64))) == expected
+
+
+# every float from the least above zero to 1e308, and either sign of one
+MAGNITUDES = st.floats(min_value=5e-324, max_value=1e308)
+SIGNED = st.tuples(MAGNITUDES, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+TERRAIN = st.one_of(st.sampled_from(list(TERRAINS.values())), st.builds(TerrainCategory, st.just("X"), SIGNED, SIGNED, SIGNED))
+SUI = st.builds(SuiParams, TERRAIN, MAGNITUDES, st.one_of(st.just(0.0), MAGNITUDES), st.sampled_from([2.0, 2000.0]))
+ERICSSON = st.builds(EricssonParams, SIGNED, SIGNED, SIGNED, SIGNED)
+M = MAGNITUDES
+
+
+def _bound_loss(model_id, freq_mhz, tx_height_m, rx_height_m, distance_m, environment, sui, ericsson, tx_gain_linear):
+    model = make_model(
+        model_id, freq_mhz, tx_height_m, rx_height_m,
+        environment=environment, sui_params=sui, ericsson_params=ericsson, tx_gain_linear=tx_gain_linear,
+    )
+    return model.path_loss_db(distance_m)
+
+
+# name -> (function, a strategy for each of its arguments)
+MODEL_FUNCTIONS = {
+    "fspl": (fspl, M, M, M),
+    "mobile_station_correction": (mobile_station_correction, M),
+    "cost231_hata": (cost231_hata, M, M, M, M, st.sampled_from(list(ENVIRONMENTS.values()))),
+    "extended_cost231": (extended_cost231, M, M, M, M, st.sampled_from(["medium_city", "large_city"])),
+    "sui_gamma": (sui_gamma, M, TERRAIN),
+    "sui_corrections": (sui_corrections, M, M, SUI),
+    "sui_path_loss": (sui_path_loss, M, M, M, M, SUI),
+    "ericsson_frequency_term": (ericsson_frequency_term, M),
+    "ericsson_path_loss": (ericsson_path_loss, M, M, M, M, ERICSSON),
+    "make_model": (
+        _bound_loss, st.sampled_from(MODEL_IDS), M, M, M, M, st.sampled_from(list(ENVIRONMENTS.values())), SUI, ERICSSON, M
+    ),
+}
+
+
+def _floats(result):
+    if isinstance(result, ExtendedCost231Loss):
+        return [*dataclasses.astuple(result), result.total_db]
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_FUNCTIONS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_model_function_returns_finite_floats_or_raises_domain_error(name, data):
+    function, *strategies = MODEL_FUNCTIONS[name]
+    args = [data.draw(strategy) for strategy in strategies]
+    try:
+        result = function(*args)
+    except DomainError:
+        return
+    floats = _floats(result)
+    assert all(type(x) is float and math.isfinite(x) for x in floats), (args, floats)
+
+
+@pytest.mark.parametrize(
+    ("name", "call"),
+    [
+        ("extended_cost231", lambda: extended_cost231(5e-324, 5e-324, 1.0, 1.0)),  # log10 of an underflowed zero
+        ("sui_corrections", lambda: sui_corrections(5e-324, 5e-324, SuiParams())),
+        ("sui_gamma", lambda: sui_gamma(5e-324, TERRAINS["A"])),  # c/hb overflows
+        ("mobile_station_correction", lambda: mobile_station_correction(1e308)),
+    ],
+)
+def test_a_helper_whose_arithmetic_leaves_the_float_range_raises_naming_itself(name, call):
+    with pytest.raises(DomainError, match=f"^{name}: the parameters give a non-finite path-loss coefficient$"):
+        call()
