@@ -564,7 +564,7 @@ def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossMo
     return make_model(model_id, **_make_model_kwargs(as_mapping("params", params, DomainError)))  # type: ignore[arg-type]
 
 
-def _helper(function: Callable[..., object]) -> Callable[..., object]:
+def _checked_helper(function: Callable[..., object]) -> Callable[..., object]:
     """`function` under `_defined`, its errors naming it; `_bind` calls the undecorated `__wrapped__`."""
     @functools.wraps(function)
     def checked(*args: object, **kwargs: object) -> object:
@@ -573,7 +573,7 @@ def _helper(function: Callable[..., object]) -> Callable[..., object]:
 
 
 # Each component helper under `_defined`: called alone, its error names it; in a bind, the model's does.
-mobile_station_correction = _helper(mobile_station_correction)
-extended_cost231 = _helper(extended_cost231)
-sui_gamma = _helper(sui_gamma)
-sui_corrections = _helper(sui_corrections)
+mobile_station_correction = _checked_helper(mobile_station_correction)
+extended_cost231 = _checked_helper(extended_cost231)
+sui_gamma = _checked_helper(sui_gamma)
+sui_corrections = _checked_helper(sui_corrections)
