@@ -5,6 +5,8 @@ constant correction factor per model against measured drive-test data,
 and rank the corrected models by mean squared error and correlation.
 """
 
+import types as _types
+
 from .calibration import (
     CalibrationReport,
     InferenceResult,
@@ -70,61 +72,10 @@ from .models import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalibrationReport",
-    "DataError",
-    "DomainError",
-    "DriveTestSample",
-    "DriveTestTable",
-    "ENVIRONMENTS",
-    "ERICSSON_URBAN",
-    "Environment",
-    "EricssonParams",
-    "ExtendedCost231Loss",
-    "InferenceResult",
-    "MEDIUM_SUBURBAN",
-    "METROPOLITAN",
-    "MODEL_IDS",
-    "ModelCalibration",
-    "ModelRangeWarning",
-    "PUBLISHED_CALIBRATION",
-    "PathLossModel",
-    "PropcalError",
-    "REFERENCE_SITE",
-    "SiteConfig",
-    "SuiParams",
-    "TERRAIN_A",
-    "TERRAIN_B",
-    "TERRAIN_C",
-    "TERRAINS",
-    "TerrainCategory",
-    "calibrate",
-    "correction_factor",
-    "cost231_hata",
-    "cost231_tx_height_from_slope",
-    "decade_slope",
-    "emit_plot_series",
-    "ericsson_frequency_term",
-    "ericsson_path_loss",
-    "extended_cost231",
-    "fspl",
-    "infer_site_parameters",
-    "make_model",
-    "mobile_station_correction",
-    "model_from_params",
-    "mse",
-    "parse_drive_test_csv",
-    "path_loss_from_rss",
-    "pearson_r",
-    "predict_rss",
-    "published_divergence_notes",
-    "reference_dataset",
-    "residuals",
-    "serialize_drive_test_csv",
-    "site_from_json",
-    "site_to_json",
-    "sui_corrections",
-    "sui_gamma",
-    "sui_path_loss",
-    "with_prediction",
-]
+# Every public name imported above, less the submodules that those imports
+# bind as a side effect.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

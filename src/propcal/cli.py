@@ -299,6 +299,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
+    _load_site(args)  # checked as in the other commands, though RSS columns are compared without a budget
     table = _load_table(args.data)
     if not table.predictions:
         raise DataError("compare needs prediction columns (pred_<model>) in the data")

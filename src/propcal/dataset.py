@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import functools
 import io
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
@@ -125,11 +124,12 @@ def parse_drive_test_csv(text: str) -> DriveTestTable:
     must be named ``pred_<model>``.  Blank lines are skipped.  Errors
     carry 1-based row and column positions.
     """
-    rows = [
-        row
-        for row in csv.reader(io.StringIO(text))
-        if row and (row[0].strip() or any(cell.strip() for cell in row))
-    ]
+    reader = csv.reader(io.StringIO(text, newline=""))  # "\r", "\n" and "\r\n" each end a line, as in a file
+    try:
+        rows = [row for row in reader if row and (row[0].strip() or any(cell.strip() for cell in row))]
+    except csv.Error as exc:  # a cell past the field size limit, or a NUL byte before Python 3.11
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+    del reader  # its StringIO holds a copy of `text`, four bytes a character
     if not rows:
         raise DataError("empty drive-test CSV")
     header = [cell.strip() for cell in rows[0]]
@@ -272,9 +272,8 @@ PUBLISHED_CALIBRATION = {
 }
 
 
-@functools.cache
 def reference_dataset() -> DriveTestTable:
-    """The bundled 45-sample reference drive test with model predictions."""
+    """The bundled 45-sample reference drive test with model predictions, built afresh on each call."""
     distances, measured, *predicted = (tuple(map(float, col)) for col in zip(*_REFERENCE_ROWS))
     return DriveTestTable(distances, measured, dict(zip(_REFERENCE_PREDICTION_NAMES, predicted)))
 

@@ -81,7 +81,7 @@ def site_from_json(text: str) -> SiteConfig:
     """Parse a site from JSON; unknown or missing fields are rejected."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past the digit limit, or deep nesting
         raise DataError(f"invalid site JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError("site JSON must be an object")

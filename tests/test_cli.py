@@ -518,6 +518,29 @@ def test_oversized_site_integers_exit_2(run_cli, tmp_path, digits):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_site_json_exits_2(run_cli, tmp_path):
+    site = tmp_path / "site.json"
+    site.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_cli("calibrate", "--data", "embedded:reference", "--site", str(site))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{ERROR_PREFIX}invalid site JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+def test_compare_loads_the_site_it_is_given(run_cli, tmp_path):
+    corpus = ("compare", "--data", "embedded:reference")
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(*corpus, "--site", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(ERROR_PREFIX) and str(missing) in err and err.count("\n") == 1
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"tx_power_dbm": 30}')
+    assert run_cli(*corpus, "--site", str(malformed))[:2] == (2, "")
+    valid = tmp_path / "site.json"
+    valid.write_text(site_to_json(REFERENCE_SITE))
+    assert run_cli(*corpus, "--site", str(valid)) == run_cli(*corpus)
+
+
 def test_infer_missing_column_exits_2(run_cli):
     code, _, err = run_cli("infer", "--model", "fspl", "--data", "embedded:reference")
     assert code == 2

@@ -58,6 +58,10 @@ class TestReferenceDataset:
         assert a.samples == b.samples
         assert a.predictions == b.predictions
 
+    def test_mutating_one_result_leaves_the_next_intact(self):
+        reference_dataset().predictions.clear()
+        assert list(reference_dataset().predictions) == ["cost231_hata", "extended_cost231", "sui", "ericsson"]
+
 
 class TestParsing:
     def test_single_row(self):
@@ -108,6 +112,18 @@ class TestParsing:
     def test_ragged_row_rejected(self):
         with pytest.raises(DataError, match="row 2"):
             parse_drive_test_csv("distance_m,rssi_dbm\n500,-58\n400\n")
+
+    def test_a_lone_cr_ends_a_line(self):
+        assert parse_drive_test_csv("distance_m,rssi_dbm\r1,-70\n") == parse_drive_test_csv("distance_m,rssi_dbm\n1,-70\n")
+
+    def test_a_cell_past_the_csv_field_size_limit_names_its_line(self):
+        with pytest.raises(DataError, match=r"^line 2: field larger than field limit \(131072\)$"):
+            parse_drive_test_csv("distance_m,rssi_dbm\n1," + "7" * 140_000 + "\n")
+
+    def test_a_nul_byte_is_a_data_error(self):
+        # before Python 3.11 the csv module rejects the line; from 3.11 the cell holds the NUL and is not a number
+        with pytest.raises(DataError, match=r"^(line 2: line contains NUL|row 1, column rssi_dbm: not a number: '-61\\x00')$"):
+            parse_drive_test_csv("distance_m,rssi_dbm\n400,-61\x00\n")
 
 
 class TestRoundtrip:
