@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 from .dataset import PUBLISHED_CALIBRATION, _csv_text
 from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_mapping, checked_column, finite, nonnegative
-from .models import MODEL_IDS, PathLossModel, _model_arguments, _range_warnings, model_from_params
+from .models import MODEL_IDS, PathLossModel, _log_km, _model_arguments, _range_warnings, model_from_params
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
 _OVERFLOW = "{} series: a sum over its values overflows the float range"
@@ -400,7 +400,8 @@ def infer_site_parameters(
         for value in axis:
             _model_arguments({name: value})
 
-    sums = _screen_sums(distances, target) if _screenable(*target) else None
+    log_km = _log_km(distances)
+    sums = _screen_sums(log_km, target) if _screenable(*target) else None
     nearest = min(distances)
     ceiling = math.inf  # the lowest upper bound on a fit so far
     kept: list[tuple[float, dict[str, object], PathLossModel, float | None]] = []  # low, params, model, fit if known
@@ -411,7 +412,7 @@ def infer_site_parameters(
         try:
             model = model_from_params(model_id, params)
             screened = sums is not None and model.min_distance_m < nearest and _screenable(model.c0, model.c1, model.c2)
-            fit = None if screened else _fit(model, distances, target)
+            fit = None if screened else _fit(model, distances, log_km, target)
         except DomainError as exc:
             first_failure = first_failure or exc
             continue
@@ -423,7 +424,7 @@ def infer_site_parameters(
                 kept = [point for point in kept if point[0] <= ceiling]
     if not kept:
         raise DomainError(f"no {model_id} grid point can be scored; the first fails: {first_failure}")
-    fits = ((_fit(model, distances, target) if fit is None else fit, params) for _, params, model, fit in kept)
+    fits = ((_fit(model, distances, log_km, target) if fit is None else fit, params) for _, params, model, fit in kept)
     best_mse, best_params = min(fits, key=operator.itemgetter(0))  # the first of equal fits: product order
     return InferenceResult(model_id, best_params, best_mse, slope, math.prod(map(len, axes)))
 
@@ -433,15 +434,15 @@ def _screenable(*values: float) -> bool:
     return all(v == 0.0 or 1e-60 <= abs(v) <= 1e100 for v in values)
 
 
-def _fit(model: PathLossModel, distances: Sequence[float], target: Sequence[float]) -> float:
+def _fit(model: PathLossModel, distances: Sequence[float], log_km: Sequence[float], target: Sequence[float]) -> float:
     """The model's mean squared error against the target, sample by sample: the fit `infer_site_parameters` reports."""
-    error = list(map(operator.sub, model._losses(distances), target))  # `distances` is checked once, by the caller
+    error = list(map(operator.sub, model._losses(distances, log_km), target))  # `distances` is checked once, by the caller
     return _sum_squares(model.model_id, error) / len(error)
 
 
-def _screen_sums(distances: Sequence[float], target: Sequence[float]) -> tuple[list[float], list[float]]:
-    """The sum each term of the quadratic form takes, signed and of absolute values, in the order `_fit_bounds` uses."""
-    l1 = [math.log10(d) - 3.0 for d in distances]  # the floats `PathLossModel._losses` evaluates at
+def _screen_sums(l1: list[float], target: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The sum each term of the quadratic form takes over L = `_log_km` of the distances, signed and of absolute
+    values, in the order `_fit_bounds` uses."""
     l2 = list(map(operator.mul, l1, l1))
     pairs = ((l2, l1), (l2, l2), (l1, target), (l2, target), (target, target))
     l3, l4, l1t, l2t, tt = (list(map(operator.mul, a, b)) for a, b in pairs)

@@ -44,6 +44,7 @@ from .models import (
     MODEL_IDS,
     TERRAINS,
     _checked_distances,
+    _log_km,
     _make_model_kwargs,
     make_model,
 )
@@ -217,7 +218,7 @@ def _load_site(args: argparse.Namespace) -> SiteConfig:
     if args.site == REFERENCE_SITE_ALIAS:
         site = REFERENCE_SITE
     else:
-        site = site_from_json(_read_text(args.site, "utf-8"))
+        site = site_from_json(_read_text(args.site, "utf-8-sig"))
     overrides = {}
     if args.freq_mhz is not None:
         overrides["freq_mhz"] = args.freq_mhz
@@ -277,7 +278,9 @@ def _cmd_predict(args: argparse.Namespace) -> str:
     distances = _checked_distances(args.distances if args.distances is not None else [args.distance_m])
     model_ids = _selected_models(args, ())
     models = _bound_models(args, site, model_ids)
-    columns = {mid: models[mid]._losses(distances) for mid in model_ids}  # the distances are checked once, above
+    log_km = _log_km(distances)
+    columns = {mid: models[mid]._losses(distances, log_km) for mid in model_ids}  # the distances are checked once, above
+    del log_km  # not kept alive while the output is formatted
     if args.format == "json":
         payload = {"distances_m": distances, "path_loss_db": columns}
         return json.dumps(payload, indent=2) + "\n"
@@ -290,10 +293,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
     table = _load_table(args.data)
     models = _bound_models(args, site, _selected_models(args, MODEL_IDS))
     budget = site.budget_db
+    log_km = _log_km(table.distances_m)
     predictions = {  # the table checked its distances, so the models evaluate them unchecked
-        mid: [budget - loss for loss in model._losses(table.distances_m)]
+        mid: [budget - loss for loss in model._losses(table.distances_m, log_km)]
         for mid, model in models.items()
     }
+    del log_km  # not kept alive while the predictions are scored
     report = calibrate(table.measured_rss_dbm, predictions, acceptable_mse_db2=args.acceptable_mse)
     return _report_output(report, args.format)
 
@@ -395,8 +400,9 @@ def _cmd_plot(args: argparse.Namespace) -> str:
     to_evaluate = [mid for mid in _selected_models(args, ()) if mid not in table.predictions]
     models = _bound_models(args, site, to_evaluate)
     distances = table.distances_m  # checked by the table, so the models evaluate them unchecked
+    log_km = _log_km(distances)
     for mid in to_evaluate:
-        rss = [predict_rss(site, loss) for loss in models[mid]._losses(distances)]
+        rss = [predict_rss(site, loss) for loss in models[mid]._losses(distances, log_km)]
         table = with_prediction(table, mid, rss)
     base_names = list(table.predictions)
     measured = table.measured_rss_dbm

@@ -117,39 +117,88 @@ def _parse_cells(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[f
     raise AssertionError("no bad cell found")
 
 
-def parse_drive_test_csv(text: str) -> DriveTestTable:
-    """Parse drive-test CSV text into a validated table.
+def _is_blank(row: Sequence[str]) -> bool:
+    """Whether a row holds no cell but whitespace: such rows are skipped."""
+    return not (row and (row[0].strip() or any(cell.strip() for cell in row)))
 
-    The header must start ``distance_m,rssi_dbm``; any further columns
-    must be named ``pred_<model>``.  Blank lines are skipped.  Errors
-    carry 1-based row and column positions.
+
+def _checked_header(row: Sequence[str]) -> list[str]:
+    """The header's cells, stripped; a header that is not ``distance_m,rssi_dbm[,pred_<model>...]`` raises."""
+    header = [cell.strip() for cell in row]
+    if tuple(header[:2]) != CSV_HEADER:
+        raise DataError(
+            f"line 1: header must start {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
+        )
+    for cell in header[2:]:
+        if not cell.startswith(PREDICTION_PREFIX) or len(cell) == len(PREDICTION_PREFIX):
+            raise DataError(f"line 1: prediction column must be named {PREDICTION_PREFIX}<model>, got {cell!r}")
+    if len(set(header)) != len(header):  # only the prediction columns can repeat
+        raise DataError("line 1: duplicate prediction columns")
+    return header
+
+
+def _plain_cells(text: str) -> tuple[list[str], list[float]] | None:
+    """`_csv_cells` of text that splitting on "\\n" and "," reads as `csv.reader` does, and None for other text.
+
+    That is text with no quote, no NUL, no "\\r" outside a "\\r\\n" and no
+    line longer than the csv field size limit, whose first line is the
+    header and whose data lines each hold a number in every cell of the
+    header's width.
     """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")  # not `splitlines`, which also ends a line at "\x0c", "\x85", "\u2028" and others
+    if not lines[-1]:
+        lines.pop()
+    limit = csv.field_size_limit()
+    if not lines or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    header_row = lines[0].split(",")
+    if _is_blank(header_row):
+        return None
+    header = _checked_header(header_row)
+    del lines[0]
+    if set(map(str.count, lines, itertools.repeat(","))) != {len(header) - 1}:
+        return None  # a ragged, blank or whitespace-only line, or no data line
+    cells = ",".join(lines).split(",")  # one flat list: a list per row would cost its own allocation and GC passes
+    del lines
+    try:
+        return header, list(map(float, cells))
+    except ValueError:  # a bad cell, or a line of only commas
+        return None
+
+
+def _csv_cells(text: str) -> tuple[list[str], list[float]]:
+    """The header and every data cell as a float, read by `csv.reader`; the first bad line, row or cell raises."""
     reader = csv.reader(io.StringIO(text, newline=""))  # "\r", "\n" and "\r\n" each end a line, as in a file
     try:
-        rows = [row for row in reader if row and (row[0].strip() or any(cell.strip() for cell in row))]
+        rows = [row for row in reader if not _is_blank(row)]
     except csv.Error as exc:  # a cell past the field size limit, or a NUL byte before Python 3.11
         raise DataError(f"line {reader.line_num}: {exc}") from None
     del reader  # its StringIO holds a copy of `text`, four bytes a character
     if not rows:
         raise DataError("empty drive-test CSV")
-    header = [cell.strip() for cell in rows[0]]
-    if tuple(header[:2]) != CSV_HEADER:
-        raise DataError(
-            f"line 1: header must start {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
-        )
-    pred_names = []
-    for cell in header[2:]:
-        if not cell.startswith(PREDICTION_PREFIX) or len(cell) == len(PREDICTION_PREFIX):
-            raise DataError(f"line 1: prediction column must be named {PREDICTION_PREFIX}<model>, got {cell!r}")
-        pred_names.append(cell[len(PREDICTION_PREFIX):])
-    if len(set(pred_names)) != len(pred_names):
-        raise DataError("line 1: duplicate prediction columns")
-
+    header = _checked_header(rows[0])
     del rows[0]
-    cells = _parse_cells(header, rows)
-    del rows
+    return header, _parse_cells(header, rows)
+
+
+def parse_drive_test_csv(text: str) -> DriveTestTable:
+    """Parse drive-test CSV text into a validated table.
+
+    The header must start ``distance_m,rssi_dbm``; any further columns
+    must be named ``pred_<model>``.  Blank lines are skipped.  Quoted
+    cells follow RFC 4180, as `csv.reader` reads them.  Errors carry
+    1-based row and column positions.
+    """
+    header, cells = _plain_cells(text) or _csv_cells(text)
     width = len(header)
     columns = [tuple(cells[k::width]) for k in range(width)]
+    pred_names = [name[len(PREDICTION_PREFIX):] for name in header[2:]]
     return DriveTestTable(columns[0], columns[1], dict(zip(pred_names, columns[2:])))
 
 

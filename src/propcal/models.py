@@ -359,17 +359,17 @@ class PathLossModel:
         """
         return self._losses(_checked_distances(distances_m))
 
-    def _losses(self, distances_m: Sequence[float]) -> list[float]:
-        """`path_loss_series` of distances already checked to be positive floats, as by `_checked_distances`."""
+    def _losses(self, distances_m: Sequence[float], log_km: Sequence[float] | None = None) -> list[float]:
+        """`path_loss_series` of distances already checked to be positive floats, as by `_checked_distances`;
+        `log_km` is their `_log_km`, given by a caller that evaluates several models at the same distances."""
         bound = self.min_distance_m
         if bound and distances_m and min(distances_m) <= bound:
             d = next(d for d in distances_m if d <= bound)
             raise DomainError(f"sui_path_loss requires distance_m > d0 ({bound:g} m), got {d:g} m")
         if self.range_notes:
             _range_warnings(self.range_notes, len(distances_m))
-        log10 = math.log10
         c0, c1, c2 = self.c0, self.c1, self.c2
-        losses = [c0 + (c1 + c2 * (L := log10(d) - 3.0)) * L for d in distances_m]
+        losses = [c0 + (c1 + c2 * L) * L for L in (_log_km(distances_m) if log_km is None else log_km)]
         if not math.isfinite(sum(losses)):
             for d, loss in zip(distances_m, losses):
                 if not math.isfinite(loss):
@@ -386,6 +386,12 @@ def _range_warnings(notes: tuple[str, ...], times: int = 1) -> None:
     for _ in range(times):
         for note in notes:
             warnings.warn(note, ModelRangeWarning)
+
+
+def _log_km(distances_m: Iterable[float]) -> list[float]:
+    """L = log10(d_km) at each distance in meters: the variable every bound model is a polynomial in."""
+    log10 = math.log10
+    return [log10(d) - 3.0 for d in distances_m]
 
 
 def _checked_distances(distances_m: Iterable[object]) -> tuple[float, ...]:

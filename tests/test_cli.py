@@ -277,9 +277,10 @@ def test_site_override_changes_predictions(run_cli):
     assert base != taller
 
 
-def test_site_file_matches_alias(run_cli, tmp_path):
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"], ids=["plain", "bom"])
+def test_site_file_matches_alias(run_cli, tmp_path, encoding):
     path = tmp_path / "site.json"
-    path.write_text(site_to_json(REFERENCE_SITE))
+    path.write_text(site_to_json(REFERENCE_SITE), encoding=encoding)
     _, from_file, _ = run_cli("predict", "--all", "--distance-m", "1500", "--site", str(path))
     _, from_alias, _ = run_cli("predict", "--all", "--distance-m", "1500", "--site", "table3")
     assert from_file == from_alias

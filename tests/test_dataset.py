@@ -20,6 +20,7 @@ from propcal import (
     serialize_drive_test_csv,
     with_prediction,
 )
+from propcal import dataset
 from propcal.dataset import RSS_MAX_DBM, RSS_MIN_DBM
 
 
@@ -265,6 +266,8 @@ def test_parse_inverts_serialize(table):
     again = parse_drive_test_csv(text)
     assert again == table
     assert serialize_drive_test_csv(again) == text
+    quoted = "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in text.splitlines())
+    assert parse_drive_test_csv(quoted) == table
 
 
 def _rowwise_reference(text: str) -> None:
@@ -378,3 +381,71 @@ def test_first_bad_cell_in_row_order_is_reported(case):
     with pytest.raises(DataError) as exc:
         parse_drive_test_csv(text)
     assert str(exc.value) == expected
+
+
+# -- the plain-text fast path against csv.reader ------------------------------
+
+# cells that a plain split and csv.reader could read apart, or that float() reads in an unusual way
+ODD_CELLS = (
+    "", " ", "n/a", "1.5.2", "nan", "inf", "-inf", "1_000", " 500 ", "\t-61\t", "1e3",
+    '"500"', '"-61"', '"1,5"', '""', '"a""b"', '"-61"x',
+    "-61\x00", "\x00",
+    "\x0c500", "500\x0c", "\x1c500", "-61\x1d", "\x1e-61", "-61\x85", "\u2028-61", "-61\u2029", "\x85",
+)
+LONG_CELL = "7" * 140_000  # past csv.field_size_limit(), which csv.reader enforces; float() reads it as inf
+BLANK_LINES = ("", " ", "\t", ",", ",,", " , ", "\x0c", "\x85", "\u2028")
+LINE_ENDS = ("\n", "\r\n", "\r")
+SPLITLINES_ONLY_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")  # not ends to csv
+
+
+@st.composite
+def near_plain_csv(draw) -> str:
+    """The plain text of a valid table, with up to three changes that may each send it off the fast path."""
+    lines = [line.split(",") for line in serialize_drive_test_csv(draw(tables())).splitlines()]
+    ends = ["\n"] * len(lines)
+    header = lines[0]
+    headers = ([f" {header[0]}", f"{header[1]} ", *header[2:]], [f'"{header[0]}"', *header[1:]], [*header, '"pred_a,b"'])
+    for _ in range(draw(st.integers(0, 3))):
+        change = draw(st.sampled_from(("cell", "long", "blank", "end", "ragged", "header", "last")))
+        row = draw(st.integers(0, len(lines) - 1))
+        if change == "cell":
+            lines[row][draw(st.integers(0, len(lines[row]) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        elif change == "long":
+            lines[row][-1] = LONG_CELL
+        elif change == "blank":  # also after the last line
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.sampled_from(BLANK_LINES)).split(","))
+            ends.insert(at, draw(st.sampled_from(LINE_ENDS)))
+        elif change == "end":
+            ends[row] = draw(st.sampled_from(LINE_ENDS + SPLITLINES_ONLY_ENDS))
+        elif change == "ragged":
+            if draw(st.booleans()):
+                lines[row].append("-60")
+            else:
+                lines[row].pop()
+        elif change == "header":
+            lines[0] = draw(st.sampled_from(headers))
+        else:
+            ends[-1] = draw(st.sampled_from(("",) + LINE_ENDS))
+    return "".join(",".join(cells) + end for cells, end in zip(lines, ends))
+
+
+def _cells_or_error(split, text):
+    try:
+        return repr(split(text))  # repr tells nan, -0.0 and 0.0 apart
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_plain_csv())
+def test_the_fast_path_reads_what_csv_reader_reads(text):
+    fast = _cells_or_error(dataset._plain_cells, text)
+    if fast != "None":
+        assert fast == _cells_or_error(dataset._csv_cells, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables())
+def test_serialized_tables_take_the_fast_path(table):
+    assert dataset._plain_cells(serialize_drive_test_csv(table)) is not None

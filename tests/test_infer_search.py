@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from propcal import MODEL_IDS, TERRAIN_A, DomainError, decade_slope, infer_site_parameters, model_from_params
 from propcal.calibration import _fit, _fit_bounds, _screen_sums, _screenable
 from propcal.cli import _default_grid
-from propcal.models import PathLossModel
+from propcal.models import PathLossModel, _log_km
 
 pytestmark = pytest.mark.filterwarnings("ignore::propcal.models.ModelRangeWarning")
 
@@ -144,8 +144,9 @@ def screened_points(draw):
 @given(screened_points())
 def test_each_screened_interval_holds_the_fit_scored_sample_by_sample(case):
     model, distances, loss = case
-    low, high = _fit_bounds(model, _screen_sums(distances, loss))
-    assert low <= _fit(model, distances, loss) <= high
+    log_km = _log_km(distances)
+    low, high = _fit_bounds(model, _screen_sums(log_km, loss))
+    assert low <= _fit(model, distances, log_km, loss) <= high
 
 
 def _drive_test(model_id, seed=1, rows=300):
@@ -161,7 +162,7 @@ def test_a_drive_test_scores_few_grid_points_sample_by_sample(model_id, monkeypa
     distances, loss = _drive_test(model_id)
     scored = []
     losses = PathLossModel._losses
-    monkeypatch.setattr(PathLossModel, "_losses", lambda model, d: scored.append(model) or losses(model, d))
+    monkeypatch.setattr(PathLossModel, "_losses", lambda model, *args: scored.append(model) or losses(model, *args))
     result = infer_site_parameters(distances, loss, model_id, _default_grid(model_id), base=BASE)
     assert 1 <= len(scored) <= 3
     assert result.evaluated == math.prod(map(len, _default_grid(model_id).values()))
