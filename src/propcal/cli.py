@@ -18,10 +18,9 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .calibration import (
-    CalibrationReport,
     calibrate,
     correction_factor,
     cost231_tx_height_from_slope,
@@ -264,23 +263,26 @@ def _model_params(args: argparse.Namespace, site: SiteConfig) -> dict[str, objec
     }
 
 
-def _bound_models(args: argparse.Namespace, site: SiteConfig, model_ids: Sequence[str]) -> dict[str, object]:
+def _evaluated(
+    args: argparse.Namespace, site: SiteConfig, model_ids: Sequence[str], distances: Sequence[float]
+) -> Iterator[tuple[str, list[float]]]:
+    """Each model's path loss at `distances`, already checked, as (model id, losses), one model at a time.
+
+    Every model is bound before any is evaluated, so a bind error is reported before any range warning.
+    `log_km` is freed once the last model is evaluated, before the caller scores or formats the losses.
+    """
     kwargs = _make_model_kwargs(_model_params(args, site))
-    return {mid: make_model(mid, **kwargs) for mid in model_ids}  # type: ignore[arg-type]
-
-
-def _report_output(report: CalibrationReport, fmt: str) -> str:
-    return report.to_json() if fmt == "json" else report.to_csv()
+    models = [(mid, make_model(mid, **kwargs)) for mid in model_ids]  # type: ignore[arg-type]
+    log_km = _log_km(distances)
+    for mid, model in models:
+        yield mid, model._losses(distances, log_km)
 
 
 def _cmd_predict(args: argparse.Namespace) -> str:
     site = _load_site(args)
     distances = _checked_distances(args.distances if args.distances is not None else [args.distance_m])
     model_ids = _selected_models(args, ())
-    models = _bound_models(args, site, model_ids)
-    log_km = _log_km(distances)
-    columns = {mid: models[mid]._losses(distances, log_km) for mid in model_ids}  # the distances are checked once, above
-    del log_km  # not kept alive while the output is formatted
+    columns = dict(_evaluated(args, site, model_ids, distances))
     if args.format == "json":
         payload = {"distances_m": distances, "path_loss_db": columns}
         return json.dumps(payload, indent=2) + "\n"
@@ -291,16 +293,13 @@ def _cmd_predict(args: argparse.Namespace) -> str:
 def _cmd_calibrate(args: argparse.Namespace) -> str:
     site = _load_site(args)
     table = _load_table(args.data)
-    models = _bound_models(args, site, _selected_models(args, MODEL_IDS))
     budget = site.budget_db
-    log_km = _log_km(table.distances_m)
-    predictions = {  # the table checked its distances, so the models evaluate them unchecked
-        mid: [budget - loss for loss in model._losses(table.distances_m, log_km)]
-        for mid, model in models.items()
+    predictions = {  # the table checked its distances
+        mid: [budget - loss for loss in losses]
+        for mid, losses in _evaluated(args, site, _selected_models(args, MODEL_IDS), table.distances_m)
     }
-    del log_km  # not kept alive while the predictions are scored
     report = calibrate(table.measured_rss_dbm, predictions, acceptable_mse_db2=args.acceptable_mse)
-    return _report_output(report, args.format)
+    return report.to_json() if args.format == "json" else report.to_csv()
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
@@ -312,7 +311,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
     if args.data == EMBEDDED_DATA:
         notes = report.notes + published_divergence_notes(report)
         report = dataclasses.replace(report, notes=notes)
-    return _report_output(report, args.format)
+    return report.to_json() if args.format == "json" else report.to_csv()
 
 
 def _cmd_reference(args: argparse.Namespace) -> str:
@@ -398,11 +397,8 @@ def _cmd_plot(args: argparse.Namespace) -> str:
     site = _load_site(args)
     table = _load_table(args.data)
     to_evaluate = [mid for mid in _selected_models(args, ()) if mid not in table.predictions]
-    models = _bound_models(args, site, to_evaluate)
-    distances = table.distances_m  # checked by the table, so the models evaluate them unchecked
-    log_km = _log_km(distances)
-    for mid in to_evaluate:
-        rss = [predict_rss(site, loss) for loss in models[mid]._losses(distances, log_km)]
+    for mid, losses in _evaluated(args, site, to_evaluate, table.distances_m):  # the table checked its distances
+        rss = [predict_rss(site, loss) for loss in losses]
         table = with_prediction(table, mid, rss)
     base_names = list(table.predictions)
     measured = table.measured_rss_dbm

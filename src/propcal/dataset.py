@@ -93,30 +93,6 @@ def _prediction_column(name: str, values: Iterable[object], rows: int) -> tuple[
     return _rss_column(f"{PREDICTION_PREFIX}{name}", values)
 
 
-def _parse_cells(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[float]:
-    """Every data cell as a float, in row-major order.
-
-    The fast path converts all cells at once.  If any row has the wrong
-    width or any cell is not a number, the rows are scanned in order
-    only to name the first bad one.
-    """
-    width = len(header)
-    if set(map(len, rows)) <= {width}:
-        try:
-            return list(map(float, itertools.chain.from_iterable(rows)))
-        except ValueError:
-            pass
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise DataError(f"row {i}: expected {width} cells, got {len(row)}")
-        for name, cell in zip(header, row):
-            try:
-                float(cell)
-            except ValueError:
-                raise DataError(f"row {i}, column {name}: not a number: {cell.strip()!r}") from None
-    raise AssertionError("no bad cell found")
-
-
 def _is_blank(row: Sequence[str]) -> bool:
     """Whether a row holds no cell but whitespace: such rows are skipped."""
     return not (row and (row[0].strip() or any(cell.strip() for cell in row)))
@@ -184,7 +160,17 @@ def _csv_cells(text: str) -> tuple[list[str], list[float]]:
         raise DataError("empty drive-test CSV")
     header = _checked_header(rows[0])
     del rows[0]
-    return header, _parse_cells(header, rows)
+    width = len(header)
+    cells: list[float] = []
+    for i, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise DataError(f"row {i}: expected {width} cells, got {len(row)}")
+        for name, cell in zip(header, row):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                raise DataError(f"row {i}, column {name}: not a number: {cell.strip()!r}") from None
+    return header, cells
 
 
 def parse_drive_test_csv(text: str) -> DriveTestTable:
@@ -195,6 +181,8 @@ def parse_drive_test_csv(text: str) -> DriveTestTable:
     cells follow RFC 4180, as `csv.reader` reads them.  Errors carry
     1-based row and column positions.
     """
+    if not isinstance(text, str):
+        raise DataError(f"text must be a str, got {type(text).__name__}")
     header, cells = _plain_cells(text) or _csv_cells(text)
     width = len(header)
     columns = [tuple(cells[k::width]) for k in range(width)]

@@ -79,6 +79,8 @@ def site_to_json(site: SiteConfig) -> str:
 
 def site_from_json(text: str) -> SiteConfig:
     """Parse a site from JSON; unknown or missing fields are rejected."""
+    if not isinstance(text, str):
+        raise DataError(f"text must be a str, got {type(text).__name__}")
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past the digit limit, or deep nesting

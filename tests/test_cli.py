@@ -8,6 +8,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -679,6 +680,20 @@ def test_non_finite_model_coefficients_exit_3(run_cli, flag):
     code, out, err = run_cli("predict", "--model", "sui", "--distance-m", "500", *flag)
     assert (code, out) == (3, "")
     assert err == f"{ERROR_PREFIX}sui: the parameters give a non-finite path-loss coefficient\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("predict", "--all", "--distance-m", "500"), ("calibrate", "--all", "--data", "embedded:reference")],
+    ids=["predict", "calibrate"],
+)
+def test_every_model_is_bound_before_any_is_evaluated(run_cli, argv):
+    # sui cannot be bound at this height; cost231_hata, ahead of it in --all, would warn when evaluated
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(*argv, "--tx-height", "1e-320")
+    assert result == (3, "", f"{ERROR_PREFIX}sui: the parameters give a non-finite path-loss coefficient\n")
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("case", ["undecodable_data", "undecodable_site", "out_is_a_directory", "out_in_a_missing_directory"])

@@ -6,7 +6,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propcal import (
@@ -125,6 +125,13 @@ class TestParsing:
         # before Python 3.11 the csv module rejects the line; from 3.11 the cell holds the NUL and is not a number
         with pytest.raises(DataError, match=r"^(line 2: line contains NUL|row 1, column rssi_dbm: not a number: '-61\\x00')$"):
             parse_drive_test_csv("distance_m,rssi_dbm\n400,-61\x00\n")
+
+    @pytest.mark.parametrize(
+        ("text", "kind"), [(b"distance_m,rssi_dbm\n400,-61\n", "bytes"), (None, "NoneType"), ([1.0], "list")]
+    )
+    def test_an_argument_that_is_not_text_is_a_data_error(self, text, kind):
+        with pytest.raises(DataError, match=f"^text must be a str, got {kind}$"):
+            parse_drive_test_csv(text)
 
 
 class TestRoundtrip:
@@ -335,11 +342,15 @@ def injections(draw, count):
     table = draw(tables())
     lines = [line.split(",") for line in serialize_drive_test_csv(table).splitlines()]
     width = len(lines[0])
+    cells = [width] * len(lines)  # each row's cells as `_inject` applies "width+" and "width-" in the order drawn
     chosen = []
     for _ in range(count):
         row = draw(st.integers(1, len(table)))
         column = draw(st.integers(0, width - 1))
-        kind = draw(st.sampled_from([k for k in BAD_CELLS if _bad_cell_applies(k, column)]))
+        # a "width-" only on a row with a cell left to remove; a row with none left is blank and skipped
+        kinds = [k for k in BAD_CELLS if _bad_cell_applies(k, column) and (k != "width-" or cells[row])]
+        kind = draw(st.sampled_from(kinds))
+        cells[row] += {"width+": 1, "width-": -1}.get(kind, 0)
         chosen.append((row, column, kind))
     return lines, chosen
 
@@ -369,6 +380,7 @@ def test_one_bad_cell_is_named_by_row_and_column(case):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 3).flatmap(injections))
+@example(([["distance_m", "rssi_dbm"], ["1", "0"]], [(1, 0, "width-")] * 2))  # two cells removed: a blank row
 def test_first_bad_cell_in_row_order_is_reported(case):
     text = _inject(*case)
     try:

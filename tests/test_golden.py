@@ -5,9 +5,10 @@ The comparison is numeric: JSON numbers within 1e-9, fixed-point CSV
 cells (one to four decimals) within one unit in their last place, and
 every other cell (repr floats, integers, names) within 1e-9 or equal.
 
-The CSV outputs under `golden/exact` are compared byte for byte: they
-pin the one CSV layout (unquoted cells, LF line ends, a final newline)
-and every digit printed, on every supported Python.
+The outputs under `golden/exact` are compared byte for byte: they pin
+the one CSV layout (unquoted cells, LF line ends, a final newline), the
+JSON layout (two-space indent, key order, a final newline) and every
+digit printed, on every supported Python.
 """
 
 import json
@@ -113,11 +114,13 @@ EXACT_COMMANDS = {
     "plot_all_rss.csv": GOLDEN_COMMANDS["plot_all_rss.csv"],
     "plot_all_pl.csv": GOLDEN_COMMANDS["plot_all_pl.csv"],
     "reference_dump.csv": ("reference", "--dump"),
+    **{name: argv for name, argv in GOLDEN_COMMANDS.items() if name.endswith(".json")},
+    "reference.json": ("reference",),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_COMMANDS))
-def test_cli_csv_output_matches_its_exact_golden_byte_for_byte(capsys, tmp_path, monkeypatch, name):
+def test_cli_output_matches_its_exact_golden_byte_for_byte(capsys, tmp_path, monkeypatch, name):
     (tmp_path / "falling.csv").write_text(FALLING_LOSS_CSV, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     want = (EXACT_DIR / name).read_bytes()

@@ -142,6 +142,11 @@ class TestJson:
         with pytest.raises(DataError, match="invalid site JSON"):
             site_from_json("{not json")
 
+    @pytest.mark.parametrize(("text", "kind"), [(None, "NoneType"), (site_to_json(REFERENCE_SITE).encode(), "bytes")])
+    def test_an_argument_that_is_not_text_is_a_data_error(self, text, kind):
+        with pytest.raises(DataError, match=f"^text must be a str, got {kind}$"):
+            site_from_json(text)
+
     def test_integer_too_large_for_a_float_rejected(self):
         text = site_to_json(REFERENCE_SITE).replace("2530.0", "9" * 401)
         with pytest.raises(DataError, match="^site field freq_mhz must fit a float, got an integer too large for one$"):
