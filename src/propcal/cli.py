@@ -123,93 +123,104 @@ def _parse_grid_axis(text: str) -> tuple[str, list[object]]:
     return name, values
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The propcal parser; if `argv` starts with a command name, only that command's subparser is built."""
     nonnegative_arg = functools.partial(_float_arg, allow_zero=True)
-    site_flags = argparse.ArgumentParser(add_help=False)
-    site_flags.add_argument(
-        "--site",
-        default=REFERENCE_SITE_ALIAS,
-        metavar="PATH",
-        help=f"site JSON path, or '{REFERENCE_SITE_ALIAS}' for the built-in reference site (default)",
-    )
-    site_flags.add_argument("--freq-mhz", type=_float_arg, help="override site frequency")
-    site_flags.add_argument("--tx-height", type=_float_arg, metavar="M", help="override transmit height")
-    site_flags.add_argument("--rx-height", type=_float_arg, metavar="M", help="override receive height")
 
-    model_flags = argparse.ArgumentParser(add_help=False)
-    model_flags.add_argument("--env", choices=sorted(_ENV_CHOICES), default="medium", help="clutter class (default medium)")
-    model_flags.add_argument("--terrain", choices=sorted(TERRAINS), default="B", help="terrain class (default B)")
-    model_flags.add_argument(
-        "--sui-xh-denom",
-        type=float,
-        choices=(2.0, 2000.0),
-        default=2.0,
-        metavar="{2,2000}",
-        help="receiver-height normalizer in the SUI height correction (default 2)",
-    )
-    model_flags.add_argument("--sui-shadow", type=nonnegative_arg, default=0.0, metavar="S", help="SUI shadow term in dB (default 0)")
-    model_flags.add_argument("--tx-gain-linear", type=_float_arg, default=1.0, metavar="G", help="linear transmit gain used by fspl (default 1)")
+    def site_flags(parser: _Parser) -> None:
+        parser.add_argument(
+            "--site",
+            default=REFERENCE_SITE_ALIAS,
+            metavar="PATH",
+            help=f"site JSON path, or '{REFERENCE_SITE_ALIAS}' for the built-in reference site (default)",
+        )
+        parser.add_argument("--freq-mhz", type=_float_arg, help="override site frequency")
+        parser.add_argument("--tx-height", type=_float_arg, metavar="M", help="override transmit height")
+        parser.add_argument("--rx-height", type=_float_arg, metavar="M", help="override receive height")
 
-    data_flags = argparse.ArgumentParser(add_help=False)
-    data_flags.add_argument(
-        "--data",
-        required=True,
-        metavar="PATH",
-        help=f"drive-test CSV path, or '{EMBEDDED_DATA}' for the bundled corpus",
-    )
+    def model_flags(parser: _Parser) -> None:
+        parser.add_argument("--env", choices=sorted(_ENV_CHOICES), default="medium", help="clutter class (default medium)")
+        parser.add_argument("--terrain", choices=sorted(TERRAINS), default="B", help="terrain class (default B)")
+        parser.add_argument(
+            "--sui-xh-denom",
+            type=float,
+            choices=(2.0, 2000.0),
+            default=2.0,
+            metavar="{2,2000}",
+            help="receiver-height normalizer in the SUI height correction (default 2)",
+        )
+        parser.add_argument("--sui-shadow", type=nonnegative_arg, default=0.0, metavar="S", help="SUI shadow term in dB (default 0)")
+        parser.add_argument("--tx-gain-linear", type=_float_arg, default=1.0, metavar="G", help="linear transmit gain used by fspl (default 1)")
 
-    out_flags = argparse.ArgumentParser(add_help=False)
-    out_flags.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    def data_flags(parser: _Parser) -> None:
+        parser.add_argument("--data", required=True, metavar="PATH", help=f"drive-test CSV path, or '{EMBEDDED_DATA}' for the bundled corpus")
 
+    def out_flags(parser: _Parser) -> None:
+        parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+
+    def predict(parser: _Parser) -> None:
+        group = parser.add_mutually_exclusive_group(required=True)
+        group.add_argument("--model", choices=MODEL_IDS)
+        group.add_argument("--all", action="store_true", help="all five models")
+        dist = parser.add_mutually_exclusive_group(required=True)
+        dist.add_argument("--distance-m", type=_float_arg, metavar="D")
+        dist.add_argument("--distances", type=_parse_distances, metavar="START:STOP:STEP")
+        parser.add_argument("--format", choices=("json", "csv"), default="csv")
+
+    def calibrate(parser: _Parser) -> None:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--model", choices=MODEL_IDS)
+        group.add_argument("--all", action="store_true", help="all five models (default)")
+
+    def report_flags(parser: _Parser) -> None:
+        parser.add_argument("--acceptable-mse", type=nonnegative_arg, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
+        parser.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def reference(parser: _Parser) -> None:
+        parser.add_argument("--dump", action="store_true", help="emit the corpus as drive-test CSV")
+
+    def infer(parser: _Parser) -> None:
+        parser.add_argument("--model", choices=MODEL_IDS, required=True)
+        parser.add_argument("--column", metavar="NAME", help="prediction column to fit (default: the model id)")
+        parser.add_argument(
+            "--grid",
+            type=_parse_grid_axis,
+            action="append",
+            metavar="NAME=SPEC",
+            help="search axis as NAME=START:STOP:STEP or NAME=v1,v2,...; repeatable (default: a per-model grid)",
+        )
+        parser.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def plot(parser: _Parser) -> None:
+        parser.add_argument(
+            "--data",
+            default=EMBEDDED_DATA,
+            metavar="PATH",
+            help=f"drive-test CSV path (default '{EMBEDDED_DATA}')",
+        )
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--model", choices=MODEL_IDS, help="also evaluate this model at the sample distances")
+        group.add_argument("--all", action="store_true", help="also evaluate all five models")
+        parser.add_argument("--quantity", choices=("rss", "pl"), default="rss", help="y axis: received signal or path loss (default rss)")
+
+    # each command's help, then the flag sets its subparser gets, in the order its --help lists them
+    subcommands = {
+        "predict": ("evaluate path loss over distances", site_flags, model_flags, out_flags, predict),
+        "calibrate": ("fit correction factors for freshly evaluated models", data_flags, site_flags, model_flags, out_flags, calibrate, report_flags),
+        "compare": ("calibrate the prediction columns already in the data", data_flags, site_flags, out_flags, report_flags),
+        "reference": ("dump or summarize the bundled reference corpus", out_flags, reference),
+        "infer": ("grid-search the parameters behind a prediction column", data_flags, site_flags, model_flags, out_flags, infer),
+        "plot": ("emit distance-sorted series for plotting", site_flags, model_flags, out_flags, plot),
+    }
     parser = _Parser(prog="propcal", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    predict = commands.add_parser("predict", parents=[site_flags, model_flags, out_flags], help="evaluate path loss over distances")
-    group = predict.add_mutually_exclusive_group(required=True)
-    group.add_argument("--model", choices=MODEL_IDS)
-    group.add_argument("--all", action="store_true", help="all five models")
-    dist = predict.add_mutually_exclusive_group(required=True)
-    dist.add_argument("--distance-m", type=_float_arg, metavar="D")
-    dist.add_argument("--distances", type=_parse_distances, metavar="START:STOP:STEP")
-    predict.add_argument("--format", choices=("json", "csv"), default="csv")
-
-    cal = commands.add_parser("calibrate", parents=[data_flags, site_flags, model_flags, out_flags], help="fit correction factors for freshly evaluated models")
-    group = cal.add_mutually_exclusive_group()
-    group.add_argument("--model", choices=MODEL_IDS)
-    group.add_argument("--all", action="store_true", help="all five models (default)")
-    cal.add_argument("--acceptable-mse", type=nonnegative_arg, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
-    cal.add_argument("--format", choices=("json", "csv"), default="json")
-
-    comp = commands.add_parser("compare", parents=[data_flags, site_flags, out_flags], help="calibrate the prediction columns already in the data")
-    comp.add_argument("--acceptable-mse", type=nonnegative_arg, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
-    comp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    ref = commands.add_parser("reference", parents=[out_flags], help="dump or summarize the bundled reference corpus")
-    ref.add_argument("--dump", action="store_true", help="emit the corpus as drive-test CSV")
-
-    infer = commands.add_parser("infer", parents=[data_flags, site_flags, model_flags, out_flags], help="grid-search the parameters behind a prediction column")
-    infer.add_argument("--model", choices=MODEL_IDS, required=True)
-    infer.add_argument("--column", metavar="NAME", help="prediction column to fit (default: the model id)")
-    infer.add_argument(
-        "--grid",
-        type=_parse_grid_axis,
-        action="append",
-        metavar="NAME=SPEC",
-        help="search axis as NAME=START:STOP:STEP or NAME=v1,v2,...; repeatable (default: a per-model grid)",
-    )
-    infer.add_argument("--format", choices=("json", "csv"), default="json")
-
-    plot = commands.add_parser("plot", parents=[site_flags, model_flags, out_flags], help="emit distance-sorted series for plotting")
-    plot.add_argument(
-        "--data",
-        default=EMBEDDED_DATA,
-        metavar="PATH",
-        help=f"drive-test CSV path (default '{EMBEDDED_DATA}')",
-    )
-    group = plot.add_mutually_exclusive_group()
-    group.add_argument("--model", choices=MODEL_IDS, help="also evaluate this model at the sample distances")
-    group.add_argument("--all", action="store_true", help="also evaluate all five models")
-    plot.add_argument("--quantity", choices=("rss", "pl"), default="rss", help="y axis: received signal or path loss (default rss)")
+    # anything but a command name first (no arguments, --help, a misspelled command) gets every subparser,
+    # so top-level help and the errors that list the commands read as they did
+    selected = [argv[0]] if argv and argv[0] in subcommands else subcommands
+    for name in selected:
+        subparser = commands.add_parser(name, help=subcommands[name][0])
+        for add_flags in subcommands[name][1:]:
+            add_flags(subparser)
     return parser
 
 
@@ -430,10 +441,11 @@ _EXIT_CODES = {UsageError: 1, DataError: 2, OSError: 2, DomainError: 3}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         output = _COMMANDS[args.command](args)
-        if args.out:
+        if args.out is not None:  # an empty path fails to open, as it does for --data and --site
             with open(args.out, "w", encoding="utf-8") as file:
                 file.write(output)
         else:

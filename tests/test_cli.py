@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -609,6 +610,83 @@ def test_the_flag_surface_is_pinned():
         assert surface(subparser) == list(FLAG_SURFACE[name].items()), name
 
 
+def _subparsers(parser):
+    [commands] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def _action_surface(parser):
+    # what parsing and --help read of each action and group; each build makes its own partial for the bounded flags
+    def type_key(kind):
+        return (kind.func, kind.keywords) if isinstance(kind, functools.partial) else kind
+
+    actions = [
+        (type(a), a.option_strings, a.dest, a.nargs, a.const, a.default, type_key(a.type), a.choices, a.required, a.help, a.metavar)
+        for a in parser._actions
+    ]
+    groups = [([a.dest for a in group._group_actions], group.required) for group in parser._mutually_exclusive_groups]
+    return actions, groups
+
+
+@pytest.mark.parametrize("name", list(FLAG_SURFACE))
+def test_a_command_alone_gets_the_subparser_of_the_full_tree(name):
+    full = _subparsers(cli._build_parser())[name]
+    alone = _subparsers(cli._build_parser([name]))
+    assert list(alone) == [name]
+    assert _action_surface(alone[name]) == _action_surface(full)
+    assert alone[name].format_help() == full.format_help()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # no command first: these get the full tree
+        (),
+        ("--help",),
+        ("bogus",),
+        ("pred",),
+        ("--", "compare", "--data", "embedded:reference"),
+        ("--data", "x", "compare"),
+        # a command first: these get its subparser alone
+        ("compare", "--help"),
+        ("compare", "--data", "embedded:reference", "extra"),
+        ("compare", "--dat", "embedded:reference"),
+        ("predict", "--model", "bogus", "--distance-m", "1"),
+        ("plot", "--all", "--quantity", "pl"),
+    ],
+)
+def test_main_answers_as_the_full_tree_does(run_cli, monkeypatch, argv):
+    got = run_cli(*argv)
+    full_tree = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=(): full_tree())
+    assert got == run_cli(*argv)
+
+
+def test_a_command_builds_only_its_own_subparser(run_cli, monkeypatch):
+    # the top-level parser and one subparser, not all six: building them was most of a corpus command's time
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert run_cli("compare", "--data", "embedded:reference")[0] == 0
+    assert built == ["propcal", "propcal compare"]
+    built.clear()
+    assert run_cli("--help")[0] == 0
+    assert built == ["propcal", *(f"propcal {name}" for name in FLAG_SURFACE)]
+
+
+def test_main_without_arguments_reads_sys_argv(run_cli, capsys, monkeypatch):
+    argv = ("compare", "--data", "embedded:reference")
+    want = run_cli(*argv)
+    monkeypatch.setattr(sys, "argv", ["propcal", *argv])
+    code = cli.main()
+    assert (code, *capsys.readouterr()) == want
+
+
 def test_module_entrypoint():
     # run from the directory holding the imported package, so the child
     # finds it without PYTHONPATH
@@ -696,7 +774,9 @@ def test_every_model_is_bound_before_any_is_evaluated(run_cli, argv):
     assert [str(w.message) for w in caught] == []
 
 
-@pytest.mark.parametrize("case", ["undecodable_data", "undecodable_site", "out_is_a_directory", "out_in_a_missing_directory"])
+@pytest.mark.parametrize(
+    "case", ["undecodable_data", "undecodable_site", "out_is_a_directory", "out_in_a_missing_directory", "out_is_empty"]
+)
 def test_file_errors_exit_2_naming_the_path(run_cli, tmp_path, case):
     undecodable = tmp_path / "latin1.txt"
     undecodable.write_bytes(b"distance_m,rssi_dbm\n400,-61\xff\n")
@@ -709,6 +789,8 @@ def test_file_errors_exit_2_naming_the_path(run_cli, tmp_path, case):
             tmp_path / "missing" / "x.json",
             ("compare", *corpus, "--out", str(tmp_path / "missing" / "x.json")),
         ),
+        # the message quotes the empty path, as it does an empty --data or --site
+        "out_is_empty": ("''", ("predict", "--model", "fspl", "--distance-m", "1", "--out", "")),
     }[case]
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
