@@ -271,6 +271,8 @@ def published_divergence_notes(
     the two printed cells appear transposed instead of flagging the
     recomputation as wrong.
     """
+    if not isinstance(report, CalibrationReport):
+        raise DataError(f"report must be a CalibrationReport, got {type(report).__name__}")
     notes: list[str] = []
     for model_id, pub in published.items():
         calib = report.models.get(model_id)

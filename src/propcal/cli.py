@@ -295,8 +295,12 @@ def _cmd_predict(args: argparse.Namespace) -> str:
     model_ids = _selected_models(args, ())
     columns = dict(_evaluated(args, site, model_ids, distances))
     if args.format == "json":
-        payload = {"distances_m": distances, "path_loss_db": columns}
-        return json.dumps(payload, indent=2) + "\n"
+        # the bytes of json.dumps(..., indent=2) + "\n": the frame is written here and each list by json with the
+        # indent off, so that its C encoder runs; every value is finite, as _checked_distances and _losses checked
+        def array(values: Sequence[float], pad: str) -> str:
+            return "[\n" + pad + json.dumps(values, separators=(",\n" + pad, ": "))[1:-1] + "\n" + pad[:-2] + "]"
+        losses = ",\n    ".join(f"{json.dumps(mid)}: {array(column, ' ' * 6)}" for mid, column in columns.items())
+        return f'{{\n  "distances_m": {array(distances, " " * 4)},\n  "path_loss_db": {{\n    {losses}\n  }}\n}}\n'
     cells = [map(_format_value, distances)] + [map("{:.4f}".format, columns[mid]) for mid in model_ids]
     return _csv_text(["distance_m"] + [f"pl_{mid}" for mid in model_ids], zip(*cells))
 

@@ -201,6 +201,8 @@ def _csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
 
 def serialize_drive_test_csv(table: DriveTestTable) -> str:
     """Render a table back to CSV text; parse/serialize round-trips."""
+    if not isinstance(table, DriveTestTable):
+        raise DataError(f"table must be a DriveTestTable, got {type(table).__name__}")
     header = CSV_HEADER + tuple(f"{PREDICTION_PREFIX}{n}" for n in table.predictions)
     columns = (table.distances_m, table.measured_rss_dbm, *table.predictions.values())
     return _csv_text(header, zip(*(map(_format_value, column) for column in columns)))

@@ -74,6 +74,8 @@ def path_loss_from_rss(site: SiteConfig, rss_dbm: float) -> float:
 
 def site_to_json(site: SiteConfig) -> str:
     """Serialize a site to JSON with stable key order."""
+    if not isinstance(site, SiteConfig):
+        raise DataError(f"site must be a SiteConfig, got {type(site).__name__}")
     return json.dumps(asdict(site), indent=2) + "\n"
 
 

@@ -246,6 +246,8 @@ def extended_cost231(
 
 def sui_gamma(tx_height_m: float, terrain: TerrainCategory) -> float:
     """SUI path-loss exponent: a - b*hb + c/hb for the terrain class."""
+    if not isinstance(terrain, TerrainCategory):
+        raise DomainError(f"terrain must be a TerrainCategory, got {type(terrain).__name__}")
     tx_height_m = positive("tx_height_m", tx_height_m)
     return terrain.a - terrain.b * tx_height_m + terrain.c / tx_height_m
 

@@ -723,6 +723,11 @@ class TestPublishedDivergence:
             "sui: computed after-correction mse 47.3460 dB^2 differs from published 100 dB^2",
         )
 
+    @pytest.mark.parametrize(("report", "kind"), [(None, "NoneType"), ({"models": {}}, "dict")])
+    def test_a_report_that_is_not_a_calibration_report_is_a_data_error(self, report, kind):
+        with pytest.raises(DataError, match=f"^report must be a CalibrationReport, got {kind}$"):
+            published_divergence_notes(report)
+
 
 def test_models_constant_is_complete():
     assert MODEL_IDS == ("fspl", "cost231_hata", "extended_cost231", "sui", "ericsson")

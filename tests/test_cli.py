@@ -865,3 +865,70 @@ def test_json_and_csv_reports_carry_the_same_values(drive_test_path, text, comma
         assert row[-1] == ("true" if model_id == report["best_model"] else "false")
     if command == "compare":
         assert report["models"]["flat"]["pearson_r"] is None
+
+
+def _number_flag(low, high):
+    return st.floats(low, high).map(lambda v: (repr(v), v))
+
+
+# site and model flags of `predict`: each flag's text with the value `make_model` takes for it, and its default
+PREDICT_FLAGS = {
+    "--freq-mhz": (_number_flag(1.0, 1e4), REFERENCE_SITE.freq_mhz),
+    "--tx-height": (_number_flag(1.0, 300.0), REFERENCE_SITE.tx_height_m),
+    "--rx-height": (_number_flag(0.5, 20.0), REFERENCE_SITE.rx_height_m),
+    "--env": (st.sampled_from([("medium", propcal.MEDIUM_SUBURBAN), ("metro", propcal.METROPOLITAN)]), propcal.MEDIUM_SUBURBAN),
+    "--terrain": (st.sampled_from(sorted(propcal.TERRAINS.items())), propcal.TERRAINS["B"]),
+    "--sui-xh-denom": (st.sampled_from([("2", 2.0), ("2000", 2000.0)]), 2.0),
+    "--sui-shadow": (_number_flag(0.0, 20.0), 0.0),
+    "--tx-gain-linear": (_number_flag(0.1, 100.0), 1.0),
+}
+EXTREME_DISTANCES = st.sampled_from([5e-324, 1e308, 900.0, 1234.5])
+
+
+@st.composite
+def predict_json_argv(draw):
+    """`predict --format json` argv, with the models, distances and model binding it stands for."""
+    model_ids = draw(st.sampled_from([None, *propcal.MODEL_IDS]))
+    argv = ["predict", *(["--all"] if model_ids is None else ["--model", model_ids]), "--format", "json"]
+    model_ids = propcal.MODEL_IDS if model_ids is None else (model_ids,)
+    if draw(st.booleans()):
+        distances = [draw(EXTREME_DISTANCES | st.floats(5e-324, 1e308))]
+        argv += ["--distance-m", repr(distances[0])]
+    else:  # one point, or up to 20 at an integer or fractional step
+        start = draw(EXTREME_DISTANCES | st.floats(1.0, 1e5))
+        step = draw(st.sampled_from([0.7, 37.5, 50.0, 1e3]) | st.floats(1e-3, 1e4))
+        stop = start + draw(st.integers(0, 19)) * step + draw(st.sampled_from([0.0, step / 3]))
+        argv += ["--distances", f"{start!r}:{stop!r}:{step!r}"]
+        distances = cli._frange(start, stop, step)
+    value = {flag: default for flag, (_, default) in PREDICT_FLAGS.items()}
+    for flag in draw(st.lists(st.sampled_from(sorted(PREDICT_FLAGS)), unique=True)):
+        text, value[flag] = draw(PREDICT_FLAGS[flag][0])
+        argv += [flag, text]
+    sui = propcal.SuiParams(terrain=value["--terrain"], shadow_db=value["--sui-shadow"], xh_denominator_m=value["--sui-xh-denom"])
+    site = (value["--freq-mhz"], value["--tx-height"], value["--rx-height"])
+    kwargs = {"environment": value["--env"], "sui_params": sui, "tx_gain_linear": value["--tx-gain-linear"]}
+    return argv, model_ids, distances, lambda mid: propcal.make_model(mid, *site, **kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=predict_json_argv())
+def test_predict_json_is_the_indent_2_dump_of_each_model_series(case):
+    argv, model_ids, distances, bind = case
+    try:
+        want = {mid: bind(mid).path_loss_series(distances) for mid in model_ids}
+    except propcal.DomainError:
+        want = None
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    if want is None:  # SUI at or below d0, or a loss past the float range
+        assert (code, out.getvalue()) == (3, "")
+        return
+    assert code == 0
+    text = out.getvalue()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert list(payload) == ["distances_m", "path_loss_db"]
+    assert payload["distances_m"] == distances
+    assert list(payload["path_loss_db"]) == list(model_ids)
+    assert payload["path_loss_db"] == want

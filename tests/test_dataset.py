@@ -146,6 +146,11 @@ class TestRoundtrip:
         table = parse_drive_test_csv(text)
         assert serialize_drive_test_csv(table) == text
 
+    @pytest.mark.parametrize(("table", "kind"), [("distance_m,rssi_dbm\n400,-61\n", "str"), (None, "NoneType")])
+    def test_serializing_what_is_not_a_table_is_a_data_error(self, table, kind):
+        with pytest.raises(DataError, match=f"^table must be a DriveTestTable, got {kind}$"):
+            serialize_drive_test_csv(table)
+
 
 class TestTableValidation:
     def test_misaligned_prediction_rejected(self):

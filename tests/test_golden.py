@@ -115,6 +115,9 @@ EXACT_COMMANDS = {
     "plot_all_pl.csv": GOLDEN_COMMANDS["plot_all_pl.csv"],
     "reference_dump.csv": ("reference", "--dump"),
     **{name: argv for name, argv in GOLDEN_COMMANDS.items() if name.endswith(".json")},
+    # predict's JSON frame with one model and one distance, and with every site and model flag off its default
+    "predict_sui_900.json": ("predict", "--model", "sui", "--distance-m", "900", "--format", "json"),
+    "predict_all_variants.json": (*GOLDEN_COMMANDS["predict_all_variants.csv"], "--format", "json"),
     "reference.json": ("reference",),
 }
 

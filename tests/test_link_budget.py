@@ -147,6 +147,11 @@ class TestJson:
         with pytest.raises(DataError, match=f"^text must be a str, got {kind}$"):
             site_from_json(text)
 
+    @pytest.mark.parametrize(("site", "kind"), [(None, "NoneType"), ({"freq_mhz": 2530.0}, "dict")])
+    def test_serializing_what_is_not_a_site_is_a_data_error(self, site, kind):
+        with pytest.raises(DataError, match=f"^site must be a SiteConfig, got {kind}$"):
+            site_to_json(site)
+
     def test_integer_too_large_for_a_float_rejected(self):
         text = site_to_json(REFERENCE_SITE).replace("2530.0", "9" * 401)
         with pytest.raises(DataError, match="^site field freq_mhz must fit a float, got an integer too large for one$"):

@@ -181,6 +181,11 @@ class TestSui:
         assert sui_gamma(hb, TERRAIN_A) == pytest.approx(4.6 - 0.0075 * hb + 12.6 / hb, abs=1e-12)
         assert sui_gamma(hb, TERRAIN_C) == pytest.approx(3.6 - 0.005 * hb + 20.0 / hb, abs=1e-12)
 
+    @pytest.mark.parametrize(("terrain", "kind"), [("B", "str"), (None, "NoneType")])
+    def test_gamma_of_a_terrain_name_is_a_domain_error(self, terrain, kind):
+        with pytest.raises(DomainError, match=f"^terrain must be a TerrainCategory, got {kind}$"):
+            sui_gamma(40.0, terrain)
+
     def test_spot_value(self):
         pl = sui_path_loss(2530.0, 40.0, 3.0, 400.0, SuiParams(terrain=TERRAIN_B))
         assert pl == pytest.approx(104.31180133926222, abs=1e-9)
