@@ -22,7 +22,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 
 from .dataset import PUBLISHED_CALIBRATION, _csv_text
-from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_mapping, checked_column, finite, nonnegative
+from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_instance, as_mapping, checked_column, finite, nonnegative
 from .models import MODEL_IDS, PathLossModel, _log_km, _model_arguments, _range_warnings, model_from_params
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
@@ -271,10 +271,9 @@ def published_divergence_notes(
     the two printed cells appear transposed instead of flagging the
     recomputation as wrong.
     """
-    if not isinstance(report, CalibrationReport):
-        raise DataError(f"report must be a CalibrationReport, got {type(report).__name__}")
+    as_instance("report", report, CalibrationReport, DataError)
     notes: list[str] = []
-    for model_id, pub in published.items():
+    for model_id, pub in as_mapping("published", published, DataError).items():
         calib = report.models.get(model_id)
         if calib is None:
             continue

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from collections.abc import Iterator, Sequence
 
 from .calibration import (
@@ -42,6 +43,7 @@ from .link_budget import REFERENCE_SITE, SiteConfig, predict_rss, site_from_json
 from .models import (
     MODEL_IDS,
     TERRAINS,
+    ModelRangeWarning,
     _checked_distances,
     _log_km,
     _make_model_kwargs,
@@ -440,12 +442,15 @@ _COMMANDS = {
 
 
 # Exit code of each error class that `main` reports; no class here
-# derives from another.
-_EXIT_CODES = {UsageError: 1, DataError: 2, OSError: 2, DomainError: 3}
+# derives from another.  A range warning raises only where a filter makes it an error.
+_EXIT_CODES = {UsageError: 1, DataError: 2, OSError: 2, DomainError: 3, ModelRangeWarning: 3}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    formatwarning = warnings.formatwarning  # while main runs, a range warning is one line naming no source file
+    warnings.formatwarning = lambda message, category, *rest: (
+        f"propcal: warning: {message}\n" if category is ModelRangeWarning else formatwarning(message, category, *rest))
     try:
         args = _build_parser(argv).parse_args(argv)
         output = _COMMANDS[args.command](args)
@@ -459,6 +464,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"propcal: error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    finally:
+        warnings.formatwarning = formatwarning
     return 0
 
 

@@ -16,7 +16,7 @@ import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .errors import LEAST_POSITIVE, DataError, as_column, as_mapping, checked_column
+from .errors import LEAST_POSITIVE, DataError, as_column, as_instance, as_mapping, checked_column
 from .link_budget import SiteConfig
 
 # Plausibility window for any RSS value, measured or predicted.  Real
@@ -181,8 +181,7 @@ def parse_drive_test_csv(text: str) -> DriveTestTable:
     cells follow RFC 4180, as `csv.reader` reads them.  Errors carry
     1-based row and column positions.
     """
-    if not isinstance(text, str):
-        raise DataError(f"text must be a str, got {type(text).__name__}")
+    as_instance("text", text, str, DataError)
     header, cells = _plain_cells(text) or _csv_cells(text)
     width = len(header)
     columns = [tuple(cells[k::width]) for k in range(width)]
@@ -201,8 +200,7 @@ def _csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
 
 def serialize_drive_test_csv(table: DriveTestTable) -> str:
     """Render a table back to CSV text; parse/serialize round-trips."""
-    if not isinstance(table, DriveTestTable):
-        raise DataError(f"table must be a DriveTestTable, got {type(table).__name__}")
+    as_instance("table", table, DriveTestTable, DataError)
     header = CSV_HEADER + tuple(f"{PREDICTION_PREFIX}{n}" for n in table.predictions)
     columns = (table.distances_m, table.measured_rss_dbm, *table.predictions.values())
     return _csv_text(header, zip(*(map(_format_value, column) for column in columns)))
@@ -214,6 +212,7 @@ def with_prediction(table: DriveTestTable, name: str, values: Sequence[float]) -
     Only the new column is validated, by the rule of the table's own
     columns; the rest were checked when `table` was built.
     """
+    as_instance("table", table, DriveTestTable, DataError)
     column = _prediction_column(name, values, len(table))
     extended = copy.copy(table)
     object.__setattr__(extended, "predictions", {**table.predictions, name: column})
@@ -331,6 +330,8 @@ def emit_plot_series(
     `columns` restricts and orders the prediction columns; default is
     all of them in table order.  Values are rounded to 0.01 dB.
     """
+    as_instance("table", table, DriveTestTable, DataError)
+    as_instance("site", site, SiteConfig, DataError)
     if quantity not in ("rss", "pl"):
         raise DataError(f"quantity must be 'rss' or 'pl', got {quantity!r}")
     names = list(table.predictions) if columns is None else list(columns)

@@ -68,6 +68,14 @@ def as_mapping(name: str, value: object, error: type[Exception]) -> Mapping:
     return value
 
 
+def as_instance(name: str, value: object, kind: type, error: type[Exception]) -> object:
+    """`value` if it is a `kind`, such as one of propcal's own types; else `error` names the argument `name` and the type it got."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise error(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def checked_column(name: str, values: Iterable[object], error: type[Exception], message: Callable[[int, object], str],
                    low: float = -_LARGEST, high: float = _LARGEST) -> tuple[float, ...]:
     """`values` as floats if each is a real number, not a bool, and within [`low`, `high`], which no NaN is.

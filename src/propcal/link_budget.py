@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .errors import DataError, checked_column, finite, nonnegative, positive
+from .errors import DataError, as_instance, checked_column, finite, nonnegative, positive
 
 
 @dataclass(frozen=True)
@@ -64,25 +64,22 @@ REFERENCE_SITE = SiteConfig(
 
 def predict_rss(site: SiteConfig, path_loss_db: float) -> float:
     """Received signal strength in dBm for a given path loss."""
-    return site.budget_db - finite("path_loss_db", path_loss_db)
+    return as_instance("site", site, SiteConfig, DataError).budget_db - finite("path_loss_db", path_loss_db)
 
 
 def path_loss_from_rss(site: SiteConfig, rss_dbm: float) -> float:
     """Invert the budget: path loss in dB implied by a measured RSS."""
-    return site.budget_db - finite("rss_dbm", rss_dbm)
+    return as_instance("site", site, SiteConfig, DataError).budget_db - finite("rss_dbm", rss_dbm)
 
 
 def site_to_json(site: SiteConfig) -> str:
     """Serialize a site to JSON with stable key order."""
-    if not isinstance(site, SiteConfig):
-        raise DataError(f"site must be a SiteConfig, got {type(site).__name__}")
-    return json.dumps(asdict(site), indent=2) + "\n"
+    return json.dumps(asdict(as_instance("site", site, SiteConfig, DataError)), indent=2) + "\n"
 
 
 def site_from_json(text: str) -> SiteConfig:
     """Parse a site from JSON; unknown or missing fields are rejected."""
-    if not isinstance(text, str):
-        raise DataError(f"text must be a str, got {type(text).__name__}")
+    as_instance("text", text, str, DataError)
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past the digit limit, or deep nesting

@@ -24,7 +24,7 @@ import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import KW_ONLY, dataclass, replace
 
-from .errors import LEAST_POSITIVE, DomainError, as_mapping, checked_column, finite, nonnegative, positive
+from .errors import LEAST_POSITIVE, DomainError, as_instance, as_mapping, checked_column, finite, nonnegative, positive
 
 LIGHT_SPEED_M_PER_S = 299_792_458.0
 
@@ -115,6 +115,7 @@ class SuiParams:
     xh_denominator_m: float = 2.0
 
     def __post_init__(self) -> None:
+        as_instance("terrain", self.terrain, TerrainCategory, DomainError)
         positive("d0_m", self.d0_m)
         nonnegative("shadow_db", self.shadow_db)
         if self.xh_denominator_m not in (2.0, 2000.0):
@@ -246,8 +247,7 @@ def extended_cost231(
 
 def sui_gamma(tx_height_m: float, terrain: TerrainCategory) -> float:
     """SUI path-loss exponent: a - b*hb + c/hb for the terrain class."""
-    if not isinstance(terrain, TerrainCategory):
-        raise DomainError(f"terrain must be a TerrainCategory, got {type(terrain).__name__}")
+    as_instance("terrain", terrain, TerrainCategory, DomainError)
     tx_height_m = positive("tx_height_m", tx_height_m)
     return terrain.a - terrain.b * tx_height_m + terrain.c / tx_height_m
 
@@ -260,6 +260,7 @@ def sui_corrections(
     Xf = 6.0*log10(f/2000).  Xh = -10.8*log10(hr/D) for terrains A and B
     and -20*log10(hr/D) for terrain C, with D = params.xh_denominator_m.
     """
+    as_instance("params", params, SuiParams, DomainError)
     freq_mhz = positive("freq_mhz", freq_mhz)
     rx_height_m = positive("rx_height_m", rx_height_m)
     xf = 6.0 * math.log10(freq_mhz / 2000.0)
@@ -454,6 +455,11 @@ def _bind(
 ) -> PathLossModel:
     """The body of `make_model`, which runs it under `_defined`; it calls each helper's undecorated `__wrapped__`."""
     freq_mhz = positive("freq_mhz", freq_mhz)
+    as_instance("environment", environment, Environment, DomainError)
+    if sui_params is not None:
+        as_instance("sui_params", sui_params, SuiParams, DomainError)
+    if ericsson_params is not None:
+        as_instance("ericsson_params", ericsson_params, EricssonParams, DomainError)
     if model_id == "fspl":
         gt = positive("tx_gain_linear", tx_gain_linear)
         c0 = 32.45 - 10.0 * math.log10(gt) + 20.0 * math.log10(freq_mhz)
@@ -500,63 +506,54 @@ def _bind(
     return PathLossModel(model_id, c0, eric_p.a1 + eric_p.a3 * log_hb)
 
 
-# `model_from_params` keys that take a name: the object type each also
-# accepts as it is, and the names with what each stands for
-_NAMED_PARAMS: Mapping[str, tuple] = {
-    "environment": (Environment, ENVIRONMENTS),
-    "terrain": (TerrainCategory, TERRAINS),
-    "rx_gain_variant": ((), {"medium_city": "medium_city", "large_city": "large_city"}),
+# Each `model_from_params` key: the `make_model` argument it fills, or, for a SUI or Ericsson key, that argument
+# with its type and the field the key sets; and, for a key that takes a name, the type it also accepts as it is
+# and the names with what each stands for, or None for a key that takes a finite number
+_MODEL_PARAMS: Mapping[str, tuple] = {
+    **{key: (key, None, None) for key in ("freq_mhz", "tx_height_m", "rx_height_m", "tx_gain_linear")},
+    "environment": ("environment", None, (Environment, ENVIRONMENTS)),
+    "rx_gain_variant": ("rx_gain_variant", None, ((), {"medium_city": "medium_city", "large_city": "large_city"})),
+    "terrain": (("sui_params", SuiParams), "terrain", (TerrainCategory, TERRAINS)),
+    **{f"sui_{field}": (("sui_params", SuiParams), field, None) for field in ("d0_m", "shadow_db", "xh_denominator_m")},
+    **{f"ericsson_{field}": (("ericsson_params", EricssonParams), field, None) for field in ("a0", "a1", "a2", "a3")},
 }
-_NUMERIC_PARAMS = {key: f"model parameter {key}" for key in (
-    "freq_mhz", "tx_height_m", "rx_height_m", "tx_gain_linear",
-    "sui_d0_m", "sui_shadow_db", "sui_xh_denominator_m",
-    "ericsson_a0", "ericsson_a1", "ericsson_a2", "ericsson_a3",
-)}
-# `model_from_params` keys that set a field of SuiParams or EricssonParams
-_SUI_FIELDS = {
-    "terrain": "terrain",
-    "sui_d0_m": "d0_m",
-    "sui_shadow_db": "shadow_db",
-    "sui_xh_denominator_m": "xh_denominator_m",
-}
-_ERICSSON_FIELDS = {f"ericsson_{name}": name for name in ("a0", "a1", "a2", "a3")}
 
 
-def _model_arguments(params: Mapping[str, object]) -> dict[str, object]:
-    """`params` as `make_model` takes them, a None value counting as absent.
+def _model_arguments(params: Mapping[str, object]) -> tuple[dict[str, object], dict[tuple, dict[str, object]]]:
+    """`params` put where `_MODEL_PARAMS` says, a None value counting as absent: `make_model`'s keyword arguments,
+    and the fields of each SUI or Ericsson argument under that argument and its type.
 
     An unknown key, a value that is not a finite number where one is
     due, or an unknown name raises `DomainError` naming the key.
     """
     args: dict[str, object] = {}
+    fields: dict[tuple, dict[str, object]] = {}
     for key, value in params.items():
         if value is None:
             continue
-        if key in _NUMERIC_PARAMS:  # no model takes a non-finite one, and it would reach the report
-            args[key] = finite(_NUMERIC_PARAMS[key], value)
-        elif key in _NAMED_PARAMS:
-            kind, names = _NAMED_PARAMS[key]
-            if isinstance(value, kind):
-                args[key] = value
-            elif isinstance(value, str) and value in names:
-                args[key] = names[value]
-            else:
-                raise DomainError(f"unknown {key} {value!r}")
-        else:
+        entry = _MODEL_PARAMS.get(key)
+        if entry is None:
             raise DomainError(f"unknown model parameters: [{key!r}]")
-    return args
+        target, field, named = entry
+        if named is None:  # no model takes a non-finite number, and it would reach the report
+            value = finite(f"model parameter {key}", value)
+        elif not isinstance(value, named[0]):
+            if not (isinstance(value, str) and value in named[1]):
+                raise DomainError(f"unknown {key} {value!r}")
+            value = named[1][value]
+        if field is None:
+            args[target] = value
+        else:
+            fields.setdefault(target, {})[field] = value
+    return args, fields
 
 
 def _make_model_kwargs(params: Mapping[str, object]) -> dict[str, object]:
-    """`params` as `make_model`'s keyword arguments: `_model_arguments`, the SUI and Ericsson keys gathered into their objects."""
-    args = _model_arguments(params)
+    """`params` as `make_model`'s keyword arguments: `_model_arguments`, with each SUI and Ericsson object built."""
+    args, fields = _model_arguments(params)
     args.setdefault("freq_mhz", None)  # a missing one fails `make_model`'s check
-    sui = {field: args.pop(key) for key, field in _SUI_FIELDS.items() if key in args}
-    ericsson = {field: args.pop(key) for key, field in _ERICSSON_FIELDS.items() if key in args}
-    if sui:
-        args["sui_params"] = SuiParams(**sui)  # type: ignore[arg-type]
-    if ericsson:
-        args["ericsson_params"] = EricssonParams(**ericsson)  # type: ignore[arg-type]
+    for (argument, kind), values in fields.items():
+        args[argument] = kind(**values)
     return args
 
 

@@ -729,6 +729,14 @@ def test_importing_the_cli_loads_neither_typing_nor_pathlib():
     assert (result.returncode, result.stdout) == (0, "[]\n")
 
 
+def test_main_restores_the_warning_format_on_return(run_cli):
+    # only while main runs does a range warning print as one propcal line; library callers keep Python's format
+    before = warnings.formatwarning
+    for argv in (("predict", "--all", "--distance-m", "1000"), ("predict", "--model", "sui", "--distance-m", "10")):
+        run_cli(*argv)
+        assert warnings.formatwarning is before
+
+
 def test_console_script():
     if shutil.which("propcal") is None:
         pytest.skip("console script not on PATH")

@@ -8,15 +8,22 @@ every other cell (repr floats, integers, names) within 1e-9 or equal.
 The outputs under `golden/exact` are compared byte for byte: they pin
 the one CSV layout (unquoted cells, LF line ends, a final newline), the
 JSON layout (two-space indent, key order, a final newline) and every
-digit printed, on every supported Python.
+digit printed, on every supported Python.  So is the stderr of each of
+those commands, in a fresh interpreter: under pytest, an in-process run
+records warnings instead of printing them.
 """
 
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import propcal
 from propcal.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::propcal.models.ModelRangeWarning")
@@ -128,3 +135,49 @@ def test_cli_output_matches_its_exact_golden_byte_for_byte(capsys, tmp_path, mon
     monkeypatch.chdir(tmp_path)
     want = (EXACT_DIR / name).read_bytes()
     assert _cli_stdout(capsys, EXACT_COMMANDS[name]).encode("utf-8") == want
+
+
+PACKAGE_PARENT = Path(propcal.__file__).resolve().parent.parent
+# the one range note of a cost231_hata bind at the reference site's 2530 MHz, as the CLI prints it
+FREQ_NOTE = "cost231_hata: freq_mhz=2530 outside documented range 150-2000"
+# the exact commands that bind cost231_hata and print FREQ_NOTE, once, on stderr; every other one prints nothing there
+WARNING_COMMANDS = {
+    "calibrate_all.csv", "calibrate_all.json", "infer_cost231_hata.csv", "infer_cost231_hata.json",
+    "infer_cost231_hata_falling.csv", "predict_all.csv", "predict_all.json", "predict_all_variants.json",
+}
+
+
+def _fresh_cli(argv, *options, package_parent=PACKAGE_PARENT, cwd=None, env=None):
+    """`main(argv)` run in a fresh interpreter with no site-packages, under `-I` unless `env` is given."""
+    script = "import sys; sys.path.insert(0, sys.argv[1]); from propcal.cli import main; raise SystemExit(main(sys.argv[2:]))"
+    isolation = ("-S",) if env else ("-I", "-S")
+    command = [sys.executable, *isolation, *options, "-c", script, str(package_parent), *argv]
+    return subprocess.run(command, capture_output=True, cwd=cwd, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_COMMANDS))
+def test_exact_command_stderr_in_a_fresh_interpreter_byte_for_byte(tmp_path, name):
+    (tmp_path / "falling.csv").write_text(FALLING_LOSS_CSV, encoding="utf-8")
+    result = _fresh_cli(EXACT_COMMANDS[name], cwd=tmp_path)
+    stderr = f"propcal: warning: {FREQ_NOTE}\n".encode() if name in WARNING_COMMANDS else b""
+    assert (result.returncode, result.stderr, result.stdout) == (0, stderr, (EXACT_DIR / name).read_bytes())
+
+
+def test_a_range_warning_reads_the_same_from_a_copy_of_the_package_elsewhere(tmp_path):
+    # the line names no path and no source line, so neither where the package lies nor its line numbers reach it
+    elsewhere = tmp_path / "elsewhere"
+    shutil.copytree(PACKAGE_PARENT / "propcal", elsewhere / "propcal", ignore=shutil.ignore_patterns("__pycache__"))
+    argv = EXACT_COMMANDS["calibrate_all.csv"]
+    here, there = _fresh_cli(argv), _fresh_cli(argv, package_parent=elsewhere)
+    assert (there.returncode, there.stdout, there.stderr) == (here.returncode, here.stdout, here.stderr)
+    assert here.stderr == f"propcal: warning: {FREQ_NOTE}\n".encode()
+
+
+@pytest.mark.parametrize("how", ["-W error", "PYTHONWARNINGS=error"])
+def test_a_range_warning_made_an_error_exits_3_with_one_stderr_line(how):
+    argv = GOLDEN_COMMANDS["calibrate_all.json"]
+    if how == "-W error":
+        result = _fresh_cli(argv, "-W", "error")
+    else:
+        result = _fresh_cli(argv, env={**os.environ, "PYTHONWARNINGS": "error"})
+    assert (result.returncode, result.stdout, result.stderr) == (3, b"", f"propcal: error: {FREQ_NOTE}\n".encode())

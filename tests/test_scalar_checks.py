@@ -35,6 +35,7 @@ from propcal import (
     cost231_hata,
     cost231_tx_height_from_slope,
     decade_slope,
+    emit_plot_series,
     ericsson_frequency_term,
     ericsson_path_loss,
     extended_cost231,
@@ -44,10 +45,16 @@ from propcal import (
     mobile_station_correction,
     model_from_params,
     mse,
+    parse_drive_test_csv,
     path_loss_from_rss,
     pearson_r,
     predict_rss,
+    published_divergence_notes,
+    reference_dataset,
     residuals,
+    serialize_drive_test_csv,
+    site_from_json,
+    site_to_json,
     sui_corrections,
     sui_gamma,
     sui_path_loss,
@@ -331,6 +338,71 @@ def test_a_mapping_argument_that_is_not_a_mapping_is_named(case, value):
     with pytest.raises(error, match=f"^{name}: not a mapping, got ") as excinfo:
         call(value)
     assert str(excinfo.value).endswith(f"got {value!r}")
+
+
+def _report():
+    table = reference_dataset()
+    return calibrate(table.measured_rss_dbm, table.predictions)
+
+
+# id -> (error class, the whole message, a call that passes a value of the wrong type where one of propcal's own
+# types, or a str, is due): `as_instance` checks each at its function's entry; the SUI and Ericsson closed forms pass
+# their `params` on to `make_model`, which names them as its own argument
+WRONG_TYPE = {
+    "make_model.environment": (
+        DomainError, "environment must be an Environment, got str", lambda: make_model("cost231_hata", F, HB, HR, environment="x")
+    ),
+    "make_model.sui_params": (
+        DomainError, "sui_params must be a SuiParams, got str", lambda: make_model("sui", F, HB, HR, sui_params="x")
+    ),
+    "make_model.ericsson_params": (
+        DomainError, "ericsson_params must be an EricssonParams, got str", lambda: make_model("ericsson", F, HB, HR, ericsson_params="x")
+    ),
+    "cost231_hata.environment": (
+        DomainError, "environment must be an Environment, got str", lambda: cost231_hata(F, HB, HR, 1.0, "metro")
+    ),
+    "sui_path_loss.params": (DomainError, "sui_params must be a SuiParams, got str", lambda: sui_path_loss(F, HB, HR, D, "x")),
+    "ericsson_path_loss.params": (
+        DomainError, "ericsson_params must be an EricssonParams, got str", lambda: ericsson_path_loss(F, HB, HR, D, "x")
+    ),
+    "sui_corrections.params": (DomainError, "params must be a SuiParams, got NoneType", lambda: sui_corrections(F, HR, None)),
+    "sui_gamma.terrain": (DomainError, "terrain must be a TerrainCategory, got str", lambda: sui_gamma(HB, "B")),
+    "SuiParams.terrain": (DomainError, "terrain must be a TerrainCategory, got str", lambda: SuiParams(terrain="B")),
+    "predict_rss.site": (DataError, "site must be a SiteConfig, got NoneType", lambda: predict_rss(None, 100.0)),
+    "path_loss_from_rss.site": (DataError, "site must be a SiteConfig, got NoneType", lambda: path_loss_from_rss(None, -70.0)),
+    "site_to_json.site": (DataError, "site must be a SiteConfig, got dict", lambda: site_to_json({})),
+    "site_from_json.text": (DataError, "text must be a str, got bytes", lambda: site_from_json(b"{}")),
+    "parse_drive_test_csv.text": (DataError, "text must be a str, got bytes", lambda: parse_drive_test_csv(b"distance_m,rssi_dbm\n")),
+    "serialize_drive_test_csv.table": (
+        DataError, "table must be a DriveTestTable, got str", lambda: serialize_drive_test_csv("distance_m,rssi_dbm\n")
+    ),
+    "with_prediction.table": (DataError, "table must be a DriveTestTable, got NoneType", lambda: with_prediction(None, "a", [])),
+    "emit_plot_series.table": (
+        DataError, "table must be a DriveTestTable, got NoneType", lambda: emit_plot_series(None, REFERENCE_SITE)
+    ),
+    "emit_plot_series.site": (
+        DataError, "site must be a SiteConfig, got NoneType", lambda: emit_plot_series(reference_dataset(), None, quantity="pl")
+    ),
+    "published_divergence_notes.report": (
+        DataError, "report must be a CalibrationReport, got dict", lambda: published_divergence_notes({})
+    ),
+    "published_divergence_notes.published": (
+        DataError, "published: not a mapping, got None", lambda: published_divergence_notes(_report(), None)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE))
+def test_an_argument_of_the_wrong_type_is_named_with_the_type_it_got(case):
+    error, message, call = WRONG_TYPE[case]
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_the_closed_forms_read_none_params_as_the_defaults():
+    assert sui_path_loss(F, HB, HR, D, None) == sui_path_loss(F, HB, HR, D)
+    assert ericsson_path_loss(F, HB, HR, D, None) == ericsson_path_loss(F, HB, HR, D)
 
 
 @pytest.mark.parametrize(
