@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import operator
 import sys
 from collections.abc import Iterable, Mapping, Sequence
@@ -269,14 +270,19 @@ def published_divergence_notes(
     (its before-MSE and cf do not satisfy mse_after = mse_before - cf^2
     but the identity value matches the other after cell), the note says
     the two printed cells appear transposed instead of flagging the
-    recomputation as wrong.
+    recomputation as wrong.  Each row of a model in `report` must be a
+    mapping that holds each metric, and `cf_after_db` may add the
+    after-correction cf; each value must be a real number within the
+    float range or a NaN, which is never reported.  Anything else raises
+    `DataError` naming the row and the key.
     """
     as_instance("report", report, CalibrationReport, DataError)
     notes: list[str] = []
-    for model_id, pub in as_mapping("published", published, DataError).items():
+    for model_id, row in as_mapping("published", published, DataError).items():
         calib = report.models.get(model_id)
         if calib is None:
             continue
+        pub = _published_row(f"published[{model_id!r}]", row)
         for key, label, unit, tolerance in _PUBLISHED_CHECKS:
             value = getattr(calib, key)
             # `not >` lets a NaN published value pass unreported
@@ -296,6 +302,24 @@ def published_divergence_notes(
                     continue
             notes.append(f"{model_id}: computed {label} {value:.4f}{unit} differs from published {pub[key]:g}{unit}")
     return tuple(notes)
+
+
+def _published_row(name: str, row: object) -> dict[str, float]:
+    """The published row `name` as floats: each metric `published_divergence_notes` reads, and `cf_after_db` if given."""
+    row = as_mapping(name, row, DataError)
+    values = {}
+    for key in [key for key, *_ in _PUBLISHED_CHECKS] + ["cf_after_db"] * ("cf_after_db" in row):
+        if key not in row:
+            raise DataError(f"{name}: missing {key!r}")
+        value = row[key]
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            try:
+                values[key] = float(value)
+                continue
+            except OverflowError:  # an int or a Fraction past the float range
+                pass
+        raise DataError(f"{name}[{key!r}] must be a real number within the float range, got {value!r}")
+    return values
 
 
 def decade_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> float:

@@ -334,9 +334,9 @@ def emit_plot_series(
     as_instance("site", site, SiteConfig, DataError)
     if quantity not in ("rss", "pl"):
         raise DataError(f"quantity must be 'rss' or 'pl', got {quantity!r}")
-    names = list(table.predictions) if columns is None else list(columns)
+    names = list(table.predictions) if columns is None else list(as_column("columns", columns, DataError, "names"))
     for name in names:
-        if name not in table.predictions:
+        if not (isinstance(name, str) and name in table.predictions):
             raise DataError(f"unknown prediction column {name!r}")
 
     distances = table.distances_m

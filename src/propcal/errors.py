@@ -52,12 +52,12 @@ def _checked(name: str, value: object, low: float, rule: str) -> float:
     return checked_column(name, (value,), DomainError, lambda i, v: f"{name} {rule}, got {v!r}", low)[0]
 
 
-def as_column(name: str, values: object, error: type[Exception]) -> tuple[object, ...]:
-    """`values` as a tuple; an argument that cannot be iterated raises `error` naming the column `name`."""
+def as_column(name: str, values: object, error: type[Exception], items: str = "numbers") -> tuple[object, ...]:
+    """`values` as a tuple; an argument that cannot be iterated raises `error` naming the column `name` of `items`."""
     try:
         iter(values)  # only the call: a TypeError raised while iterating is not this one
     except TypeError:
-        raise error(f"{name}: not a column of numbers, got {values!r}") from None
+        raise error(f"{name}: not a column of {items}, got {values!r}") from None
     return tuple(values)
 
 

@@ -18,7 +18,6 @@ deterministic; shadowing is an explicit parameter, never sampled.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -66,6 +65,10 @@ class Environment:
     name: str
     clutter_db: float
 
+    def __post_init__(self) -> None:
+        as_instance("name", self.name, str, DomainError)
+        finite("clutter_db", self.clutter_db)
+
 
 MEDIUM_SUBURBAN = Environment("medium_suburban", 0.0)
 METROPOLITAN = Environment("metropolitan", 3.0)
@@ -87,6 +90,11 @@ class TerrainCategory:
     a: float
     b: float
     c: float
+
+    def __post_init__(self) -> None:
+        as_instance("name", self.name, str, DomainError)
+        for field in ("a", "b", "c"):
+            finite(field, getattr(self, field))
 
 
 TERRAIN_A = TerrainCategory("A", 4.6, 0.0075, 12.6)
@@ -177,7 +185,7 @@ def fspl(freq_mhz: float, distance_km: float, tx_gain_linear: float = 1.0) -> fl
     distance_m = positive("distance_km", distance_km) * 1000.0
     if distance_m == math.inf:
         raise DomainError(f"distance_km {distance_km!r} is too large to convert to meters")
-    return model.path_loss_db(distance_m)
+    return model._losses((distance_m,))[0]
 
 
 def mobile_station_correction(rx_height_m: float) -> float:
@@ -185,7 +193,12 @@ def mobile_station_correction(rx_height_m: float) -> float:
 
     3.2*(log10(11.75*hr))^2 - 4.97; close to zero at the usual 1.5 m.
     """
-    return 3.2 * math.log10(11.75 * positive("rx_height_m", rx_height_m)) ** 2 - 4.97
+    return _defined("mobile_station_correction", _rx_height_term, positive("rx_height_m", rx_height_m)) - 4.97
+
+
+def _rx_height_term(hr: float) -> float:
+    """3.2*(log10(11.75*hr))^2: a(hr) without its constant, and the receiver term of the Ericsson model."""
+    return 3.2 * math.log10(11.75 * hr) ** 2
 
 
 def cost231_hata(
@@ -225,10 +238,15 @@ def extended_cost231(
       rx_height_gain = (42.57 + 13.7*log10 f) * (log10 hr - 0.585)
                        (medium_city) or 0.759*hr - 1.862 (large_city)
     """
-    freq_mhz = positive("freq_mhz", freq_mhz)
-    tx_height_m = positive("tx_height_m", tx_height_m)
-    rx_height_m = positive("rx_height_m", rx_height_m)
-    distance_m = positive("distance_m", distance_m)
+    return _defined(
+        "extended_cost231", _extended_cost231, positive("freq_mhz", freq_mhz), positive("tx_height_m", tx_height_m),
+        positive("rx_height_m", rx_height_m), positive("distance_m", distance_m), rx_gain_variant,
+    )
+
+
+def _extended_cost231(
+    freq_mhz: float, tx_height_m: float, rx_height_m: float, distance_m: float, rx_gain_variant: str
+) -> ExtendedCost231Loss:
     freq_ghz = freq_mhz / 1000.0
     distance_km = distance_m / 1000.0
     log_f = math.log10(freq_ghz)
@@ -248,7 +266,10 @@ def extended_cost231(
 def sui_gamma(tx_height_m: float, terrain: TerrainCategory) -> float:
     """SUI path-loss exponent: a - b*hb + c/hb for the terrain class."""
     as_instance("terrain", terrain, TerrainCategory, DomainError)
-    tx_height_m = positive("tx_height_m", tx_height_m)
+    return _defined("sui_gamma", _sui_gamma, positive("tx_height_m", tx_height_m), terrain)
+
+
+def _sui_gamma(tx_height_m: float, terrain: TerrainCategory) -> float:
     return terrain.a - terrain.b * tx_height_m + terrain.c / tx_height_m
 
 
@@ -262,7 +283,10 @@ def sui_corrections(
     """
     as_instance("params", params, SuiParams, DomainError)
     freq_mhz = positive("freq_mhz", freq_mhz)
-    rx_height_m = positive("rx_height_m", rx_height_m)
+    return _defined("sui_corrections", _sui_corrections, freq_mhz, positive("rx_height_m", rx_height_m), params)
+
+
+def _sui_corrections(freq_mhz: float, rx_height_m: float, params: SuiParams) -> tuple[float, float]:
     xf = 6.0 * math.log10(freq_mhz / 2000.0)
     coeff = -20.0 if params.terrain.name == "C" else -10.8
     xh = coeff * math.log10(rx_height_m / params.xh_denominator_m)
@@ -290,7 +314,10 @@ def ericsson_frequency_term(freq_mhz: float) -> float:
 
     44.49*log10(f) - 4.78*(log10 f)^2.
     """
-    freq_mhz = positive("freq_mhz", freq_mhz)
+    return _defined("ericsson_frequency_term", _ericsson_frequency_term, positive("freq_mhz", freq_mhz))
+
+
+def _ericsson_frequency_term(freq_mhz: float) -> float:
     log_f = math.log10(freq_mhz)
     return 44.49 * log_f - 4.78 * log_f**2
 
@@ -326,8 +353,10 @@ class PathLossModel:
     c0.  `range_notes` are the documented-range violations found at bind
     time: every evaluated distance raises each of them once as a
     `ModelRangeWarning`.  `name` defaults to `model_id`.  A coefficient
-    that is not a finite real number raises `DomainError`.  Instances
-    are frozen: `corrected` returns a new model.
+    that is not a finite real number, a `min_distance_m` that is not a
+    finite number at or above 0, or `range_notes` that are not a tuple
+    of str raise `DomainError`.  Instances are frozen: `corrected`
+    returns a new model.
     """
 
     model_id: str
@@ -340,13 +369,20 @@ class PathLossModel:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        c0, c1, c2 = self.c0, self.c1, self.c2
-        # three floats with a finite sum are finite; anything else is checked coefficient by coefficient
-        if not (type(c0) is type(c1) is type(c2) is float and math.isfinite(c0 + c1 + c2)):
+        c0, c1, c2, low, notes = self.c0, self.c1, self.c2, self.min_distance_m, self.range_notes
+        # four floats with a finite sum are finite; anything else is checked field by field
+        if not (type(c0) is type(c1) is type(c2) is type(low) is float and math.isfinite(c0 + c1 + c2 + low)
+                and low >= 0.0):
             for label, value in (("c0", c0), ("c1", c1), ("c2", c2)):
                 if isinstance(value, float) and not math.isfinite(value):
                     raise _non_finite_error(self.model_id)
                 finite(f"{self.model_id} coefficient {label}", value)
+            nonnegative("min_distance_m", low)
+        if notes != ():  # no range notes, as most binds give, need no join
+            try:
+                "".join(notes if isinstance(notes, tuple) else None)  # only a tuple of str joins
+            except TypeError:
+                raise DomainError(f"range_notes must be a tuple of str, got {notes!r}") from None
         if self.name is None:
             object.__setattr__(self, "name", self.model_id)
 
@@ -453,7 +489,7 @@ def _bind(
     model_id: str, freq_mhz: float, tx_height_m: float | None, rx_height_m: float | None, environment: Environment,
     sui_params: SuiParams | None, ericsson_params: EricssonParams | None, tx_gain_linear: float, rx_gain_variant: str,
 ) -> PathLossModel:
-    """The body of `make_model`, which runs it under `_defined`; it calls each helper's undecorated `__wrapped__`."""
+    """The body of `make_model`, which runs it under `_defined`: each argument checked once, then each term's formula."""
     freq_mhz = positive("freq_mhz", freq_mhz)
     as_instance("environment", environment, Environment, DomainError)
     if sui_params is not None:
@@ -476,7 +512,7 @@ def _bind(
             46.3
             + 33.9 * math.log10(freq_mhz)
             - 13.82 * log_hb
-            - mobile_station_correction.__wrapped__(hr)  # type: ignore[attr-defined]
+            - (_rx_height_term(hr) - 4.97)
             + environment.clutter_db
         )
         return PathLossModel(
@@ -486,23 +522,18 @@ def _bind(
             range_notes=_cost231_range_notes(freq_mhz, hb, hr),
         )
     if model_id == "extended_cost231":
-        c0 = extended_cost231.__wrapped__(freq_mhz, hb, hr, 1000.0, rx_gain_variant).total_db  # type: ignore[attr-defined]
+        c0 = _extended_cost231(freq_mhz, hb, hr, 1000.0, rx_gain_variant).total_db
         return PathLossModel(model_id, c0, 20.0 + 9.83, -5.8 * math.log10(hb / 200.0))
     if model_id == "sui":
         sui_p = sui_params if sui_params is not None else SuiParams()
         wavelength_m = LIGHT_SPEED_M_PER_S / (freq_mhz * 1e6)
         intercept = 20.0 * math.log10(4.0 * math.pi * sui_p.d0_m / wavelength_m)
-        xf, xh = sui_corrections.__wrapped__(freq_mhz, hr, sui_p)  # type: ignore[attr-defined]
-        c1 = 10.0 * sui_gamma.__wrapped__(hb, sui_p.terrain)  # type: ignore[attr-defined]
+        xf, xh = _sui_corrections(freq_mhz, hr, sui_p)
+        c1 = 10.0 * _sui_gamma(hb, sui_p.terrain)
         c0 = intercept + xf + xh + sui_p.shadow_db - c1 * (math.log10(sui_p.d0_m) - 3.0)
         return PathLossModel(model_id, c0, c1, min_distance_m=sui_p.d0_m)
     eric_p = ericsson_params if ericsson_params is not None else ERICSSON_URBAN
-    c0 = (
-        eric_p.a0
-        + eric_p.a2 * log_hb
-        - 3.2 * math.log10(11.75 * hr) ** 2
-        + ericsson_frequency_term(freq_mhz)
-    )
+    c0 = eric_p.a0 + eric_p.a2 * log_hb - _rx_height_term(hr) + _ericsson_frequency_term(freq_mhz)
     return PathLossModel(model_id, c0, eric_p.a1 + eric_p.a3 * log_hb)
 
 
@@ -568,17 +599,3 @@ def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossMo
     """
     return make_model(model_id, **_make_model_kwargs(as_mapping("params", params, DomainError)))  # type: ignore[arg-type]
 
-
-def _checked_helper(function: Callable[..., object]) -> Callable[..., object]:
-    """`function` under `_defined`, its errors naming it; `_bind` calls the undecorated `__wrapped__`."""
-    @functools.wraps(function)
-    def checked(*args: object, **kwargs: object) -> object:
-        return _defined(function.__name__, function, *args, **kwargs)
-    return checked
-
-
-# Each component helper under `_defined`: called alone, its error names it; in a bind, the model's does.
-mobile_station_correction = _checked_helper(mobile_station_correction)
-extended_cost231 = _checked_helper(extended_cost231)
-sui_gamma = _checked_helper(sui_gamma)
-sui_corrections = _checked_helper(sui_corrections)

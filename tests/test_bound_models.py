@@ -7,13 +7,20 @@ themselves.
 
 import math
 import warnings
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import propcal.models
 from propcal import (
     ENVIRONMENTS,
+    ERICSSON_URBAN,
+    MEDIUM_SUBURBAN,
+    MODEL_IDS,
+    REFERENCE_SITE,
+    TERRAIN_B,
     TERRAINS,
     DomainError,
     EricssonParams,
@@ -242,3 +249,44 @@ def test_a_bound_model_is_a_frozen_value():
     # the second correction pushes c0 past the largest float
     with pytest.raises(DomainError, match="^ericsson: the parameters give a non-finite"):
         model.corrected(1.7e308).corrected(1.7e308)
+
+
+TERM_HELPERS = ("mobile_station_correction", "extended_cost231", "sui_gamma", "sui_corrections", "ericsson_frequency_term")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a bind called a public term helper")
+
+
+def _coefficient_bits(site):
+    """Each model bound at `site`: its coefficients as hex, so that equal means equal to the bit."""
+    sui_p = SuiParams(site["terrain"], site["d0_m"], site["shadow_db"], site["xh_denominator_m"])
+    bits = {}
+    for model_id in MODEL_IDS:
+        model = make_model(
+            model_id, site["freq_mhz"], site["tx_height_m"], site["rx_height_m"], environment=site["environment"],
+            sui_params=sui_p, ericsson_params=site["ericsson"], tx_gain_linear=site["tx_gain_linear"],
+            rx_gain_variant=site["rx_gain_variant"],
+        )
+        bits[model_id] = (model.c0.hex(), model.c1.hex(), model.c2.hex(), model.min_distance_m, model.range_notes)
+    return bits
+
+
+REFERENCE_BIND = {
+    "freq_mhz": REFERENCE_SITE.freq_mhz, "tx_height_m": REFERENCE_SITE.tx_height_m, "rx_height_m": REFERENCE_SITE.rx_height_m,
+    "environment": MEDIUM_SUBURBAN, "terrain": TERRAIN_B, "d0_m": 100.0, "shadow_db": 0.0, "xh_denominator_m": 2.0,
+    "rx_gain_variant": "medium_city", "ericsson": ERICSSON_URBAN, "tx_gain_linear": 1.0,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(site=sites)
+@example(site=REFERENCE_BIND)
+def test_a_bind_calls_no_public_term_helper_and_keeps_every_bit(site):
+    # each term's formula is written once, and a bind calls it on arguments it has checked once
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelRangeWarning)
+        with_helpers = _coefficient_bits(site)
+        with mock.patch.multiple(propcal.models, **{name: _refuse for name in TERM_HELPERS}):
+            without_helpers = _coefficient_bits(site)
+    assert without_helpers == with_helpers

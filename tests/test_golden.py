@@ -181,3 +181,110 @@ def test_a_range_warning_made_an_error_exits_3_with_one_stderr_line(how):
     else:
         result = _fresh_cli(argv, env={**os.environ, "PYTHONWARNINGS": "error"})
     assert (result.returncode, result.stdout, result.stderr) == (3, b"", f"propcal: error: {FREQ_NOTE}\n".encode())
+
+
+# README's "Command line" cases, each one line of stderr (after any range warning) and exit 1, 2 or 3; every command
+# runs in a fresh interpreter in a directory that holds the files below, so each path is the one the command names
+ERROR_INPUTS = {
+    "latin1.csv": b"distance_m,rssi_dbm\n400,-61\xff\n",
+    "one_distance.csv": b"distance_m,rssi_dbm,pred_cost231_hata\n1000,-60,-100\n1000,-61,-101\n",
+    "long_cell.csv": b"distance_m,rssi_dbm\n400," + b"1" * 131_073 + b"\n",
+    "nul.csv": b"distance_m,rssi_dbm\n400,-61\x00\n",
+    "int401.json": propcal.site_to_json(propcal.REFERENCE_SITE).replace("2530.0", "9" * 401).encode(),
+    "int5001.json": propcal.site_to_json(propcal.REFERENCE_SITE).replace("2530.0", "9" * 5001).encode(),
+    "nested.json": b"[" * 200_000 + b"]" * 200_000,
+    "big_budget.json": json.dumps(
+        {**json.loads(propcal.site_to_json(propcal.REFERENCE_SITE)), "tx_power_dbm": 1e308, "tx_gain_dbi": 1e308}
+    ).encode(),
+    "clash.csv": b"distance_m,rssi_dbm,pred_x,pred_x_corrected\n500,-60,-62,-70\n900,-70,-71,-80\n",
+    "comma.csv": b'distance_m,rssi_dbm,"pred_a,b"\n500,-58,-60\n900,-66,-70\n',
+}
+_INT_LIMIT = "Exceeds the limit ({}) for integer string conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"
+FREQ_WARNING = f"propcal: warning: {FREQ_NOTE}\n"
+# name -> (interpreter options, argv, exit code, stderr); a stderr that differs by Python version is a mapping from
+# (major, minor) to it, and a version past the last pinned one reads the last pin
+ERROR_COMMANDS = {
+    "usage_unknown_flag": ((), ("predict", "--model", "fspl", "--distance-m", "1000", "--bogus"), 1,
+                           "propcal: error: unrecognized arguments: --bogus\n"),
+    "usage_no_command": ((), (), 1, "propcal: error: the following arguments are required: command\n"),
+    "data_missing": ((), ("compare", "--data", "missing.csv"), 2,
+                     "propcal: error: [Errno 2] No such file or directory: 'missing.csv'\n"),
+    "data_directory": ((), ("compare", "--data", "adir"), 2, "propcal: error: [Errno 21] Is a directory: 'adir'\n"),
+    "data_not_utf8": ((), ("compare", "--data", "latin1.csv"), 2,
+                      "propcal: error: latin1.csv: not UTF-8 text: invalid start byte at byte 27\n"),
+    "site_missing": ((), ("calibrate", *CORPUS, "--site", "missing.json"), 2,
+                     "propcal: error: [Errno 2] No such file or directory: 'missing.json'\n"),
+    "site_directory": ((), ("calibrate", *CORPUS, "--site", "adir"), 2, "propcal: error: [Errno 21] Is a directory: 'adir'\n"),
+    "site_not_utf8": ((), ("calibrate", *CORPUS, "--site", "latin1.csv"), 2,
+                      "propcal: error: latin1.csv: not UTF-8 text: invalid start byte at byte 27\n"),
+    "out_directory": ((), ("compare", *CORPUS, "--out", "adir"), 2, "propcal: error: [Errno 21] Is a directory: 'adir'\n"),
+    "out_in_a_missing_directory": ((), ("compare", *CORPUS, "--out", "missing/x.json"), 2,
+                                   "propcal: error: [Errno 2] No such file or directory: 'missing/x.json'\n"),
+    "out_empty": ((), ("predict", "--model", "fspl", "--distance-m", "1", "--out", ""), 2,
+                  "propcal: error: [Errno 2] No such file or directory: ''\n"),
+    "grid_axis_twice": ((), ("infer", "--model", "cost231_hata", *CORPUS, "--grid", "tx_height_m=10,20", "--grid", "tx_height_m=30"), 1,
+                        "propcal: error: argument --grid: axis 'tx_height_m' is given more than once\n"),
+    "grid_unknown_key": ((), ("infer", "--model", "cost231_hata", *CORPUS, "--grid", "downtilt=1"), 3,
+                         "propcal: error: unknown model parameters: ['downtilt']\n"),
+    "grid_unknown_terrain": ((), ("infer", "--model", "sui", *CORPUS, "--grid", "terrain=D"), 3,
+                             "propcal: error: unknown terrain 'D'\n"),
+    "grid_unknown_environment": ((), ("infer", "--model", "cost231_hata", *CORPUS, "--grid", "environment=metro"), 3,
+                                 "propcal: error: unknown environment 'metro'\n"),
+    "grid_not_a_number": ((), ("infer", "--model", "cost231_hata", *CORPUS, "--grid", "tx_height_m=abc"), 3,
+                          "propcal: error: model parameter tx_height_m must be finite, got 'abc'\n"),
+    "grid_not_finite": ((), ("infer", "--model", "sui", *CORPUS, "--grid", "tx_gain_linear=inf"), 3,
+                        "propcal: error: model parameter tx_gain_linear must be finite, got inf\n"),
+    "infer_no_point_scored": ((), ("infer", "--model", "sui", *CORPUS, "--grid", "sui_d0_m=5000"), 3,
+                              "propcal: error: no sui grid point can be scored; the first fails:"
+                              " sui_path_loss requires distance_m > d0 (5000 m), got 4200 m\n"),
+    "infer_no_point_scored_overflow": ((), ("infer", "--model", "sui", *CORPUS, "--sui-shadow", "1e200", "--grid", "terrain=B"), 3,
+                                       "propcal: error: no sui grid point can be scored; the first fails:"
+                                       " sui series: a sum over its values overflows the float range\n"),
+    "infer_one_distance": ((), ("infer", "--model", "cost231_hata", "--data", "one_distance.csv"), 3,
+                           "propcal: error: decade slope undefined: every sample lies at the same distance\n"),
+    "data_field_limit": ((), ("compare", "--data", "long_cell.csv"), 2,
+                         "propcal: error: line 2: field larger than field limit (131072)\n"),
+    "data_nul_byte": ((), ("compare", "--data", "nul.csv"), 2, {
+        (3, 10): "propcal: error: line 2: line contains NUL\n",
+        (3, 11): "propcal: error: row 1, column rssi_dbm: not a number: '-61\\x00'\n",
+        (3, 12): "propcal: error: row 1, column rssi_dbm: not a number: '-61\\x00'\n",
+        (3, 13): "propcal: error: row 1, column rssi_dbm: not a number: '-61\\x00'\n",
+    }),
+    "site_integer_too_large": ((), ("calibrate", *CORPUS, "--site", "int401.json"), 2,
+                               "propcal: error: site field freq_mhz must fit a float, got an integer too large for one\n"),
+    "site_integer_past_the_digit_limit": ((), ("calibrate", *CORPUS, "--site", "int5001.json"), 2, {
+        (3, 10): f"propcal: error: invalid site JSON: {_INT_LIMIT.format('4300')}\n",
+        (3, 11): f"propcal: error: invalid site JSON: {_INT_LIMIT.format('4300 digits')}\n",
+        (3, 12): f"propcal: error: invalid site JSON: {_INT_LIMIT.format('4300 digits')}\n",
+        (3, 13): f"propcal: error: invalid site JSON: {_INT_LIMIT.format('4300 digits')}\n",
+    }),
+    "site_nested_too_deeply": ((), ("calibrate", *CORPUS, "--site", "nested.json"), 2,
+                               "propcal: error: invalid site JSON: maximum recursion depth exceeded"
+                               " while decoding a JSON array from a unicode string\n"),
+    "site_budget_overflow": ((), ("plot", "--quantity", "pl", "--site", "big_budget.json"), 3,
+                             "propcal: error: budget_db must be finite, got inf\n"),
+    "coefficients_not_finite": ((), ("predict", "--model", "sui", "--distance-m", "500", "--freq-mhz", "1e308"), 3,
+                                "propcal: error: sui: the parameters give a non-finite path-loss coefficient\n"),
+    "residual_sums_overflow": ((), ("calibrate", *CORPUS, "--model", "sui", "--sui-shadow", "4e306"), 3,
+                               "propcal: error: predicted 'sui' series: a sum over its values overflows the float range\n"),
+    "path_loss_overflow": ((), ("predict", "--all", "--distance-m", "1e308", "--tx-height", "1e308"), 3,
+                           FREQ_WARNING + "propcal: warning: cost231_hata: tx_height_m=1e+308 outside documented range 10-200\n"
+                           "propcal: error: sui: path loss at 1e+308 m is not finite (-inf)\n"),
+    "plot_corrected_column_clash": ((), ("plot", "--data", "clash.csv"), 2,
+                                    "propcal: error: column pred_x_corrected clashes with x_corrected, the corrected series of x\n"),
+    "column_name_with_a_comma": ((), ("compare", "--data", "comma.csv"), 2,
+                                 "propcal: error: prediction column 'a,b': a name may not hold a comma, a quote or a line break\n"),
+    "range_warning_made_an_error": (("-W", "error"), ("calibrate", "--all", *CORPUS), 3, f"propcal: error: {FREQ_NOTE}\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_COMMANDS))
+def test_an_error_command_exits_with_its_code_and_stderr_byte_for_byte(tmp_path, name):
+    for file_name, content in ERROR_INPUTS.items():
+        (tmp_path / file_name).write_bytes(content)
+    (tmp_path / "adir").mkdir()
+    options, argv, code, stderr = ERROR_COMMANDS[name]
+    if isinstance(stderr, dict):
+        stderr = stderr[min(sys.version_info[:2], max(stderr))]
+    result = _fresh_cli(argv, *options, cwd=tmp_path)
+    assert (result.returncode, result.stderr, result.stdout) == (code, stderr.encode(), b"")
