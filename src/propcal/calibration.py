@@ -13,6 +13,7 @@ path-loss form is loss - cf.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -24,7 +25,10 @@ from dataclasses import dataclass, fields
 
 from .dataset import PUBLISHED_CALIBRATION, _csv_text
 from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_instance, as_mapping, checked_column, finite, nonnegative
-from .models import MODEL_IDS, PathLossModel, _log_km, _model_arguments, _range_warnings, model_from_params
+from .models import (
+    _MODEL_PARAMS, MODEL_IDS, PathLossModel, _log_km, _make_model_kwargs, _model_arguments, _range_warnings, make_model,
+)
+from .models import model_from_params  # unused here: the benchmark tracer wraps this name until ROADMAP item 2
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
 _OVERFLOW = "{} series: a sum over its values overflows the float range"
@@ -56,6 +60,13 @@ class ModelCalibration:
     pearson_r: float | None
     n: int
 
+    def __post_init__(self) -> None:
+        scores = ("cf_db", "mse_before_db2", "mse_after_db2", "rmse_before_db", "rmse_after_db")
+        for name in scores if self.pearson_r is None else (*scores, "pearson_r"):
+            object.__setattr__(self, name, finite(name, getattr(self, name)))  # a float, which JSON writes
+        if type(self.n) is not int or self.n < 1:
+            raise DomainError(f"n must be a positive int, got {self.n!r}")
+
 
 @dataclass(frozen=True)
 class CalibrationReport:
@@ -65,6 +76,15 @@ class CalibrationReport:
     best_model: str
     selection_rule: str
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for model_id, calib in as_mapping("models", self.models, DataError).items():
+            as_instance("model id", model_id, str, DataError)
+            as_instance(f"models[{model_id!r}]", calib, ModelCalibration, DataError)
+        as_instance("best_model", self.best_model, str, DataError)
+        as_instance("selection_rule", self.selection_rule, str, DataError)
+        if not (isinstance(self.notes, tuple) and all(isinstance(note, str) for note in self.notes)):
+            raise DataError(f"notes must be a tuple of str, got {self.notes!r}")
 
     def to_json(self) -> str:
         payload: dict[str, object] = {
@@ -418,24 +438,37 @@ def infer_site_parameters(
     names = list(grid)
     axes = [as_column(f"parameter grid axis {name!r}", grid[name], DomainError) for name in names]
     fixed = {} if base is None else dict(as_mapping("base", base, DomainError))
-    _model_arguments(fixed)
+    placed = _model_arguments(fixed)
+    places, checked_axes = [], []  # per axis: the place `_model_arguments` gives its key, and its values checked
     for name, axis in zip(names, axes):
         if not axis:
             raise DomainError(f"parameter grid axis {name!r} is empty")
-        for value in axis:
-            _model_arguments({name: value})
+        places.append(_MODEL_PARAMS.get(name, (name, None))[:2])  # an unknown key passes with None values alone
+        checked = (_model_arguments({name: value}).get(places[-1]) for value in axis)
+        # by position, each value its check changed: an axis of floats is its own checked axis, with no copy
+        changed = {i: c for i, (value, c) in enumerate(zip(axis, checked)) if c is not value}
+        checked_axes.append(tuple(changed.get(i, value) for i, value in enumerate(axis)) if changed else axis)
+    # an axis that sets a `make_model` argument, with no None to remove it, is put into each point's arguments; the
+    # values of the others, with the base, give the rest, each SUI and Ericsson object among them built once
+    plain = [field is None and None not in axis for (_, field), axis in zip(places, checked_axes)]
+    targets = [target for (target, _), own in zip(places, plain) if own]
+    others = [not own for own in plain]
+
+    # bounded, or an axis of a million SUI d0 values would keep a million; a call that raises keeps nothing
+    @functools.lru_cache(maxsize=1024)
+    def arguments(values: tuple) -> dict[str, object]:
+        return _make_model_kwargs({**placed, **dict(zip(itertools.compress(places, others), values))})
 
     log_km = _log_km(distances)
     sums = _screen_sums(log_km, target) if _screenable(*target) else None
     nearest = min(distances)
     ceiling = math.inf  # the lowest upper bound on a fit so far
-    kept: list[tuple[float, dict[str, object], PathLossModel, float | None]] = []  # low, params, model, fit if known
+    kept: list[tuple[float, int, PathLossModel, float | None]] = []  # low, index in product order, model, fit if known
     first_failure: DomainError | None = None
-    for combo in itertools.product(*axes):
-        params = dict(fixed)
-        params.update(zip(names, combo))
+    for index, combo in enumerate(itertools.product(*checked_axes)):
         try:
-            model = model_from_params(model_id, params)
+            kwargs = arguments(tuple(itertools.compress(combo, others)))
+            model = make_model(model_id, **dict(kwargs, **dict(zip(targets, itertools.compress(combo, plain)))))
             screened = sums is not None and model.min_distance_m < nearest and _screenable(model.c0, model.c1, model.c2)
             fit = None if screened else _fit(model, distances, log_km, target)
         except DomainError as exc:
@@ -443,14 +476,16 @@ def infer_site_parameters(
             continue
         low, high = _fit_bounds(model, sums) if fit is None else (fit, fit)
         if low <= ceiling:
-            kept.append((low, params, model, fit))
+            kept.append((low, index, model, fit))
             if high < ceiling:
                 ceiling = high
                 kept = [point for point in kept if point[0] <= ceiling]
     if not kept:
         raise DomainError(f"no {model_id} grid point can be scored; the first fails: {first_failure}")
-    fits = ((_fit(model, distances, log_km, target) if fit is None else fit, params) for _, params, model, fit in kept)
-    best_mse, best_params = min(fits, key=operator.itemgetter(0))  # the first of equal fits: product order
+    fits = ((_fit(model, distances, log_km, target) if fit is None else fit, index) for _, index, model, fit in kept)
+    best_mse, best = min(fits, key=operator.itemgetter(0))  # the first of equal fits: product order
+    best_params = dict(fixed)
+    best_params.update(zip(names, next(itertools.islice(itertools.product(*axes), best, None))))
     return InferenceResult(model_id, best_params, best_mse, slope, math.prod(map(len, axes)))
 
 

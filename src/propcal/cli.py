@@ -47,6 +47,7 @@ from .models import (
     _checked_distances,
     _log_km,
     _make_model_kwargs,
+    _model_arguments,
     make_model,
 )
 
@@ -284,7 +285,7 @@ def _evaluated(
     Every model is bound before any is evaluated, so a bind error is reported before any range warning.
     `log_km` is freed once the last model is evaluated, before the caller scores or formats the losses.
     """
-    kwargs = _make_model_kwargs(_model_params(args, site))
+    kwargs = _make_model_kwargs(_model_arguments(_model_params(args, site)))
     models = [(mid, make_model(mid, **kwargs)) for mid in model_ids]  # type: ignore[arg-type]
     log_km = _log_km(distances)
     for mid, model in models:

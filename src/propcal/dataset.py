@@ -31,10 +31,16 @@ PREDICTION_PREFIX = "pred_"
 
 @dataclass(frozen=True)
 class DriveTestSample:
-    """One measurement: distance from the transmitter and received power."""
+    """One measurement: distance from the transmitter and received power, checked as a table row is."""
 
     distance_m: float
     measured_rss_dbm: float
+
+    def __post_init__(self) -> None:
+        checked_column("distance_m", (self.distance_m,), DataError, "distance_m must be positive, got {1!r}".format,
+                       LEAST_POSITIVE)
+        message = f"measured_rss_dbm: RSS {{1!r}} outside [{RSS_MIN_DBM:g}, {RSS_MAX_DBM:g}] dBm"
+        checked_column("measured_rss_dbm", (self.measured_rss_dbm,), DataError, message.format, RSS_MIN_DBM, RSS_MAX_DBM)
 
 
 @dataclass(frozen=True)

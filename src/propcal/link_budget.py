@@ -29,12 +29,13 @@ class SiteConfig:
     rx_height_m: float
 
     def __post_init__(self) -> None:
+        # each kept as the float its check gives, which `site_to_json` can write
         for name in ("tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi"):
-            finite(name, getattr(self, name))
+            object.__setattr__(self, name, finite(name, getattr(self, name)))
         for name in ("feeder_loss_db", "polarization_loss_db"):
-            nonnegative(name, getattr(self, name))
+            object.__setattr__(self, name, nonnegative(name, getattr(self, name)))
         for name in ("freq_mhz", "tx_height_m", "rx_height_m"):
-            positive(name, getattr(self, name))
+            object.__setattr__(self, name, positive(name, getattr(self, name)))
         finite("budget_db", self.budget_db)
 
     @property

@@ -165,6 +165,13 @@ class ExtendedCost231Loss:
     tx_height_gain_db: float
     rx_height_gain_db: float
 
+    def __post_init__(self) -> None:
+        a, b, c, d = self.free_space_db, self.basic_median_db, self.tx_height_gain_db, self.rx_height_gain_db
+        # four floats with a finite sum, as every bind gives, are finite; anything else is checked field by field
+        if not (type(a) is type(b) is type(c) is type(d) is float and math.isfinite(a + b + c + d)):
+            for field in ("free_space_db", "basic_median_db", "tx_height_gain_db", "rx_height_gain_db"):
+                finite(field, getattr(self, field))
+
     @property
     def total_db(self) -> float:
         return (
@@ -550,15 +557,14 @@ _MODEL_PARAMS: Mapping[str, tuple] = {
 }
 
 
-def _model_arguments(params: Mapping[str, object]) -> tuple[dict[str, object], dict[tuple, dict[str, object]]]:
-    """`params` put where `_MODEL_PARAMS` says, a None value counting as absent: `make_model`'s keyword arguments,
-    and the fields of each SUI or Ericsson argument under that argument and its type.
+def _model_arguments(params: Mapping[str, object]) -> dict[tuple, object]:
+    """`params` checked, each value under the place `_MODEL_PARAMS` gives its key, a None value counting as absent:
+    (the `make_model` argument, None), or (the SUI or Ericsson argument with its type, the field the key sets).
 
     An unknown key, a value that is not a finite number where one is
     due, or an unknown name raises `DomainError` naming the key.
     """
-    args: dict[str, object] = {}
-    fields: dict[tuple, dict[str, object]] = {}
+    placed: dict[tuple, object] = {}
     for key, value in params.items():
         if value is None:
             continue
@@ -572,20 +578,25 @@ def _model_arguments(params: Mapping[str, object]) -> tuple[dict[str, object], d
             if not (isinstance(value, str) and value in named[1]):
                 raise DomainError(f"unknown {key} {value!r}")
             value = named[1][value]
+        placed[target, field] = value
+    return placed
+
+
+def _make_model_kwargs(placed: Mapping[tuple, object]) -> dict[str, object]:
+    """`make_model`'s keyword arguments from values placed as `_model_arguments` places them, a None counting as
+    absent: each SUI and Ericsson object built from its fields."""
+    kwargs: dict[str, object] = {"freq_mhz": None}  # a missing one fails `make_model`'s check
+    fields: dict[tuple, dict[str, object]] = {}
+    for (target, field), value in placed.items():
+        if value is None:
+            continue
         if field is None:
-            args[target] = value
+            kwargs[target] = value
         else:
             fields.setdefault(target, {})[field] = value
-    return args, fields
-
-
-def _make_model_kwargs(params: Mapping[str, object]) -> dict[str, object]:
-    """`params` as `make_model`'s keyword arguments: `_model_arguments`, with each SUI and Ericsson object built."""
-    args, fields = _model_arguments(params)
-    args.setdefault("freq_mhz", None)  # a missing one fails `make_model`'s check
     for (argument, kind), values in fields.items():
-        args[argument] = kind(**values)
-    return args
+        kwargs[argument] = kind(**values)
+    return kwargs
 
 
 def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossModel:
@@ -597,5 +608,4 @@ def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossMo
     ericsson_a0..ericsson_a3, tx_gain_linear, rx_gain_variant.
     Environment and terrain accept either the objects or their names.
     """
-    return make_model(model_id, **_make_model_kwargs(as_mapping("params", params, DomainError)))  # type: ignore[arg-type]
-
+    return make_model(model_id, **_make_model_kwargs(_model_arguments(as_mapping("params", params, DomainError))))  # type: ignore[arg-type]

@@ -4,10 +4,13 @@ Each callable in `propcal.__all__` but the exception and warning classes
 has one valid call below.  The fuzz replaces one part of it: one argument,
 or one item of a column, one key or value of a mapping, or one value of
 a mapping held in a mapping (a row of `published`, a column of
-`predictions`).  Whatever takes that place, a `TypeError`, `KeyError`,
-`AttributeError` or `OverflowError` escaping the call is a failure.
+`predictions`), or one field of a record passed in (the models of a
+report, the terrain of `SuiParams`), the record built again with it.
+Whatever takes that place, a `TypeError`, `KeyError`, `AttributeError` or
+`OverflowError` escaping the build or the call is a failure.
 """
 
+import dataclasses
 import math
 import warnings
 from collections.abc import Mapping
@@ -23,10 +26,14 @@ from propcal import (
     PUBLISHED_CALIBRATION,
     REFERENCE_SITE,
     TERRAIN_C,
+    CalibrationReport,
     DataError,
     DomainError,
+    DriveTestSample,
     DriveTestTable,
     Environment,
+    ExtendedCost231Loss,
+    ModelCalibration,
     PathLossModel,
     PropcalError,
     SuiParams,
@@ -123,18 +130,43 @@ def test_every_public_callable_has_a_valid_call_that_returns():
             getattr(propcal, name)(*args, **kwargs)
 
 
+@dataclasses.dataclass(frozen=True)
+class _Rebuilt:
+    """A record to build again, inside the call under test, with one field replaced."""
+
+    record: object
+    field: str
+    value: object
+
+
+def _built(value):
+    """`value` with each `_Rebuilt` in it, at any depth, built through the record's own constructor."""
+    if isinstance(value, _Rebuilt):
+        return dataclasses.replace(_built(value.record), **{value.field: _built(value.value)})
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_built, value))
+    if isinstance(value, dict):
+        return {key: _built(item) for key, item in value.items()}
+    return value
+
+
 @st.composite
 def _replaced(draw, value, depth):
     """`value` with one part replaced: the whole of it, or one item of a list or tuple, or one key or value of a
-    mapping, the item or value itself replaced the same way to `depth` levels."""
+    mapping, or one field of a record, the item, value or field itself replaced the same way to `depth` levels."""
     ways = ["whole"]
     if depth and isinstance(value, (list, tuple)) and value:
         ways.append("item")
     if depth and isinstance(value, Mapping) and value:
         ways += ["key", "value"]
+    if depth and dataclasses.is_dataclass(value) and not isinstance(value, type):
+        ways.append("field")
     way = draw(st.sampled_from(ways))
     if way == "whole":
         return draw(st.sampled_from(REPLACEMENTS))
+    if way == "field":
+        field = draw(st.sampled_from([field.name for field in dataclasses.fields(value)]))
+        return _Rebuilt(value, field, draw(_replaced(getattr(value, field), depth - 1)))
     if way == "item":
         items = list(value)
         i = draw(st.integers(0, len(items) - 1))
@@ -163,7 +195,7 @@ def test_a_public_callable_returns_or_raises_a_propcal_error_whatever_one_part_o
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            getattr(propcal, name)(*args, **kwargs)
+            getattr(propcal, name)(*_built(args), **_built(kwargs))
         except PropcalError:
             pass
 
@@ -250,3 +282,53 @@ def test_a_record_with_a_bad_field_raises_a_domain_error_naming_it_before_any_us
         with pytest.raises(DomainError) as excinfo:
             use(build())
     assert str(excinfo.value) == message
+
+
+# id -> (error class, the whole message, a build of a record with one bad field and a use of it, which once
+# leaked a bare Python error or accepted the field)
+RECORD_FIELD_LEAKS = {
+    "CalibrationReport.models=None": (
+        DataError, "models: not a mapping, got None",
+        lambda: published_divergence_notes(CalibrationReport(None, "x", "r")),
+    ),
+    "CalibrationReport.models={'a': 5}.to_json": (
+        DataError, "models['a'] must be a ModelCalibration, got int", lambda: CalibrationReport({"a": 5}, "a", "r").to_json()
+    ),
+    "CalibrationReport.models={'a': 5}.to_csv": (
+        DataError, "models['a'] must be a ModelCalibration, got int", lambda: CalibrationReport({"a": 5}, "a", "r").to_csv()
+    ),
+    "CalibrationReport.notes=5": (
+        DataError, "notes must be a tuple of str, got 5", lambda: CalibrationReport({}, "a", "r", notes=5).to_json()
+    ),
+    "ModelCalibration.n=4.5": (
+        DomainError, "n must be a positive int, got 4.5",
+        lambda: CalibrationReport({"a": ModelCalibration(Fraction(1, 3), 1.0, 1.0, 1.0, 1.0, None, 4.5)}, "a", "r").to_json(),
+    ),
+    "ExtendedCost231Loss.free_space_db=None": (
+        DomainError, "free_space_db must be finite, got None", lambda: ExtendedCost231Loss(None, 1.0, 2.0, 3.0).total_db
+    ),
+    "DriveTestSample.distance_m='x'": (
+        DataError, "distance_m must be positive, got 'x'", lambda: DriveTestSample("x", None)
+    ),
+    "DriveTestSample.measured_rss_dbm=None": (
+        DataError, "measured_rss_dbm: RSS None outside [-150, 40] dBm", lambda: DriveTestSample(100.0, None)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_FIELD_LEAKS))
+def test_a_record_checks_its_fields_when_it_is_built(case):
+    error, message, call = RECORD_FIELD_LEAKS[case]
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_a_record_holds_its_numbers_as_the_floats_that_json_writes():
+    calib = ModelCalibration(Fraction(1, 4), 2, 1.0, 1.5, 1.0, None, 4)
+    assert (calib.cf_db, calib.mse_before_db2) == (0.25, 2.0)
+    assert type(calib.cf_db) is type(calib.mse_before_db2) is float
+    assert '"cf_db": 0.25' in CalibrationReport({"a": calib}, "a", "r").to_json()
+    site = dataclasses.replace(REFERENCE_SITE, tx_power_dbm=Fraction(61, 2), freq_mhz=2530)
+    assert (type(site.tx_power_dbm), type(site.freq_mhz)) == (float, float)
+    assert propcal.site_from_json(propcal.site_to_json(site)) == site

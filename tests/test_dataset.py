@@ -423,8 +423,11 @@ def near_plain_csv(draw) -> str:
     header = lines[0]
     headers = ([f" {header[0]}", f"{header[1]} ", *header[2:]], [f'"{header[0]}"', *header[1:]], [*header, '"pred_a,b"'])
     for _ in range(draw(st.integers(0, 3))):
-        change = draw(st.sampled_from(("cell", "long", "blank", "end", "ragged", "header", "last")))
         row = draw(st.integers(0, len(lines) - 1))
+        # only the changes that apply to the row: a "ragged" pop can empty a one-cell blank line, which then has no
+        # cell to change, and a "ragged" change there appends one
+        needs_a_cell = ("cell", "long") if lines[row] else ()
+        change = draw(st.sampled_from((*needs_a_cell, "blank", "end", "ragged", "header", "last")))
         if change == "cell":
             lines[row][draw(st.integers(0, len(lines[row]) - 1))] = draw(st.sampled_from(ODD_CELLS))
         elif change == "long":
@@ -436,7 +439,7 @@ def near_plain_csv(draw) -> str:
         elif change == "end":
             ends[row] = draw(st.sampled_from(LINE_ENDS + SPLITLINES_ONLY_ENDS))
         elif change == "ragged":
-            if draw(st.booleans()):
+            if not lines[row] or draw(st.booleans()):
                 lines[row].append("-60")
             else:
                 lines[row].pop()
@@ -456,6 +459,7 @@ def _cells_or_error(split, text):
 
 @settings(max_examples=500, deadline=None)
 @given(near_plain_csv())
+@example("distance_m,rssi_dbm\n-60\r100,-70\n")  # a blank line emptied by a "ragged" pop, then given a cell
 def test_the_fast_path_reads_what_csv_reader_reads(text):
     fast = _cells_or_error(dataset._plain_cells, text)
     if fast != "None":

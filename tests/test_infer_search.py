@@ -4,19 +4,26 @@ The search screens each grid point from sums over the series and scores
 sample by sample only the points that can still win.  These tests check
 that it returns what scoring every point returns, to the bit, that each
 screened interval holds the fit scored sample by sample, and that memory
-does not grow with the grid.
+does not grow with the grid.  Each point binds from the base and axis
+values checked once; the search must return what binding every point
+through `model_from_params` returns, with no value checked twice.
 """
 
+import collections
 import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from propcal import MODEL_IDS, TERRAIN_A, DomainError, decade_slope, infer_site_parameters, model_from_params
+from propcal import (
+    METROPOLITAN, MODEL_IDS, TERRAIN_A, DomainError, Environment, InferenceResult, SuiParams, TerrainCategory, calibration,
+    decade_slope, infer_site_parameters, model_from_params, models,
+)
 from propcal.calibration import _fit, _fit_bounds, _screen_sums, _screenable
 from propcal.cli import _default_grid
 from propcal.models import PathLossModel, _log_km
@@ -183,3 +190,104 @@ def test_memory_does_not_grow_with_the_grid():
     small, large = peak(2_001), peak(20_001)
     # the search copies each axis, 8 bytes a point; a point kept to the end would cost hundreds
     assert large - small < 16 * (20_001 - 2_001)
+
+
+# -- binding each grid point from the base and axis values checked once ----------------------------------------
+
+# the values each key takes: numbers as floats, ints and Fractions, names as str and as objects (one equal to a
+# named one but not it), and None, which removes the key; some SUI values fail at the bind (a d0 not above 0, an
+# xh denominator not 2 or 2000) or at the first distance (a d0 not below it)
+BIND_VALUES = {
+    "freq_mhz": [2530.0, 1800, Fraction(9001, 5)],
+    "tx_height_m": [10.0, 30, 47.5, Fraction(95, 2), None],
+    "rx_height_m": [1.5, 3, Fraction(5, 2)],
+    "environment": ["medium_suburban", "metropolitan", METROPOLITAN, Environment("metropolitan", 3.0), None],
+    "terrain": ["A", "C", TERRAIN_A, TerrainCategory("C", 3.6, 0.005, 20.0), None],
+    "sui_d0_m": [100.0, 50, Fraction(1, 2), 0, -5.0, 5000.0, None],
+    "sui_shadow_db": [0.0, 2, None],
+    "sui_xh_denominator_m": [2.0, 2000, 20.0, None],
+    "ericsson_a1": [30.2, 25, Fraction(61, 2), None],
+    "tx_gain_linear": [1.0, 2, None],
+    "rx_gain_variant": ["medium_city", "large_city", None],
+}
+BIND_DISTANCES = [200.0 * 1.25**k for k in range(16)]
+
+
+def reference_search(distances, loss, model_id, grid, base):
+    """The search with every point bound through `model_from_params` and scored sample by sample."""
+    slope = decade_slope(distances, loss)
+    log_km = _log_km(distances)
+    best, first_failure = None, None
+    for combo in itertools.product(*grid.values()):
+        params = dict(base)
+        params.update(zip(grid, combo))
+        try:
+            fit = _fit(model_from_params(model_id, params), distances, log_km, loss)
+        except DomainError as exc:
+            first_failure = first_failure or exc
+            continue
+        if best is None or fit < best[0]:
+            best = (fit, params)
+    if best is None:
+        raise DomainError(f"no {model_id} grid point can be scored; the first fails: {first_failure}")
+    return InferenceResult(model_id, best[1], best[0], slope, math.prod(map(len, grid.values())))
+
+
+@st.composite
+def bind_searches(draw):
+    """A model, a base and a grid over `BIND_VALUES` with duplicates, axes that override base keys and points that
+    fail, and a target near one model's loss."""
+    model_id = draw(st.sampled_from(MODEL_IDS))
+    keys = st.sampled_from(sorted(BIND_VALUES))
+    base = {"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 3.0}
+    for key in draw(st.lists(keys, max_size=3)):
+        base[key] = draw(st.sampled_from(BIND_VALUES[key]))
+    grid = {key: draw(st.lists(st.sampled_from(BIND_VALUES[key]), min_size=1, max_size=4))
+            for key in draw(st.lists(keys, min_size=1, max_size=3, unique=True))}
+    hidden = model_from_params(model_id, {"freq_mhz": 2530.0, "tx_height_m": draw(st.sampled_from(HEIGHTS)), "rx_height_m": 3.0})
+    loss = [value + draw(st.sampled_from((0.0, 0.5, -1.0))) for value in hidden.path_loss_series(BIND_DISTANCES)]
+    return loss, model_id, grid, base
+
+
+@SEARCH
+@given(bind_searches())
+@example(([130.0] * 16, "sui", {"sui_d0_m": [0, -5.0, 5000.0]}, {"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 3.0}))
+def test_the_search_binds_each_point_as_model_from_params_does(case):
+    loss, model_id, grid, base = case
+    try:
+        expected = reference_search(BIND_DISTANCES, loss, model_id, grid, base)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as info:
+            infer_site_parameters(BIND_DISTANCES, loss, model_id, grid, base=base)
+        assert str(info.value) == str(exc)
+        return
+    result = infer_site_parameters(BIND_DISTANCES, loss, model_id, grid, base=base)
+    assert result == expected
+    assert repr(result) == repr(expected)  # the same types and bits: 30 stays an int, "A" a name
+
+
+def test_the_search_checks_each_value_once_and_binds_each_point_once(monkeypatch):
+    distances, loss = _drive_test("sui")
+    grid = _default_grid("sui")
+    counts = collections.Counter()
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    checks = counted("checks", models._model_arguments)
+    monkeypatch.setattr(models, "_model_arguments", checks)
+    monkeypatch.setattr(calibration, "_model_arguments", checks)
+    binds = counted("binds", models.make_model)
+    monkeypatch.setattr(models, "make_model", binds)
+    monkeypatch.setattr(calibration, "make_model", binds, raising=False)
+    monkeypatch.setattr(SuiParams, "__post_init__", counted("sui_params", SuiParams.__post_init__))
+    infer_site_parameters(distances, loss, "sui", grid, base=BASE)
+    points = math.prod(map(len, grid.values()))
+    assert counts == {
+        "checks": 1 + sum(map(len, grid.values())),
+        "binds": points,
+        "sui_params": len(grid["terrain"]) * len(grid["sui_xh_denominator_m"]),
+    }
