@@ -438,26 +438,25 @@ def infer_site_parameters(
     names = list(grid)
     axes = [as_column(f"parameter grid axis {name!r}", grid[name], DomainError) for name in names]
     fixed = {} if base is None else dict(as_mapping("base", base, DomainError))
-    placed = _model_arguments(fixed)
-    places, checked_axes = [], []  # per axis: the place `_model_arguments` gives its key, and its values checked
+    checked_base = _model_arguments(fixed)
+    checked_axes = []
     for name, axis in zip(names, axes):
         if not axis:
             raise DomainError(f"parameter grid axis {name!r} is empty")
-        places.append(_MODEL_PARAMS.get(name, (name, None))[:2])  # an unknown key passes with None values alone
-        checked = (_model_arguments({name: value}).get(places[-1]) for value in axis)
+        checked = (_model_arguments({name: value})[name] for value in axis)
         # by position, each value its check changed: an axis of floats is its own checked axis, with no copy
         changed = {i: c for i, (value, c) in enumerate(zip(axis, checked)) if c is not value}
         checked_axes.append(tuple(changed.get(i, value) for i, value in enumerate(axis)) if changed else axis)
     # an axis that sets a `make_model` argument, with no None to remove it, is put into each point's arguments; the
     # values of the others, with the base, give the rest, each SUI and Ericsson object among them built once
-    plain = [field is None and None not in axis for (_, field), axis in zip(places, checked_axes)]
-    targets = [target for (target, _), own in zip(places, plain) if own]
+    plain = [_MODEL_PARAMS[name][1] is None and None not in axis for name, axis in zip(names, checked_axes)]
+    targets = list(itertools.compress(names, plain))
     others = [not own for own in plain]
 
     # bounded, or an axis of a million SUI d0 values would keep a million; a call that raises keeps nothing
     @functools.lru_cache(maxsize=1024)
     def arguments(values: tuple) -> dict[str, object]:
-        return _make_model_kwargs({**placed, **dict(zip(itertools.compress(places, others), values))})
+        return _make_model_kwargs({**checked_base, **dict(zip(itertools.compress(names, others), values))})
 
     log_km = _log_km(distances)
     sums = _screen_sums(log_km, target) if _screenable(*target) else None

@@ -166,11 +166,8 @@ class ExtendedCost231Loss:
     rx_height_gain_db: float
 
     def __post_init__(self) -> None:
-        a, b, c, d = self.free_space_db, self.basic_median_db, self.tx_height_gain_db, self.rx_height_gain_db
-        # four floats with a finite sum, as every bind gives, are finite; anything else is checked field by field
-        if not (type(a) is type(b) is type(c) is type(d) is float and math.isfinite(a + b + c + d)):
-            for field in ("free_space_db", "basic_median_db", "tx_height_gain_db", "rx_height_gain_db"):
-                finite(field, getattr(self, field))
+        for field in ("free_space_db", "basic_median_db", "tx_height_gain_db", "rx_height_gain_db"):
+            finite(field, getattr(self, field))
 
     @property
     def total_db(self) -> float:
@@ -385,11 +382,10 @@ class PathLossModel:
                     raise _non_finite_error(self.model_id)
                 finite(f"{self.model_id} coefficient {label}", value)
             nonnegative("min_distance_m", low)
-        if notes != ():  # no range notes, as most binds give, need no join
-            try:
-                "".join(notes if isinstance(notes, tuple) else None)  # only a tuple of str joins
-            except TypeError:
-                raise DomainError(f"range_notes must be a tuple of str, got {notes!r}") from None
+        try:
+            "".join(notes if isinstance(notes, tuple) else None)  # only a tuple of str joins
+        except TypeError:
+            raise DomainError(f"range_notes must be a tuple of str, got {notes!r}") from None
         if self.name is None:
             object.__setattr__(self, "name", self.model_id)
 
@@ -446,15 +442,15 @@ def _checked_distances(distances_m: Iterable[object]) -> tuple[float, ...]:
     return checked_column("distances_m", distances_m, DomainError, message.format, LEAST_POSITIVE)
 
 
-def _defined(name: str, compute: Callable[..., object], *args: object, **kwargs: object) -> object:
-    """`compute(*args, **kwargs)` under the one rule for a model's arithmetic.
+def _defined(name: str, compute: Callable[..., object], *args: object) -> object:
+    """`compute(*args)` under the one rule for a model's arithmetic.
 
     Where an intermediate over- or underflows into a division by zero or
     a log10(0), or a float result is not finite, `DomainError` names
     `name`: the model for `make_model`, the function for a helper.
     """
     try:
-        result = compute(*args, **kwargs)
+        result = compute(*args)
     except DomainError:
         raise
     except (ArithmeticError, ValueError):
@@ -557,43 +553,42 @@ _MODEL_PARAMS: Mapping[str, tuple] = {
 }
 
 
-def _model_arguments(params: Mapping[str, object]) -> dict[tuple, object]:
-    """`params` checked, each value under the place `_MODEL_PARAMS` gives its key, a None value counting as absent:
-    (the `make_model` argument, None), or (the SUI or Ericsson argument with its type, the field the key sets).
+def _model_arguments(params: Mapping[str, object]) -> dict[str, object]:
+    """`params` checked, each value under its own key; a None value, which counts as absent, stays None.
 
-    An unknown key, a value that is not a finite number where one is
-    due, or an unknown name raises `DomainError` naming the key.
+    An unknown key, whatever its value, a value that is not a finite
+    number where one is due, or an unknown name raises `DomainError`
+    naming the key.
     """
-    placed: dict[tuple, object] = {}
+    checked: dict[str, object] = {}
     for key, value in params.items():
-        if value is None:
-            continue
         entry = _MODEL_PARAMS.get(key)
         if entry is None:
             raise DomainError(f"unknown model parameters: [{key!r}]")
-        target, field, named = entry
-        if named is None:  # no model takes a non-finite number, and it would reach the report
+        named = entry[2]
+        if value is not None and named is None:  # no model takes a non-finite number, and it would reach the report
             value = finite(f"model parameter {key}", value)
-        elif not isinstance(value, named[0]):
+        elif value is not None and not isinstance(value, named[0]):
             if not (isinstance(value, str) and value in named[1]):
                 raise DomainError(f"unknown {key} {value!r}")
             value = named[1][value]
-        placed[target, field] = value
-    return placed
+        checked[key] = value
+    return checked
 
 
-def _make_model_kwargs(placed: Mapping[tuple, object]) -> dict[str, object]:
-    """`make_model`'s keyword arguments from values placed as `_model_arguments` places them, a None counting as
-    absent: each SUI and Ericsson object built from its fields."""
+def _make_model_kwargs(checked: Mapping[str, object]) -> dict[str, object]:
+    """`make_model`'s keyword arguments from values checked by `_model_arguments`, a None counting as absent: each
+    value given to the argument `_MODEL_PARAMS` names for its key, each SUI and Ericsson object built from its fields."""
     kwargs: dict[str, object] = {"freq_mhz": None}  # a missing one fails `make_model`'s check
     fields: dict[tuple, dict[str, object]] = {}
-    for (target, field), value in placed.items():
+    for key, value in checked.items():
         if value is None:
             continue
+        argument, field = _MODEL_PARAMS[key][:2]
         if field is None:
-            kwargs[target] = value
+            kwargs[argument] = value
         else:
-            fields.setdefault(target, {})[field] = value
+            fields.setdefault(argument, {})[field] = value
     for (argument, kind), values in fields.items():
         kwargs[argument] = kind(**values)
     return kwargs
@@ -602,10 +597,13 @@ def _make_model_kwargs(placed: Mapping[tuple, object]) -> dict[str, object]:
 def model_from_params(model_id: str, params: Mapping[str, object]) -> PathLossModel:
     """Build a model from a flat parameter mapping.
 
-    The dynamic twin of `make_model`, used by grid search and the CLI.
+    The dynamic twin of `make_model` for library callers: the `params`
+    that `infer` reports bind through it to the model it found.
     Accepted keys: freq_mhz, tx_height_m, rx_height_m, environment,
     terrain, sui_d0_m, sui_shadow_db, sui_xh_denominator_m,
     ericsson_a0..ericsson_a3, tx_gain_linear, rx_gain_variant.
     Environment and terrain accept either the objects or their names.
+    A None value counts as absent; an unknown key raises `DomainError`
+    whatever its value, None included.
     """
     return make_model(model_id, **_make_model_kwargs(_model_arguments(as_mapping("params", params, DomainError))))  # type: ignore[arg-type]

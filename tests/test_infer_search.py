@@ -21,8 +21,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from propcal import (
-    METROPOLITAN, MODEL_IDS, TERRAIN_A, DomainError, Environment, InferenceResult, SuiParams, TerrainCategory, calibration,
-    decade_slope, infer_site_parameters, model_from_params, models,
+    METROPOLITAN, MODEL_IDS, TERRAIN_A, DomainError, Environment, EricssonParams, InferenceResult, SuiParams, TerrainCategory,
+    calibration, decade_slope, infer_site_parameters, model_from_params, models,
 )
 from propcal.calibration import _fit, _fit_bounds, _screen_sums, _screenable
 from propcal.cli import _default_grid
@@ -266,9 +266,21 @@ def test_the_search_binds_each_point_as_model_from_params_does(case):
     assert repr(result) == repr(expected)  # the same types and bits: 30 stays an int, "A" a name
 
 
-def test_the_search_checks_each_value_once_and_binds_each_point_once(monkeypatch):
-    distances, loss = _drive_test("sui")
-    grid = _default_grid("sui")
+# the default SUI grid: one check for the base and one per axis value (1 + 96), one bind per point, one SuiParams per
+# (terrain, xh denominator) pair; an Ericsson grid: 1 + 7 checks, 12 points, one EricssonParams per (a1, a3) pair
+WORK = {
+    "sui": (_default_grid("sui"), {"checks": 97, "binds": 546, "sui_params": 6}),
+    "ericsson": (
+        {"tx_height_m": [30.0, 40.0, 50.0], "ericsson_a1": [25.0, 30.2], "ericsson_a3": [0.1, None]},
+        {"checks": 8, "binds": 12, "ericsson_params": 4},
+    ),
+}
+
+
+@pytest.mark.parametrize("model_id", sorted(WORK))
+def test_the_search_checks_each_value_once_and_binds_each_point_once(model_id, monkeypatch):
+    distances, loss = _drive_test(model_id)
+    grid, expected = WORK[model_id]
     counts = collections.Counter()
 
     def counted(name, function):
@@ -284,10 +296,20 @@ def test_the_search_checks_each_value_once_and_binds_each_point_once(monkeypatch
     monkeypatch.setattr(models, "make_model", binds)
     monkeypatch.setattr(calibration, "make_model", binds, raising=False)
     monkeypatch.setattr(SuiParams, "__post_init__", counted("sui_params", SuiParams.__post_init__))
-    infer_site_parameters(distances, loss, "sui", grid, base=BASE)
-    points = math.prod(map(len, grid.values()))
-    assert counts == {
-        "checks": 1 + sum(map(len, grid.values())),
-        "binds": points,
-        "sui_params": len(grid["terrain"]) * len(grid["sui_xh_denominator_m"]),
-    }
+    monkeypatch.setattr(EricssonParams, "__post_init__", counted("ericsson_params", EricssonParams.__post_init__))
+    infer_site_parameters(distances, loss, model_id, grid, base=BASE)
+    assert counts == collections.Counter(expected)
+
+
+@pytest.mark.parametrize("bind, key", [
+    (lambda distances, loss: model_from_params("ericsson", {**BASE, "bogus": None}), "bogus"),
+    (lambda distances, loss: infer_site_parameters(
+        distances, loss, "ericsson", {"bogus": [None], "tx_height_m": [30.0, 40.0]}, base=BASE), "bogus"),
+    (lambda distances, loss: infer_site_parameters(
+        distances, loss, "ericsson", {"tx_height_m": [30.0, 40.0]}, base={**BASE, "nonsense": None}), "nonsense"),
+], ids=["model_from_params", "grid", "base"])
+def test_an_unknown_key_raises_even_with_a_none_value(bind, key):
+    distances, loss = _drive_test("ericsson")
+    with pytest.raises(DomainError) as info:
+        bind(distances, loss)
+    assert str(info.value) == f"unknown model parameters: [{key!r}]"
