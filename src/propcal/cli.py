@@ -38,7 +38,7 @@ from .dataset import (
     serialize_drive_test_csv,
     with_prediction,
 )
-from .errors import DataError, DomainError, PropcalError, checked_column
+from .errors import DataError, DomainError, PropcalError, _Floats, checked_column
 from .link_budget import REFERENCE_SITE, SiteConfig, predict_rss, site_from_json
 from .models import (
     MODEL_IDS,
@@ -312,8 +312,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
     site = _load_site(args)
     table = _load_table(args.data)
     budget = site.budget_db
-    predictions = {  # the table checked its distances
-        mid: [budget - loss for loss in losses]
+    predictions = {  # the table checked its distances; a float minus a float is a float, so the type gate is skipped
+        mid: _Floats([budget - loss for loss in losses])
         for mid, losses in _evaluated(args, site, _selected_models(args, MODEL_IDS), table.distances_m)
     }
     report = calibrate(table.measured_rss_dbm, predictions, acceptable_mse_db2=args.acceptable_mse)

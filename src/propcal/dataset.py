@@ -16,7 +16,7 @@ import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .errors import LEAST_POSITIVE, DataError, as_column, as_instance, as_mapping, checked_column
+from .errors import LEAST_POSITIVE, DataError, _Floats, as_column, as_instance, as_mapping, checked_column
 from .link_budget import SiteConfig
 
 # Plausibility window for any RSS value, measured or predicted.  Real
@@ -47,9 +47,9 @@ class DriveTestSample:
 class DriveTestTable:
     """Validated, aligned drive-test columns.
 
-    `distances_m` and `measured_rss_dbm` hold one value per sample;
-    `predictions` maps each model name to a same-length predicted RSS column,
-    in a dict the table owns.  Every value is checked once, on construction.
+    `distances_m` and `measured_rss_dbm` hold one value per sample; `predictions` maps each model name to a
+    same-length predicted RSS column, in a dict the table owns.  Every value is checked once, on construction:
+    a parsed table's columns are `errors._Floats`, which carry that check into `calibrate`; a caller's become tuples.
     """
 
     distances_m: tuple[float, ...]
@@ -119,7 +119,7 @@ def _checked_header(row: Sequence[str]) -> list[str]:
     return header
 
 
-def _plain_cells(text: str) -> tuple[list[str], list[float]] | None:
+def _plain_cells(text: str) -> tuple[list[str], list[_Floats]] | None:
     """`_csv_cells` of text that splitting on "\\n" and "," reads as `csv.reader` does, and None for other text.
 
     That is text with no quote, no NUL, no "\\r" outside a "\\r\\n" and no
@@ -148,14 +148,16 @@ def _plain_cells(text: str) -> tuple[list[str], list[float]] | None:
         return None  # a ragged, blank or whitespace-only line, or no data line
     cells = ",".join(lines).split(",")  # one flat list: a list per row would cost its own allocation and GC passes
     del lines
+    width = len(header)
     try:
-        return header, list(map(float, cells))
+        # a column's floats are made one after another, so that a pass over the column reads memory in order
+        return header, [_Floats(map(float, cells[k::width])) for k in range(width)]
     except ValueError:  # a bad cell, or a line of only commas
         return None
 
 
-def _csv_cells(text: str) -> tuple[list[str], list[float]]:
-    """The header and every data cell as a float, read by `csv.reader`; the first bad line, row or cell raises."""
+def _csv_cells(text: str) -> tuple[list[str], list[_Floats]]:
+    """The header and its columns of floats, read by `csv.reader`; the first bad line, row or cell raises."""
     reader = csv.reader(io.StringIO(text, newline=""))  # "\r", "\n" and "\r\n" each end a line, as in a file
     try:
         rows = [row for row in reader if not _is_blank(row)]
@@ -176,7 +178,7 @@ def _csv_cells(text: str) -> tuple[list[str], list[float]]:
                 cells.append(float(cell))
             except ValueError:
                 raise DataError(f"row {i}, column {name}: not a number: {cell.strip()!r}") from None
-    return header, cells
+    return header, [_Floats(cells[k::width]) for k in range(width)]
 
 
 def parse_drive_test_csv(text: str) -> DriveTestTable:
@@ -188,9 +190,7 @@ def parse_drive_test_csv(text: str) -> DriveTestTable:
     1-based row and column positions.
     """
     as_instance("text", text, str, DataError)
-    header, cells = _plain_cells(text) or _csv_cells(text)
-    width = len(header)
-    columns = [tuple(cells[k::width]) for k in range(width)]
+    header, columns = _plain_cells(text) or _csv_cells(text)  # `_Floats` columns: `checked_column` skips the type gate
     pred_names = [name[len(PREDICTION_PREFIX):] for name in header[2:]]
     return DriveTestTable(columns[0], columns[1], dict(zip(pred_names, columns[2:])))
 

@@ -52,13 +52,20 @@ def _checked(name: str, value: object, low: float, rule: str) -> float:
     return checked_column(name, (value,), DomainError, lambda i, v: f"{name} {rule}, got {v!r}", low)[0]
 
 
+class _Floats(tuple):
+    """A column of floats that propcal built, each known to lie within [`low`, `high`]; NaN bounds: none checked yet."""
+
+    low = high = math.nan
+    __reduce__ = lambda self: (tuple, (tuple(self),))  # pickled and copied as the plain tuple it equals
+
+
 def as_column(name: str, values: object, error: type[Exception], items: str = "numbers") -> tuple[object, ...]:
-    """`values` as a tuple; an argument that cannot be iterated raises `error` naming the column `name` of `items`."""
+    """`values` as a tuple, a `_Floats` column as it is; one that cannot be iterated raises `error` naming the column `name` of `items`."""
     try:
         iter(values)  # only the call: a TypeError raised while iterating is not this one
     except TypeError:
         raise error(f"{name}: not a column of {items}, got {values!r}") from None
-    return tuple(values)
+    return values if type(values) is _Floats else tuple(values)
 
 
 def as_mapping(name: str, value: object, error: type[Exception]) -> Mapping:
@@ -83,12 +90,18 @@ def checked_column(name: str, values: Iterable[object], error: type[Exception], 
     Else raises `error(message(i, value))` for the first that is not, `i` counting from 1,
     or, if `values` cannot be iterated, `error` naming the column `name`.
     A column of floats is checked at once; any other is scanned value by value, as is one that fails.
+    A `_Floats` column skips the type gate and keeps the bounds it passes; one whose kept bounds lie within these comes back unscanned.
     """
     column = as_column(name, values, error)
+    marked = type(column) is _Floats
+    if marked and low <= column.low and column.high <= high:
+        return column
     # a NaN or an infinity makes the sum non-finite, and a finite sum leaves only bounds inside the
     # float range to compare with
-    if set(map(type, column)) <= {float} and math.isfinite(sum(column)):
+    if (marked or set(map(type, column)) <= {float}) and math.isfinite(sum(column)):
         if (low == -_LARGEST or low <= min(column, default=low)) and (high == _LARGEST or max(column, default=high) <= high):
+            if marked:  # max and min keep their first argument over a NaN, a bound not yet checked
+                column.low, column.high = max(low, column.low), min(high, column.high)
             return column
     for i, value in enumerate(column, start=1):
         # `type(...) is float` first: the ABC check costs ten times as much
