@@ -130,29 +130,33 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     """The propcal parser; if `argv` starts with a command name, only that command's subparser is built."""
     nonnegative_arg = functools.partial(_float_arg, allow_zero=True)
 
-    def site_flags(parser: _Parser) -> None:
+    def site_file_flags(parser: _Parser) -> None:
         parser.add_argument(
             "--site",
             default=REFERENCE_SITE_ALIAS,
             metavar="PATH",
             help=f"site JSON path, or '{REFERENCE_SITE_ALIAS}' for the built-in reference site (default)",
         )
+
+    def site_flags(parser: _Parser) -> None:
+        site_file_flags(parser)
         parser.add_argument("--freq-mhz", type=_float_arg, help="override site frequency")
-        parser.add_argument("--tx-height", type=_float_arg, metavar="M", help="override transmit height")
-        parser.add_argument("--rx-height", type=_float_arg, metavar="M", help="override receive height")
+        parser.add_argument("--tx-height", type=_float_arg, dest="tx_height_m", metavar="M", help="override transmit height")
+        parser.add_argument("--rx-height", type=_float_arg, dest="rx_height_m", metavar="M", help="override receive height")
 
     def model_flags(parser: _Parser) -> None:
         parser.add_argument("--env", choices=sorted(_ENV_CHOICES), default="medium", help="clutter class (default medium)")
         parser.add_argument("--terrain", choices=sorted(TERRAINS), default="B", help="terrain class (default B)")
         parser.add_argument(
             "--sui-xh-denom",
+            dest="sui_xh_denominator_m",
             type=float,
             choices=(2.0, 2000.0),
             default=2.0,
             metavar="{2,2000}",
             help="receiver-height normalizer in the SUI height correction (default 2)",
         )
-        parser.add_argument("--sui-shadow", type=nonnegative_arg, default=0.0, metavar="S", help="SUI shadow term in dB (default 0)")
+        parser.add_argument("--sui-shadow", dest="sui_shadow_db", type=nonnegative_arg, default=0.0, metavar="S", help="SUI shadow term in dB (default 0)")
         parser.add_argument("--tx-gain-linear", type=_float_arg, default=1.0, metavar="G", help="linear transmit gain used by fspl (default 1)")
 
     def data_flags(parser: _Parser) -> None:
@@ -210,7 +214,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     subcommands = {
         "predict": ("evaluate path loss over distances", site_flags, model_flags, out_flags, predict),
         "calibrate": ("fit correction factors for freshly evaluated models", data_flags, site_flags, model_flags, out_flags, calibrate, report_flags),
-        "compare": ("calibrate the prediction columns already in the data", data_flags, site_flags, out_flags, report_flags),
+        "compare": ("calibrate the prediction columns already in the data", data_flags, site_file_flags, out_flags, report_flags),
         "reference": ("dump or summarize the bundled reference corpus", out_flags, reference),
         "infer": ("grid-search the parameters behind a prediction column", data_flags, site_flags, model_flags, out_flags, infer),
         "plot": ("emit distance-sorted series for plotting", site_flags, model_flags, out_flags, plot),
@@ -231,20 +235,15 @@ def _load_site(args: argparse.Namespace) -> SiteConfig:
     if args.site == REFERENCE_SITE_ALIAS:
         site = REFERENCE_SITE
     else:
-        site = site_from_json(_read_text(args.site, "utf-8-sig"))
-    overrides = {}
-    if args.freq_mhz is not None:
-        overrides["freq_mhz"] = args.freq_mhz
-    if args.tx_height is not None:
-        overrides["tx_height_m"] = args.tx_height
-    if args.rx_height is not None:
-        overrides["rx_height_m"] = args.rx_height
+        site = site_from_json(_read_text(args.site))
+    # compare takes no override flags, so its namespace has none of these names
+    overrides = {name: value for name in ("freq_mhz", "tx_height_m", "rx_height_m") if (value := getattr(args, name, None)) is not None}
     return dataclasses.replace(site, **overrides) if overrides else site
 
 
-def _read_text(path: str, encoding: str) -> str:
+def _read_text(path: str) -> str:
     try:
-        with open(path, encoding=encoding) as file:
+        with open(path, encoding="utf-8-sig") as file:
             return file.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
@@ -253,7 +252,7 @@ def _read_text(path: str, encoding: str) -> str:
 def _load_table(data: str) -> DriveTestTable:
     if data == EMBEDDED_DATA:
         return reference_dataset()
-    return parse_drive_test_csv(_read_text(data, "utf-8-sig"))
+    return parse_drive_test_csv(_read_text(data))
 
 
 def _selected_models(args: argparse.Namespace, default: tuple[str, ...]) -> tuple[str, ...]:
@@ -271,8 +270,8 @@ def _model_params(args: argparse.Namespace, site: SiteConfig) -> dict[str, objec
         "rx_height_m": site.rx_height_m,
         "environment": _ENV_CHOICES[args.env],
         "terrain": args.terrain,
-        "sui_shadow_db": args.sui_shadow,
-        "sui_xh_denominator_m": args.sui_xh_denom,
+        "sui_shadow_db": args.sui_shadow_db,
+        "sui_xh_denominator_m": args.sui_xh_denominator_m,
         "tx_gain_linear": args.tx_gain_linear,
     }
 
@@ -428,8 +427,7 @@ def _cmd_plot(args: argparse.Namespace) -> str:
         predicted = table.predictions[name]
         cf = correction_factor(measured, predicted)
         table = with_prediction(table, f"{name}_corrected", [p + cf for p in predicted])
-    columns = base_names + [f"{n}_corrected" for n in base_names]
-    return emit_plot_series(table, site, quantity=args.quantity, columns=columns)
+    return emit_plot_series(table, site, quantity=args.quantity)
 
 
 _COMMANDS = {

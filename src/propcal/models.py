@@ -124,7 +124,7 @@ class SuiParams:
 
     def __post_init__(self) -> None:
         as_instance("terrain", self.terrain, TerrainCategory, DomainError)
-        positive("d0_m", self.d0_m)
+        object.__setattr__(self, "d0_m", positive("d0_m", self.d0_m))  # a float, as the `{:g}` of a range error needs
         nonnegative("shadow_db", self.shadow_db)
         if self.xh_denominator_m not in (2.0, 2000.0):
             raise DomainError(
@@ -381,7 +381,7 @@ class PathLossModel:
                 if isinstance(value, float) and not math.isfinite(value):
                     raise _non_finite_error(self.model_id)
                 finite(f"{self.model_id} coefficient {label}", value)
-            nonnegative("min_distance_m", low)
+            object.__setattr__(self, "min_distance_m", nonnegative("min_distance_m", low))
         try:
             "".join(notes if isinstance(notes, tuple) else None)  # only a tuple of str joins
         except TypeError:

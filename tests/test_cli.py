@@ -557,7 +557,8 @@ def test_help_exits_zero(run_cli):
 
 
 _HELP = {"-h --help": (argparse.SUPPRESS, None)}
-_SITE = {"--site": ("table3", None), "--freq-mhz": (None, None), "--tx-height": (None, None), "--rx-height": (None, None)}
+_SITE_FILE = {"--site": ("table3", None)}
+_SITE = {**_SITE_FILE, "--freq-mhz": (None, None), "--tx-height": (None, None), "--rx-height": (None, None)}
 _MODEL = {
     "--env": ("medium", ["medium", "metro"]),
     "--terrain": ("B", ["A", "B", "C"]),
@@ -580,7 +581,7 @@ FLAG_SURFACE = {
         **_HELP, **_DATA, **_SITE, **_MODEL, **_OUT,
         "--model": (None, _MODEL_IDS), "--all": (False, None), "--acceptable-mse": (None, None), "--format": ("json", _FORMAT),
     },
-    "compare": {**_HELP, **_DATA, **_SITE, **_OUT, "--acceptable-mse": (None, None), "--format": ("json", _FORMAT)},
+    "compare": {**_HELP, **_DATA, **_SITE_FILE, **_OUT, "--acceptable-mse": (None, None), "--format": ("json", _FORMAT)},
     "reference": {**_HELP, **_OUT, "--dump": (False, None)},
     "infer": {
         **_HELP, **_DATA, **_SITE, **_MODEL, **_OUT,

@@ -80,10 +80,11 @@ def _flag(name, values):
     return st.builds(lambda v: [name, v], values)
 
 
+SITE_FILE = _flag("--site", st.sampled_from(["table3", "site.json", "huge_site.json", "junk_site.json",
+                                             "latin1.json", "bigint_site.json", "digit_limit_site.json",
+                                             "missing.json"]))
 SITE_FLAGS = [
-    _flag("--site", st.sampled_from(["table3", "site.json", "huge_site.json", "junk_site.json",
-                                     "latin1.json", "bigint_site.json", "digit_limit_site.json",
-                                     "missing.json"])),
+    SITE_FILE,
     _flag("--freq-mhz", NUMBERS),
     _flag("--tx-height", NUMBERS),
     _flag("--rx-height", NUMBERS),
@@ -110,7 +111,7 @@ COMMANDS = {
         [*SITE_FLAGS, *MODEL_FLAGS, OUT, FORMAT],
     ),
     "calibrate": ([[DATA]], [*SITE_FLAGS, *MODEL_FLAGS, OUT, FORMAT, MODEL, ALL, MSE]),
-    "compare": ([[DATA]], [*SITE_FLAGS, OUT, FORMAT, MSE]),
+    "compare": ([[DATA]], [SITE_FILE, OUT, FORMAT, MSE]),
     "reference": ([], [OUT, st.just(["--dump"])]),
     "infer": (
         [[MODEL], [DATA]],

@@ -207,6 +207,8 @@ ERROR_COMMANDS = {
     "usage_unknown_flag": ((), ("predict", "--model", "fspl", "--distance-m", "1000", "--bogus"), 1,
                            "propcal: error: unrecognized arguments: --bogus\n"),
     "usage_no_command": ((), (), 1, "propcal: error: the following arguments are required: command\n"),
+    "compare_site_override": ((), ("compare", *CORPUS, "--freq-mhz", "5"), 1,
+                              "propcal: error: unrecognized arguments: --freq-mhz 5\n"),
     "data_missing": ((), ("compare", "--data", "missing.csv"), 2,
                      "propcal: error: [Errno 2] No such file or directory: 'missing.csv'\n"),
     "data_directory": ((), ("compare", "--data", "adir"), 2, "propcal: error: [Errno 21] Is a directory: 'adir'\n"),

@@ -28,6 +28,7 @@ from propcal import (
     DriveTestTable,
     EricssonParams,
     ExtendedCost231Loss,
+    PathLossModel,
     SuiParams,
     TerrainCategory,
     calibrate,
@@ -179,6 +180,33 @@ def test_the_checks_return_floats_and_accept_any_real_number(check, low_value):
     for value, expected in [(40, 40.0), (Fraction(3, 2), 1.5), (2.5, 2.5)]:
         result = check("x", value)
         assert (result, type(result)) == (expected, float)
+
+
+# a call that raises the range error of a distance bound given as its one argument
+_BOUND_ERRORS = {
+    "SuiParams.d0_m": lambda v: sui_path_loss(F, HB, HR, 50.0, SuiParams(d0_m=v)),
+    "PathLossModel.min_distance_m": lambda v: PathLossModel("sui", 1.0, 2.0, min_distance_m=v).path_loss_db(0.1),
+}
+
+
+@pytest.mark.parametrize(
+    ("case", "value", "as_float"),
+    [
+        ("SuiParams.d0_m", 100, 100.0),
+        ("SuiParams.d0_m", Fraction(100), 100.0),
+        ("SuiParams.d0_m", np.float32(100), 100.0),
+        ("PathLossModel.min_distance_m", Fraction(1, 3), 1 / 3),
+    ],
+    ids=repr,
+)
+def test_a_distance_bound_of_any_real_type_gives_the_range_error_of_its_float(case, value, as_float):
+    # the bound reaches a `{:g}` format, which Fraction supports only from Python 3.12
+    def message(bound):
+        with pytest.raises(DomainError) as excinfo:
+            _BOUND_ERRORS[case](bound)
+        return str(excinfo.value)
+
+    assert message(value) == message(as_float)
 
 
 @pytest.mark.parametrize(
