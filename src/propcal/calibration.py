@@ -17,7 +17,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 import operator
 import sys
 from collections.abc import Iterable, Mapping, Sequence
@@ -279,67 +278,39 @@ def _rescaled(name: str, deviations: list[float]) -> tuple[tuple[list[float], fl
     return _centred(name, [math.ldexp(d, -e) for d in deviations]), e
 
 
-def published_divergence_notes(
-    report: CalibrationReport,
-    published: Mapping[str, Mapping[str, float]] = PUBLISHED_CALIBRATION,
-) -> tuple[str, ...]:
-    """Compare a recomputed report against published reference metrics.
+def published_divergence_notes(report: CalibrationReport) -> tuple[str, ...]:
+    """Compare a recomputed report against `PUBLISHED_CALIBRATION`, the metrics published with the reference corpus.
 
-    Returns one note per metric that disagrees beyond its tolerance.
-    When a published after-correction row is internally inconsistent
-    (its before-MSE and cf do not satisfy mse_after = mse_before - cf^2
-    but the identity value matches the other after cell), the note says
-    the two printed cells appear transposed instead of flagging the
-    recomputation as wrong.  Each row of a model in `report` must be a
-    mapping that holds each metric, and `cf_after_db` may add the
-    after-correction cf; each value must be a real number within the
-    float range or a NaN, which is never reported.  Anything else raises
-    `DataError` naming the row and the key.
+    Returns one note per metric of a model in both that disagrees beyond
+    its tolerance.  When a published after-correction row is internally
+    inconsistent (its before-MSE and cf do not satisfy mse_after =
+    mse_before - cf^2 but the identity value matches the other after
+    cell), the note says the two printed cells appear transposed instead
+    of flagging the recomputation as wrong.
     """
     as_instance("report", report, CalibrationReport, DataError)
     notes: list[str] = []
-    for model_id, row in as_mapping("published", published, DataError).items():
+    for model_id, pub in PUBLISHED_CALIBRATION.items():
         calib = report.models.get(model_id)
         if calib is None:
             continue
-        pub = _published_row(f"published[{model_id!r}]", row)
         for key, label, unit, tolerance in _PUBLISHED_CHECKS:
             value = getattr(calib, key)
-            # `not >` lets a NaN published value pass unreported
-            if value is None or not abs(value - pub[key]) > tolerance:
+            if value is None or abs(value - pub[key]) <= tolerance:
                 continue
             if key == "mse_after_db2":
                 identity = pub["mse_before_db2"] - pub["cf_db"] ** 2
-                cf_after = pub.get("cf_after_db", pub["cf_db"])
-                if abs(identity - cf_after) <= 0.005:
+                if abs(identity - pub["cf_after_db"]) <= 0.005:
                     notes.append(
                         f"{model_id}: published after-correction cells are internally "
                         f"inconsistent: mse_before - cf^2 = {identity:.4f} dB^2 matches the "
-                        f"published after-correction cf cell {cf_after:g}, not the published "
+                        f"published after-correction cf cell {pub['cf_after_db']:g}, not the published "
                         f"mse cell {pub[key]:g}; the two cells appear transposed "
                         f"(computed mse_after = {value:.4f} dB^2)"
                     )
                     continue
             notes.append(f"{model_id}: computed {label} {value:.4f}{unit} differs from published {pub[key]:g}{unit}")
     return tuple(notes)
-
-
-def _published_row(name: str, row: object) -> dict[str, float]:
-    """The published row `name` as floats: each metric `published_divergence_notes` reads, and `cf_after_db` if given."""
-    row = as_mapping(name, row, DataError)
-    values = {}
-    for key in [key for key, *_ in _PUBLISHED_CHECKS] + ["cf_after_db"] * ("cf_after_db" in row):
-        if key not in row:
-            raise DataError(f"{name}: missing {key!r}")
-        value = row[key]
-        if isinstance(value, numbers.Real) and not isinstance(value, bool):
-            try:
-                values[key] = float(value)
-                continue
-            except OverflowError:  # an int or a Fraction past the float range
-                pass
-        raise DataError(f"{name}[{key!r}] must be a real number within the float range, got {value!r}")
-    return values
 
 
 def decade_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> float:

@@ -322,35 +322,24 @@ def reference_dataset() -> DriveTestTable:
     return DriveTestTable(distances, measured, dict(zip(_REFERENCE_PREDICTION_NAMES, predicted)))
 
 
-def emit_plot_series(
-    table: DriveTestTable,
-    site: SiteConfig,
-    *,
-    quantity: str = "rss",
-    columns: Iterable[str] | None = None,
-) -> str:
-    """Distance-sorted CSV of measured and predicted series for plotting.
+def emit_plot_series(table: DriveTestTable, site: SiteConfig, *, quantity: str = "rss") -> str:
+    """Distance-sorted CSV of the measured series and every prediction column, in table order, for plotting.
 
     `quantity` selects the y axis: "rss" emits the values as stored,
     "pl" converts every RSS through the site budget to path loss in dB.
-    `columns` restricts and orders the prediction columns; default is
-    all of them in table order.  Values are rounded to 0.01 dB.
+    Values are rounded to 0.01 dB.
     """
     as_instance("table", table, DriveTestTable, DataError)
     as_instance("site", site, SiteConfig, DataError)
     if quantity not in ("rss", "pl"):
         raise DataError(f"quantity must be 'rss' or 'pl', got {quantity!r}")
-    names = list(table.predictions) if columns is None else list(as_column("columns", columns, DataError, "names"))
-    for name in names:
-        if not (isinstance(name, str) and name in table.predictions):
-            raise DataError(f"unknown prediction column {name!r}")
 
     distances = table.distances_m
-    series = [table.measured_rss_dbm] + [table.predictions[n] for n in names]
+    series = [table.measured_rss_dbm, *table.predictions.values()]
     if quantity == "pl":
         budget = site.budget_db
         series = [[budget - rss for rss in column] for column in series]
     order = sorted(range(len(table)), key=distances.__getitem__)
     measured_label = "measured_rss_dbm" if quantity == "rss" else "measured_pl_db"
     cells = [list(map(_format_value, distances))] + [list(map("{:.2f}".format, column)) for column in series]
-    return _csv_text(["distance_m", measured_label] + names, zip(*(map(column.__getitem__, order) for column in cells)))
+    return _csv_text(["distance_m", measured_label, *table.predictions], zip(*(map(column.__getitem__, order) for column in cells)))

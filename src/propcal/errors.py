@@ -59,12 +59,12 @@ class _Floats(tuple):
     __reduce__ = lambda self: (tuple, (tuple(self),))  # pickled and copied as the plain tuple it equals
 
 
-def as_column(name: str, values: object, error: type[Exception], items: str = "numbers") -> tuple[object, ...]:
-    """`values` as a tuple, a `_Floats` column as it is; one that cannot be iterated raises `error` naming the column `name` of `items`."""
+def as_column(name: str, values: object, error: type[Exception]) -> tuple[object, ...]:
+    """`values` as a tuple, a `_Floats` column as it is; one that cannot be iterated raises `error` naming the column `name`."""
     try:
         iter(values)  # only the call: a TypeError raised while iterating is not this one
     except TypeError:
-        raise error(f"{name}: not a column of {items}, got {values!r}") from None
+        raise error(f"{name}: not a column of numbers, got {values!r}") from None
     return values if type(values) is _Floats else tuple(values)
 
 
@@ -104,8 +104,11 @@ def checked_column(name: str, values: Iterable[object], error: type[Exception], 
                 column.low, column.high = max(low, column.low), min(high, column.high)
             return column
     for i, value in enumerate(column, start=1):
-        # `type(...) is float` first: the ABC check costs ten times as much
+        # `type(...) is float` first: the ABC checks cost ten times as much
         real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-        if not (real and low <= value <= high):  # exact for an int of any size
+        # an int or a Fraction is compared exactly at any size, another real as its float: NumPy would compare a
+        # float32 with a float bound in float32, where the largest float overflows
+        number = value if not real or type(value) is float or isinstance(value, numbers.Rational) else float(value)
+        if not (real and low <= number <= high):
             raise error(message(i, value))
     return tuple(map(float, column))

@@ -18,6 +18,7 @@ from propcal import (
     DataError,
     DomainError,
     MODEL_IDS,
+    PUBLISHED_CALIBRATION,
     REFERENCE_SITE,
     ModelCalibration,
     calibrate,
@@ -373,7 +374,7 @@ class TestCalibrate:
         assert all("exceeds" in note for note in report.notes)
         assert calibrate(measured, predictions).notes == ()
 
-    def test_degenerate_series_gets_a_null_r_and_a_note(self):
+    def test_degenerate_series_gets_a_null_r_and_a_note(self, monkeypatch):
         report = calibrate([-70.0, -65.0, -60.0], {"a": [-70.0, -70.0, -70.0], "b": [-71.0, -66.0, -61.0]})
         a = report.models["a"]
         assert a.pearson_r is None
@@ -384,7 +385,9 @@ class TestCalibrate:
         assert report.best_model == "b"
         assert report.notes == ("a: pearson_r is undefined for a zero-variance predicted series; reported as null",)
         assert json.loads(report.to_json())["models"]["a"]["pearson_r"] is None
-        assert published_divergence_notes(report, {"a": {"cf_db": 5.0, "mse_before_db2": 125.0 / 3.0, "pearson_r": 0.5, "mse_after_db2": 50.0 / 3.0}}) == ()
+        published = {"a": {"cf_db": 5.0, "mse_before_db2": 125.0 / 3.0, "pearson_r": 0.5, "mse_after_db2": 50.0 / 3.0, "cf_after_db": 5.0}}
+        monkeypatch.setattr("propcal.calibration.PUBLISHED_CALIBRATION", published)
+        assert published_divergence_notes(report) == ()
 
     def test_a_flat_series_whose_mean_rounds_has_a_null_r(self):
         # fsum([24.22] * 11) / 11 is an ulp off 24.22, which would leave a variance of ~1e-28
@@ -679,6 +682,13 @@ class TestInferSiteParameters:
 
 
 class TestPublishedDivergence:
+    def test_the_bundled_table_holds_the_five_published_metrics_of_known_models(self):
+        # `published_divergence_notes` reads the table unchecked
+        assert set(PUBLISHED_CALIBRATION) <= set(MODEL_IDS)
+        for model_id, row in PUBLISHED_CALIBRATION.items():
+            assert set(row) == {"cf_db", "mse_before_db2", "pearson_r", "mse_after_db2", "cf_after_db"}, model_id
+            assert all(type(value) is float and math.isfinite(value) for value in row.values()), model_id
+
     def test_reference_corpus_yields_exactly_the_transposition_note(self):
         measured, predictions, _ = corpus()
         notes = published_divergence_notes(calibrate(measured, predictions))
@@ -689,7 +699,7 @@ class TestPublishedDivergence:
         assert "18.1554" in note
         assert "transposed" in note
 
-    def test_consistent_published_values_yield_no_notes(self):
+    def test_consistent_published_values_yield_no_notes(self, monkeypatch):
         measured, predictions, _ = corpus()
         report = calibrate(measured, predictions)
         published = {
@@ -702,9 +712,10 @@ class TestPublishedDivergence:
             }
             for model_id, calib in report.models.items()
         }
-        assert published_divergence_notes(report, published) == ()
+        monkeypatch.setattr("propcal.calibration.PUBLISHED_CALIBRATION", published)
+        assert published_divergence_notes(report) == ()
 
-    def test_plain_divergence_notes_name_the_metric(self):
+    def test_plain_divergence_notes_name_the_metric(self, monkeypatch):
         measured, predictions, _ = corpus()
         report = calibrate(measured, {"sui": predictions["sui"]})
         published = {
@@ -716,7 +727,8 @@ class TestPublishedDivergence:
                 "cf_after_db": 0.0,
             }
         }
-        assert published_divergence_notes(report, published) == (
+        monkeypatch.setattr("propcal.calibration.PUBLISHED_CALIBRATION", published)
+        assert published_divergence_notes(report) == (
             "sui: computed cf -22.3660 dB differs from published 0 dB",
             "sui: computed before-correction mse 547.5840 dB^2 differs from published 100 dB^2",
             "sui: computed pearson r 0.9188 differs from published 0.5",

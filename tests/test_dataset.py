@@ -239,12 +239,13 @@ class TestPlotSeries:
         assert text.splitlines()[1] == "400,-61.00"
 
     def test_column_selection_and_order(self):
-        text = emit_plot_series(reference_dataset(), REFERENCE_SITE, columns=["sui", "ericsson"])
-        assert text.splitlines()[0] == "distance_m,measured_rss_dbm,sui,ericsson"
-
-    def test_unknown_column_rejected(self):
-        with pytest.raises(DataError, match="unknown prediction column"):
-            emit_plot_series(reference_dataset(), REFERENCE_SITE, columns=["fspl"])
+        # a selection is a table that holds those columns; they are emitted in its order, not the reference's
+        table = reference_dataset()
+        chosen = DriveTestTable(table.distances_m, table.measured_rss_dbm, {n: table.predictions[n] for n in ["ericsson", "sui"]})
+        lines = emit_plot_series(chosen, REFERENCE_SITE).splitlines()
+        assert lines[0] == "distance_m,measured_rss_dbm,ericsson,sui"
+        full = [line.split(",") for line in emit_plot_series(table, REFERENCE_SITE).splitlines()]
+        assert [line.split(",") for line in lines] == [[row[0], row[1], row[5], row[4]] for row in full]
 
     def test_bad_quantity_rejected(self):
         with pytest.raises(DataError, match="quantity"):
