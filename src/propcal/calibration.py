@@ -23,11 +23,11 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 
 from .dataset import PUBLISHED_CALIBRATION, _csv_text
-from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_instance, as_mapping, checked_column, finite, nonnegative
+from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_instance, as_mapping, checked_column, checked_fields, finite, nonnegative
 from .models import (
     _MODEL_PARAMS, MODEL_IDS, PathLossModel, _log_km, _make_model_kwargs, _model_arguments, _range_warnings, make_model,
 )
-from .models import model_from_params  # unused here: the benchmark tracer wraps this name until ROADMAP item 2
+from .models import model_from_params  # unused here: the benchmark tracer wraps this name until ROADMAP item 3
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
 _OVERFLOW = "{} series: a sum over its values overflows the float range"
@@ -61,8 +61,7 @@ class ModelCalibration:
 
     def __post_init__(self) -> None:
         scores = ("cf_db", "mse_before_db2", "mse_after_db2", "rmse_before_db", "rmse_after_db")
-        for name in scores if self.pearson_r is None else (*scores, "pearson_r"):
-            object.__setattr__(self, name, finite(name, getattr(self, name)))  # a float, which JSON writes
+        checked_fields(self, finite, *scores if self.pearson_r is None else (*scores, "pearson_r"))
         if type(self.n) is not int or self.n < 1:
             raise DomainError(f"n must be a positive int, got {self.n!r}")
 

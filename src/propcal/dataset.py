@@ -13,10 +13,10 @@ import copy
 import csv
 import io
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .errors import LEAST_POSITIVE, DataError, _Floats, as_column, as_instance, as_mapping, checked_column
+from .errors import LEAST_POSITIVE, DataError, _Floats, as_column, as_instance, as_mapping, checked_column, checked_fields
 from .link_budget import SiteConfig
 
 # Plausibility window for any RSS value, measured or predicted.  Real
@@ -37,10 +37,13 @@ class DriveTestSample:
     measured_rss_dbm: float
 
     def __post_init__(self) -> None:
-        checked_column("distance_m", (self.distance_m,), DataError, "distance_m must be positive, got {1!r}".format,
-                       LEAST_POSITIVE)
+        # each field checked as a column of one, as a table checks its columns, with the message that names it
+        def rule(message: str, *bounds: float) -> Callable[[str, object], float]:
+            return lambda name, value: checked_column(name, (value,), DataError, message.format, *bounds)[0]
+
+        checked_fields(self, rule("distance_m must be positive, got {1!r}", LEAST_POSITIVE), "distance_m")
         message = f"measured_rss_dbm: RSS {{1!r}} outside [{RSS_MIN_DBM:g}, {RSS_MAX_DBM:g}] dBm"
-        checked_column("measured_rss_dbm", (self.measured_rss_dbm,), DataError, message.format, RSS_MIN_DBM, RSS_MAX_DBM)
+        checked_fields(self, rule(message, RSS_MIN_DBM, RSS_MAX_DBM), "measured_rss_dbm")
 
 
 @dataclass(frozen=True)

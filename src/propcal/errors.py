@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check of a numeric parameter or column."""
+"""Exception types shared across the package, the one check of a numeric parameter or column, and the one way a record keeps one."""
 
 import math
 import numbers
@@ -43,6 +43,13 @@ def positive(name: str, value: object) -> float:
 def nonnegative(name: str, value: object) -> float:
     """`value` as a float if it is a finite real number at or above zero."""
     return _checked(name, value, 0.0, "must be >= 0")
+
+
+def checked_fields(record: object, check: Callable[[str, object], float], *names: str) -> None:
+    """Store each named field of the frozen `record`, in order, as the float `check(name, value)` returns: the one
+    way a record keeps a checked number, so a field given as an `int`, a `Fraction` or a NumPy real holds a float."""
+    for name in names:
+        object.__setattr__(record, name, check(name, getattr(record, name)))
 
 
 def _checked(name: str, value: object, low: float, rule: str) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .errors import DataError, as_instance, checked_column, finite, nonnegative, positive
+from .errors import DataError, as_instance, checked_column, checked_fields, finite, nonnegative, positive
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,10 @@ class SiteConfig:
     rx_height_m: float
 
     def __post_init__(self) -> None:
-        # each kept as the float its check gives, which `site_to_json` can write
-        for name in ("tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi"):
-            object.__setattr__(self, name, finite(name, getattr(self, name)))
-        for name in ("feeder_loss_db", "polarization_loss_db"):
-            object.__setattr__(self, name, nonnegative(name, getattr(self, name)))
-        for name in ("freq_mhz", "tx_height_m", "rx_height_m"):
-            object.__setattr__(self, name, positive(name, getattr(self, name)))
-        finite("budget_db", self.budget_db)
+        checked_fields(self, finite, "tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi")
+        checked_fields(self, nonnegative, "feeder_loss_db", "polarization_loss_db")
+        checked_fields(self, positive, "freq_mhz", "tx_height_m", "rx_height_m")
+        finite("budget_db", self.budget_db)  # a derived value, not a field: checked, with nothing to store
 
     @property
     def budget_db(self) -> float:

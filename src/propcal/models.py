@@ -23,7 +23,7 @@ import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import KW_ONLY, dataclass, replace
 
-from .errors import LEAST_POSITIVE, DomainError, as_instance, as_mapping, checked_column, finite, nonnegative, positive
+from .errors import LEAST_POSITIVE, DomainError, as_instance, as_mapping, checked_column, checked_fields, finite, nonnegative, positive
 
 LIGHT_SPEED_M_PER_S = 299_792_458.0
 
@@ -67,7 +67,7 @@ class Environment:
 
     def __post_init__(self) -> None:
         as_instance("name", self.name, str, DomainError)
-        finite("clutter_db", self.clutter_db)
+        checked_fields(self, finite, "clutter_db")
 
 
 MEDIUM_SUBURBAN = Environment("medium_suburban", 0.0)
@@ -93,8 +93,7 @@ class TerrainCategory:
 
     def __post_init__(self) -> None:
         as_instance("name", self.name, str, DomainError)
-        for field in ("a", "b", "c"):
-            finite(field, getattr(self, field))
+        checked_fields(self, finite, "a", "b", "c")
 
 
 TERRAIN_A = TerrainCategory("A", 4.6, 0.0075, 12.6)
@@ -124,12 +123,11 @@ class SuiParams:
 
     def __post_init__(self) -> None:
         as_instance("terrain", self.terrain, TerrainCategory, DomainError)
-        object.__setattr__(self, "d0_m", positive("d0_m", self.d0_m))  # a float, as the `{:g}` of a range error needs
-        nonnegative("shadow_db", self.shadow_db)
+        checked_fields(self, positive, "d0_m")
+        checked_fields(self, nonnegative, "shadow_db")
         if self.xh_denominator_m not in (2.0, 2000.0):
-            raise DomainError(
-                f"xh_denominator_m must be 2 or 2000, got {self.xh_denominator_m!r}"
-            )
+            raise DomainError(f"xh_denominator_m must be 2 or 2000, got {self.xh_denominator_m!r}")
+        checked_fields(self, positive, "xh_denominator_m")
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,7 @@ class EricssonParams:
     a3: float = 0.1
 
     def __post_init__(self) -> None:
-        for field in ("a0", "a1", "a2", "a3"):
-            finite(field, getattr(self, field))
+        checked_fields(self, finite, "a0", "a1", "a2", "a3")
 
 
 ERICSSON_URBAN = EricssonParams()
@@ -166,8 +163,7 @@ class ExtendedCost231Loss:
     rx_height_gain_db: float
 
     def __post_init__(self) -> None:
-        for field in ("free_space_db", "basic_median_db", "tx_height_gain_db", "rx_height_gain_db"):
-            finite(field, getattr(self, field))
+        checked_fields(self, finite, "free_space_db", "basic_median_db", "tx_height_gain_db", "rx_height_gain_db")
 
     @property
     def total_db(self) -> float:
@@ -242,15 +238,16 @@ def extended_cost231(
       rx_height_gain = (42.57 + 13.7*log10 f) * (log10 hr - 0.585)
                        (medium_city) or 0.759*hr - 1.862 (large_city)
     """
-    return _defined(
+    return ExtendedCost231Loss(*_defined(
         "extended_cost231", _extended_cost231, positive("freq_mhz", freq_mhz), positive("tx_height_m", tx_height_m),
         positive("rx_height_m", rx_height_m), positive("distance_m", distance_m), rx_gain_variant,
-    )
+    ))
 
 
 def _extended_cost231(
     freq_mhz: float, tx_height_m: float, rx_height_m: float, distance_m: float, rx_gain_variant: str
-) -> ExtendedCost231Loss:
+) -> tuple[float, float, float, float]:
+    """The four components of `ExtendedCost231Loss`, in its field order."""
     freq_ghz = freq_mhz / 1000.0
     distance_km = distance_m / 1000.0
     log_f = math.log10(freq_ghz)
@@ -264,7 +261,7 @@ def _extended_cost231(
     free_space = 92.4 + 20.0 * log_d + 20.0 * log_f
     basic_median = 20.41 + 9.83 * log_d + 7.894 * log_f + 9.56 * log_f**2
     tx_gain = math.log10(tx_height_m / 200.0) * (13.958 + 5.8 * log_d**2)
-    return ExtendedCost231Loss(free_space, basic_median, tx_gain, rx_gain)
+    return free_space, basic_median, tx_gain, rx_gain
 
 
 def sui_gamma(tx_height_m: float, terrain: TerrainCategory) -> float:
@@ -380,8 +377,8 @@ class PathLossModel:
             for label, value in (("c0", c0), ("c1", c1), ("c2", c2)):
                 if isinstance(value, float) and not math.isfinite(value):
                     raise _non_finite_error(self.model_id)
-                finite(f"{self.model_id} coefficient {label}", value)
-            object.__setattr__(self, "min_distance_m", nonnegative("min_distance_m", low))
+                object.__setattr__(self, label, finite(f"{self.model_id} coefficient {label}", value))
+            checked_fields(self, nonnegative, "min_distance_m")
         try:
             "".join(notes if isinstance(notes, tuple) else None)  # only a tuple of str joins
         except TypeError:
@@ -478,7 +475,7 @@ def make_model(
     This is where each model's formula is written, as its coefficients
     in L = log10(d_km) (Hata 1980, COST 231 ch. 4, Erceg et al. 1999 for
     SUI); the closed forms above evaluate the model bound here, except
-    that extended COST-231 Hata takes c0 from `extended_cost231` at 1 km,
+    that extended COST-231 Hata sums c0 from the components of `extended_cost231` at 1 km,
     where every log10(d) term vanishes.  Parameters so extreme that a
     coefficient is not finite raise `DomainError` naming the model.
     """
@@ -525,7 +522,8 @@ def _bind(
             range_notes=_cost231_range_notes(freq_mhz, hb, hr),
         )
     if model_id == "extended_cost231":
-        c0 = _extended_cost231(freq_mhz, hb, hr, 1000.0, rx_gain_variant).total_db
+        free_space, basic_median, tx_gain, rx_gain = _extended_cost231(freq_mhz, hb, hr, 1000.0, rx_gain_variant)
+        c0 = free_space + basic_median - tx_gain - rx_gain  # as `ExtendedCost231Loss.total_db` sums them
         return PathLossModel(model_id, c0, 20.0 + 9.83, -5.8 * math.log10(hb / 200.0))
     if model_id == "sui":
         sui_p = sui_params if sui_params is not None else SuiParams()

@@ -12,7 +12,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "propcal"
 KEPT = {
     ("calibration", "model_from_params"): (
         "perfbench/tracer.py wraps propcal.calibration.model_from_params to count binds; "
-        "the import goes when ROADMAP item 2 has the benchmark read propcal's own timers"
+        "the import goes when ROADMAP item 3 has the benchmark read propcal's own timers"
     ),
 }
 

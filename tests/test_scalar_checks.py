@@ -26,10 +26,14 @@ from propcal import (
     TERRAINS,
     DataError,
     DomainError,
+    DriveTestSample,
     DriveTestTable,
     EricssonParams,
+    Environment,
     ExtendedCost231Loss,
+    ModelCalibration,
     PathLossModel,
+    SiteConfig,
     SuiParams,
     TerrainCategory,
     calibrate,
@@ -481,12 +485,67 @@ def test_int_and_numpy_columns_give_the_float_column_result(call):
     assert repr(call(np.array(ints, dtype=np.float64))) == expected
 
 
-# every float from the least above zero to 1e308, and either sign of one
+# each real type a record field may be given; every value below is exact in float32, so each type holds it
+REAL_TYPES = [int, Fraction, np.float32, np.float64, np.longdouble]
+
+# record -> a build of it with each numeric field given as `real(x)`
+RECORDS = {
+    "Environment": lambda real: Environment("x", real(3.0)),
+    "TerrainCategory": lambda real: TerrainCategory("X", real(4.5), real(0.0078125), real(17.25)),
+    "SuiParams": lambda real: SuiParams(TERRAIN_B, real(100.0), real(8.25), real(2000.0)),
+    "EricssonParams": lambda real: EricssonParams(real(36.25), real(30.25), real(-12.0), real(0.125)),
+    "ExtendedCost231Loss": lambda real: ExtendedCost231Loss(real(100.5), real(41.25), real(-3.5), real(2.75)),
+    "PathLossModel": lambda real: PathLossModel("m", real(100.5), real(35.25), real(-1.5), min_distance_m=real(100.0)),
+    "SiteConfig": lambda real: SiteConfig(*map(real, (30.0, 20.0, 18.0, 1.25, 3.0, 2530.0, 40.0, 3.0))),
+    "ModelCalibration": lambda real: ModelCalibration(real(7.75), real(80.5), real(20.5), real(9.0), real(4.5), real(0.875), 45),
+    "DriveTestSample": lambda real: DriveTestSample(real(450.0), real(-60.5)),
+}
+
+
+@pytest.mark.parametrize("real", REAL_TYPES, ids=lambda real: real.__name__)
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_a_record_keeps_each_number_as_the_float_its_check_returns(record, real):
+    build = RECORDS[record]
+    built, expected = build(real), build(lambda x: float(real(x)))  # an int truncates: the float of what was given
+    assert repr(built) == repr(expected)  # a repr shows an int, a Fraction or a NumPy scalar that was kept
+    numeric = [f.name for f in dataclasses.fields(expected) if type(getattr(expected, f.name)) is float]
+    assert numeric and all(type(getattr(built, name)) is float for name in numeric)
+
+
+# a closed form or a bound model fed by a record field given as `real(x)`
+RECORD_FED_CALLS = {
+    "cost231_hata.environment": lambda real: cost231_hata(F, HB, HR, D, Environment("x", real(3.0))),
+    "sui_path_loss.shadow_db": lambda real: sui_path_loss(F, HB, HR, D, SuiParams(shadow_db=real(8.25))),
+    "ericsson_path_loss.a0": lambda real: ericsson_path_loss(F, HB, HR, D, EricssonParams(a0=real(36.25))),
+    "sui_path_loss.terrain_a": lambda real: sui_path_loss(
+        F, HB, HR, D, SuiParams(TerrainCategory("X", real(4.5), 0.0065, 17.1))
+    ),
+    "PathLossModel.c0": lambda real: PathLossModel("m", real(100.5), 35.0).path_loss_db(2 * D),
+}
+
+
+@pytest.mark.parametrize("real", REAL_TYPES, ids=lambda real: real.__name__)
+@pytest.mark.parametrize("case", sorted(RECORD_FED_CALLS))
+def test_a_record_field_of_any_real_type_gives_the_float_result(case, real):
+    call = RECORD_FED_CALLS[case]
+    result, expected = call(real), call(lambda x: float(real(x)))
+    assert type(result) is float and repr(result) == repr(expected)
+
+
+# every float from the least above zero to 1e308
 MAGNITUDES = st.floats(min_value=5e-324, max_value=1e308)
-SIGNED = st.tuples(MAGNITUDES, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
-TERRAIN = st.one_of(st.sampled_from(list(TERRAINS.values())), st.builds(TerrainCategory, st.just("X"), SIGNED, SIGNED, SIGNED))
-SUI = st.builds(SuiParams, TERRAIN, MAGNITUDES, st.one_of(st.just(0.0), MAGNITUDES), st.sampled_from([2.0, 2000.0]))
-ERICSSON = st.builds(EricssonParams, SIGNED, SIGNED, SIGNED, SIGNED)
+# a record field: such a float, or one as an np.float64 or a Fraction, or a float32 from its own range as an np.float32,
+# and either sign of one; a record keeps each as the float its check returns, so a model it feeds still returns floats
+FLOAT32 = st.floats(min_value=float(np.finfo(np.float32).smallest_subnormal), max_value=float(np.finfo(np.float32).max), width=32)
+FIELD = st.one_of(MAGNITUDES, MAGNITUDES.map(np.float64), MAGNITUDES.map(Fraction), FLOAT32.map(np.float32))
+SIGNED_FIELD = st.tuples(FIELD, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+TERRAIN = st.one_of(
+    st.sampled_from(list(TERRAINS.values())), st.builds(TerrainCategory, st.just("X"), SIGNED_FIELD, SIGNED_FIELD, SIGNED_FIELD)
+)
+XH_DENOMINATORS = [real(value) for value in (2.0, 2000.0) for real in (float, np.float32, np.float64, Fraction)]
+SUI = st.builds(SuiParams, TERRAIN, FIELD, st.one_of(st.just(0.0), FIELD), st.sampled_from(XH_DENOMINATORS))
+ERICSSON = st.builds(EricssonParams, SIGNED_FIELD, SIGNED_FIELD, SIGNED_FIELD, SIGNED_FIELD)
+ENVIRONMENT = st.one_of(st.sampled_from(list(ENVIRONMENTS.values())), st.builds(Environment, st.just("X"), SIGNED_FIELD))
 M = MAGNITUDES
 
 
@@ -502,7 +561,7 @@ def _bound_loss(model_id, freq_mhz, tx_height_m, rx_height_m, distance_m, enviro
 MODEL_FUNCTIONS = {
     "fspl": (fspl, M, M, M),
     "mobile_station_correction": (mobile_station_correction, M),
-    "cost231_hata": (cost231_hata, M, M, M, M, st.sampled_from(list(ENVIRONMENTS.values()))),
+    "cost231_hata": (cost231_hata, M, M, M, M, ENVIRONMENT),
     "extended_cost231": (extended_cost231, M, M, M, M, st.sampled_from(["medium_city", "large_city"])),
     "sui_gamma": (sui_gamma, M, TERRAIN),
     "sui_corrections": (sui_corrections, M, M, SUI),
@@ -510,7 +569,7 @@ MODEL_FUNCTIONS = {
     "ericsson_frequency_term": (ericsson_frequency_term, M),
     "ericsson_path_loss": (ericsson_path_loss, M, M, M, M, ERICSSON),
     "make_model": (
-        _bound_loss, st.sampled_from(MODEL_IDS), M, M, M, M, st.sampled_from(list(ENVIRONMENTS.values())), SUI, ERICSSON, M
+        _bound_loss, st.sampled_from(MODEL_IDS), M, M, M, M, ENVIRONMENT, SUI, ERICSSON, M
     ),
 }
 
