@@ -20,7 +20,7 @@ import math
 import operator
 import sys
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .dataset import PUBLISHED_CALIBRATION, _csv_text
 from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_instance, as_mapping, checked_column, checked_fields, finite, nonnegative
@@ -47,46 +47,58 @@ _PUBLISHED_CHECKS = (
 class ModelCalibration:
     """One model's report row: correction factor, then scores before and after it.
 
-    The field order is the JSON key order and the CSV column order.  r is
-    invariant under the constant shift, so one value serves both.
+    The field order is the JSON key order and the CSV column order.  Each RMSE is derived, the root of its MSE.
+    r is invariant under the constant shift, so one value serves both.
     """
 
     cf_db: float
     mse_before_db2: float
     mse_after_db2: float
-    rmse_before_db: float
-    rmse_after_db: float
+    rmse_before_db: float = field(init=False)
+    rmse_after_db: float = field(init=False)
     pearson_r: float | None
     n: int
 
     def __post_init__(self) -> None:
-        scores = ("cf_db", "mse_before_db2", "mse_after_db2", "rmse_before_db", "rmse_after_db")
-        checked_fields(self, finite, *scores if self.pearson_r is None else (*scores, "pearson_r"))
+        checked_fields(self, finite, "cf_db")
+        checked_fields(self, nonnegative, "mse_before_db2", "mse_after_db2")
+        checked_fields(self, finite, *() if self.pearson_r is None else ("pearson_r",))
+        object.__setattr__(self, "rmse_before_db", math.sqrt(self.mse_before_db2))
+        object.__setattr__(self, "rmse_after_db", math.sqrt(self.mse_after_db2))
         if type(self.n) is not int or self.n < 1:
             raise DomainError(f"n must be a positive int, got {self.n!r}")
 
 
+# a report row's JSON keys and CSV columns, in the field order of `ModelCalibration`
+_ROW_FIELDS = tuple(f.name for f in fields(ModelCalibration))
+
+
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Per-model calibrations, the winning model, and the rule used."""
+    """Per-model calibrations, in a dict of the report's own, and the winner by `SELECTION_RULE`, ranked when built."""
 
     models: Mapping[str, ModelCalibration]
-    best_model: str
-    selection_rule: str
+    best_model: str = field(init=False)
+    selection_rule: str = field(default=SELECTION_RULE, init=False)
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for model_id, calib in as_mapping("models", self.models, DataError).items():
+        models = dict(as_mapping("models", self.models, DataError))
+        for model_id, calib in models.items():
             as_instance("model id", model_id, str, DataError)
             as_instance(f"models[{model_id!r}]", calib, ModelCalibration, DataError)
-        as_instance("best_model", self.best_model, str, DataError)
-        as_instance("selection_rule", self.selection_rule, str, DataError)
         if not (isinstance(self.notes, tuple) and all(isinstance(note, str) for note in self.notes)):
             raise DataError(f"notes must be a tuple of str, got {self.notes!r}")
+        if not models:
+            raise DataError("a calibration report needs at least one model")
+        object.__setattr__(self, "models", models)
+        # `SELECTION_RULE`: the lowest after-correction MSE, then the highest r, a None r below any, then the id
+        ranks = ((c.mse_after_db2, math.inf if c.pearson_r is None else -c.pearson_r, k) for k, c in models.items())
+        object.__setattr__(self, "best_model", min(ranks)[2])
 
     def to_json(self) -> str:
         payload: dict[str, object] = {
-            "models": {model_id: vars(calib) for model_id, calib in self.models.items()},
+            "models": {model_id: {name: getattr(calib, name) for name in _ROW_FIELDS} for model_id, calib in self.models.items()},
             "best_model": self.best_model,
             "selection_rule": self.selection_rule,
         }
@@ -96,12 +108,12 @@ class CalibrationReport:
 
     def to_csv(self) -> str:
         """One row per model: its id, the `ModelCalibration` fields, and whether it won."""
-        header = ["model_id", *(f.name for f in fields(ModelCalibration)), "best"]
         rows = (
-            [model_id, *("" if v is None else repr(v) for v in vars(calib).values()), str(model_id == self.best_model).lower()]
+            [model_id, *("" if v is None else repr(v) for v in operator.attrgetter(*_ROW_FIELDS)(calib)),
+             str(model_id == self.best_model).lower()]
             for model_id, calib in self.models.items()
         )
-        return _csv_text(header, rows)
+        return _csv_text(["model_id", *_ROW_FIELDS, "best"], rows)
 
 
 def residuals(measured: Sequence[float], predicted: Sequence[float]) -> list[float]:
@@ -192,12 +204,12 @@ def calibrate(
     *,
     acceptable_mse_db2: float | None = None,
 ) -> CalibrationReport:
-    """Calibrate every prediction series and rank the corrected models.
+    """Calibrate every prediction series; the report ranks the corrected models.
 
-    Ranking: lowest after-correction MSE, ties broken by highest r, then
-    by model id.  Where r is undefined (fewer than two samples, or a
-    zero-variance series) it is reported as None, ranks below any r,
-    and a note names the model and the reason; cf and both MSEs are
+    Ranking (`SELECTION_RULE`): lowest after-correction MSE, ties broken by
+    highest r, then by model id.  Where r is undefined (fewer than two
+    samples, or a zero-variance series) it is reported as None, ranks below
+    any r, and a note names the model and the reason; cf and both MSEs are
     still reported.  `acceptable_mse_db2`, when given, adds an advisory
     note for each model whose corrected MSE still exceeds it.  Values so
     large that a sum over a series overflows raise `DomainError`.
@@ -235,18 +247,13 @@ def calibrate(
             notes.append(f"{model_id}: {exc}; reported as null")
         shifted = list(map(operator.sub, map(operator.add, y, itertools.repeat(cf)), x))
         error_after = _sum_squares(name, shifted) / n
-        models[model_id] = ModelCalibration(cf, error, error_after, math.sqrt(error), math.sqrt(error_after), r, n)
+        models[model_id] = ModelCalibration(cf, error, error_after, r, n)
         if acceptable_mse_db2 is not None and error_after > acceptable_mse_db2:
             notes.append(
                 f"{model_id}: corrected mse {error_after:.4f} dB^2 exceeds "
                 f"the acceptable threshold {acceptable_mse_db2:g} dB^2"
             )
-
-    def rank(model_id: str) -> tuple[float, float, str]:
-        calib = models[model_id]
-        return (calib.mse_after_db2, math.inf if calib.pearson_r is None else -calib.pearson_r, model_id)
-
-    return CalibrationReport(models, min(models, key=rank), SELECTION_RULE, tuple(notes))
+    return CalibrationReport(models, tuple(notes))
 
 
 def _pearson_centred(dx: list[float], sxx: float, mx: float, dy: list[float], syy: float, my: float) -> float:
@@ -363,6 +370,14 @@ class InferenceResult:
     fit_mse_db2: float
     decade_slope_db: float
     evaluated: int
+
+    def __post_init__(self) -> None:
+        as_instance("model_id", self.model_id, str, DomainError)
+        object.__setattr__(self, "params", dict(as_mapping("params", self.params, DomainError)))
+        checked_fields(self, nonnegative, "fit_mse_db2")
+        checked_fields(self, finite, "decade_slope_db")
+        if type(self.evaluated) is not int or self.evaluated < 1:
+            raise DomainError(f"evaluated must be a positive int, got {self.evaluated!r}")
 
 
 def infer_site_parameters(

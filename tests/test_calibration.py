@@ -4,8 +4,10 @@ import json
 import math
 import random
 import re
+import sys
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from propcal import (
     MODEL_IDS,
     PUBLISHED_CALIBRATION,
     REFERENCE_SITE,
+    CalibrationReport,
     ModelCalibration,
     calibrate,
     correction_factor,
@@ -532,6 +535,70 @@ def test_affine_models_share_one_correlation():
     for a in rs:
         for b in rs:
             assert abs(a - b) <= 1e-12
+
+
+class TestReportRecords:
+    def test_a_report_keeps_its_own_dict_of_rows(self):
+        row = ModelCalibration(1.0, 2.0, 1.0, 0.5, 3)
+        rows = {"a": row}
+        report = CalibrationReport(rows)
+        text = report.to_csv()
+        rows.clear()
+        rows["b"] = 5
+        assert report.models == {"a": row}
+        assert report.to_csv() == text
+
+    def test_a_report_with_no_rows_is_a_data_error(self):
+        with pytest.raises(DataError, match=r"^a calibration report needs at least one model$"):
+            CalibrationReport({})
+
+    @pytest.mark.parametrize("scores", [(-2.0, 1.0), (2.0, -1e-300)], ids=["before", "after"])
+    def test_a_negative_mse_is_a_domain_error(self, scores):
+        with pytest.raises(DomainError, match=r"^mse_(before|after)_db2 must be >= 0, got -"):
+            ModelCalibration(1.0, *scores, 0.5, 3)
+
+    def test_each_rmse_is_the_root_of_its_mse_to_the_bit(self):
+        measured, predictions, _ = corpus()
+        rows = [*calibrate(measured, predictions).models.values(), ModelCalibration(0.0, 2, Fraction(1, 3), None, 1)]
+        for row in rows:
+            assert row.rmse_before_db.hex() == math.sqrt(row.mse_before_db2).hex()
+            assert row.rmse_after_db.hex() == math.sqrt(row.mse_after_db2).hex()
+
+
+def _winner(models):
+    """The model id `SELECTION_RULE` picks, by brute force: the least (after-correction MSE, -r or inf, id)."""
+
+    def rank(model_id):
+        calib = models[model_id]
+        return calib.mse_after_db2, math.inf if calib.pearson_r is None else -calib.pearson_r, model_id
+
+    return min(models, key=rank)
+
+
+# scores from a short list, so that rows tie, or from the whole range
+MSES = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, sys.float_info.max)
+RS = st.none() | st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def report_rows(draw):
+    n = draw(st.integers(1, 10**6))
+    row = st.builds(ModelCalibration, st.floats(allow_nan=False, allow_infinity=False), MSES, MSES, RS, st.just(n))
+    return draw(st.dictionaries(st.text(max_size=3), row, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_rows())
+def test_a_report_names_the_winner_of_its_rows(rows):
+    assert CalibrationReport(rows).best_model == _winner(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(calibration_inputs())
+def test_calibrate_names_the_winner_of_its_own_rows(case):
+    measured, columns = case
+    report = calibrate(measured, {f"m{i}": column for i, column in enumerate(columns)})
+    assert report.best_model == _winner(report.models)
 
 
 class TestDecadeSlope:

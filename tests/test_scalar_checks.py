@@ -497,7 +497,7 @@ RECORDS = {
     "ExtendedCost231Loss": lambda real: ExtendedCost231Loss(real(100.5), real(41.25), real(-3.5), real(2.75)),
     "PathLossModel": lambda real: PathLossModel("m", real(100.5), real(35.25), real(-1.5), min_distance_m=real(100.0)),
     "SiteConfig": lambda real: SiteConfig(*map(real, (30.0, 20.0, 18.0, 1.25, 3.0, 2530.0, 40.0, 3.0))),
-    "ModelCalibration": lambda real: ModelCalibration(real(7.75), real(80.5), real(20.5), real(9.0), real(4.5), real(0.875), 45),
+    "ModelCalibration": lambda real: ModelCalibration(real(7.75), real(80.5), real(20.5), real(0.875), 45),
     "DriveTestSample": lambda real: DriveTestSample(real(450.0), real(-60.5)),
 }
 
