@@ -19,7 +19,6 @@ from .calibration import (
     mse,
     pearson_r,
     published_divergence_notes,
-    residuals,
 )
 from .dataset import (
     DriveTestSample,
@@ -35,7 +34,6 @@ from .errors import DataError, DomainError, PropcalError
 from .link_budget import (
     REFERENCE_SITE,
     SiteConfig,
-    path_loss_from_rss,
     predict_rss,
     site_from_json,
     site_to_json,
@@ -63,9 +61,7 @@ from .models import (
     extended_cost231,
     fspl,
     make_model,
-    mobile_station_correction,
     model_from_params,
-    sui_corrections,
     sui_gamma,
     sui_path_loss,
 )

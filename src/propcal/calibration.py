@@ -24,9 +24,7 @@ from dataclasses import dataclass, field, fields
 
 from .dataset import PUBLISHED_CALIBRATION, _csv_text
 from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_instance, as_mapping, checked_column, checked_fields, finite, nonnegative
-from .models import (
-    _MODEL_PARAMS, MODEL_IDS, PathLossModel, _log_km, _make_model_kwargs, _model_arguments, _range_warnings, make_model,
-)
+from .models import _MODEL_PARAMS, MODEL_IDS, PathLossModel, _make_model_kwargs, _model_arguments, _range_warnings, make_model
 from .models import model_from_params  # unused here: the benchmark tracer wraps this name until ROADMAP item 3
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
@@ -62,7 +60,10 @@ class ModelCalibration:
     def __post_init__(self) -> None:
         checked_fields(self, finite, "cf_db")
         checked_fields(self, nonnegative, "mse_before_db2", "mse_after_db2")
-        checked_fields(self, finite, *() if self.pearson_r is None else ("pearson_r",))
+        if self.pearson_r is not None:
+            checked_fields(self, finite, "pearson_r")
+            if not -1.0 <= self.pearson_r <= 1.0:
+                raise DomainError(f"pearson_r must lie in [-1, 1], got {self.pearson_r!r}")
         object.__setattr__(self, "rmse_before_db", math.sqrt(self.mse_before_db2))
         object.__setattr__(self, "rmse_after_db", math.sqrt(self.mse_after_db2))
         if type(self.n) is not int or self.n < 1:
@@ -116,26 +117,26 @@ class CalibrationReport:
         return _csv_text(["model_id", *_ROW_FIELDS, "best"], rows)
 
 
-def residuals(measured: Sequence[float], predicted: Sequence[float]) -> list[float]:
-    """Per-sample measured - predicted, in input order (dB); an overflowing one raises `DomainError`."""
-    x = _finite_series("measured", measured)
-    r = map(operator.sub, x, _finite_series("predicted", predicted, len(x)))
-    return list(checked_column("residual", r, DomainError, lambda i, v: _OVERFLOW.format("predicted")))
-
-
 def correction_factor(measured: Sequence[float], predicted: Sequence[float]) -> float:
     """Mean residual in dB: the constant that minimizes corrected MSE.
 
     Within 4*eps*mean|r_i| + 2**-1074 of the exact mean of the exact residuals r_i, eps = 2**-53.
     """
-    r = residuals(measured, predicted)
+    r = _residuals(measured, predicted)
     return _fsum("predicted", r) / len(r)
 
 
 def mse(measured: Sequence[float], predicted: Sequence[float]) -> float:
     """Mean squared error between the series, in dB^2, within 6*eps*mse + 2**-1074 of the exact one, eps = 2**-53."""
-    r = residuals(measured, predicted)
+    r = _residuals(measured, predicted)
     return _sum_squares("predicted", r) / len(r)
+
+
+def _residuals(measured: Sequence[float], predicted: Sequence[float]) -> list[float]:
+    """measured - predicted at each sample of the two `_finite_series`; a difference that overflows to an infinity
+    makes the caller's sum raise `DomainError`."""
+    x = _finite_series("measured", measured)
+    return list(map(operator.sub, x, _finite_series("predicted", predicted, len(x))))
 
 
 def pearson_r(measured: Sequence[float], predicted: Sequence[float]) -> float:
@@ -269,7 +270,8 @@ def _pearson_centred(dx: list[float], sxx: float, mx: float, dy: list[float], sy
     if (min(sxx, syy) < n * sys.float_info.min or not sys.float_info.min <= sxx * syy < math.inf
             or _near_flat(sxx, n, mx) or _near_flat(syy, n, my)):
         return _pearson_centred(*_rescaled("measured", dx)[0], *_rescaled("predicted", dy)[0])
-    return math.fsum(map(operator.mul, dx, dy)) / math.sqrt(sxx * syy)
+    # rounding can take |r| of an exactly linear pair past 1; the clamp only moves r toward the exact value
+    return max(-1.0, min(1.0, math.fsum(map(operator.mul, dx, dy)) / math.sqrt(sxx * syy)))
 
 
 def _near_flat(s: float, n: int, mean: float) -> bool:
@@ -327,22 +329,24 @@ def decade_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> floa
     the logs and of the loss, and dl, dy the rounding of each mean, at most 2*eps*|mean| + 2**-1074.  Logs
     so near-flat that their mean's rounding matters are rescaled and centred again, as in `pearson_r`.
     """
-    return _checked_slope(distances_m, loss_db)[2]
+    return _checked_slope(distances_m, loss_db)[3]
 
 
-def _checked_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> tuple[tuple, tuple, float]:
-    """Both series as checked floats, and their slope from centred `fsum` sums: the same bits on any Python."""
+def _checked_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> tuple[tuple, list[float], tuple, float]:
+    """Both series as checked floats, with the log10 of each distance between them, and their slope from centred
+    `fsum` sums: the same bits on any Python."""
     distances = _finite_series("distance", distances_m)
     loss = _finite_series("loss", loss_db, len(distances))
     checked_column("distance", distances, DomainError, "sample {}: distance must be positive, got {!r}".format, LEAST_POSITIVE)
-    dl, sll, ml = _centred("distance", list(map(math.log10, distances)))
+    logs = list(map(math.log10, distances))
+    dl, sll, ml = _centred("distance", logs)
     if sll == 0.0:
         raise DomainError("decade slope undefined: every sample lies at the same distance")
     if _near_flat(sll, len(dl), ml):  # the slope over deviations scaled by 2**-e is 2**e times as large
         (dl, sll, _), e = _rescaled("distance", dl)
         sll = math.ldexp(sll, e)
     dy = _centred("loss", loss)[0]  # its sum of squares is taken only to report an overflow
-    return distances, loss, math.fsum(map(operator.mul, dl, dy)) / sll
+    return distances, logs, loss, math.fsum(map(operator.mul, dl, dy)) / sll
 
 
 def cost231_tx_height_from_slope(slope_db_per_decade: float) -> float:
@@ -415,7 +419,7 @@ def infer_site_parameters(
     point raises each of its range notes once; a point scored sample by
     sample raises them per sample.
     """
-    distances, target, slope = _checked_slope(distances_m, path_loss_db)
+    distances, logs, target, slope = _checked_slope(distances_m, path_loss_db)
     if model_id not in MODEL_IDS:
         raise DomainError(f"unknown model id {model_id!r}")
     if not as_mapping("grid", grid, DomainError):
@@ -443,7 +447,7 @@ def infer_site_parameters(
     def arguments(values: tuple) -> dict[str, object]:
         return _make_model_kwargs({**checked_base, **dict(zip(itertools.compress(names, others), values))})
 
-    log_km = _log_km(distances)
+    log_km = [v - 3.0 for v in logs]  # `_log_km` of the distances, from the logs the slope took
     sums = _screen_sums(log_km, target) if _screenable(*target) else None
     nearest = min(distances)
     ceiling = math.inf  # the lowest upper bound on a fit so far

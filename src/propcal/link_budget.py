@@ -64,11 +64,6 @@ def predict_rss(site: SiteConfig, path_loss_db: float) -> float:
     return as_instance("site", site, SiteConfig, DataError).budget_db - finite("path_loss_db", path_loss_db)
 
 
-def path_loss_from_rss(site: SiteConfig, rss_dbm: float) -> float:
-    """Invert the budget: path loss in dB implied by a measured RSS."""
-    return as_instance("site", site, SiteConfig, DataError).budget_db - finite("rss_dbm", rss_dbm)
-
-
 def site_to_json(site: SiteConfig) -> str:
     """Serialize a site to JSON with stable key order."""
     return json.dumps(asdict(as_instance("site", site, SiteConfig, DataError)), indent=2) + "\n"

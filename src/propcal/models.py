@@ -188,16 +188,9 @@ def fspl(freq_mhz: float, distance_km: float, tx_gain_linear: float = 1.0) -> fl
     return model._losses((distance_m,))[0]
 
 
-def mobile_station_correction(rx_height_m: float) -> float:
-    """Receiver-antenna correction a(hr) in dB, large-city form.
-
-    3.2*(log10(11.75*hr))^2 - 4.97; close to zero at the usual 1.5 m.
-    """
-    return _defined("mobile_station_correction", _rx_height_term, positive("rx_height_m", rx_height_m)) - 4.97
-
-
 def _rx_height_term(hr: float) -> float:
-    """3.2*(log10(11.75*hr))^2: a(hr) without its constant, and the receiver term of the Ericsson model."""
+    """3.2*(log10(11.75*hr))^2: the receiver term of the Ericsson model, and COST-231 Hata's large-city receiver
+    correction a(hr) without its constant, a(hr) = 3.2*(log10(11.75*hr))^2 - 4.97."""
     return 3.2 * math.log10(11.75 * hr) ** 2
 
 
@@ -274,26 +267,6 @@ def _sui_gamma(tx_height_m: float, terrain: TerrainCategory) -> float:
     return terrain.a - terrain.b * tx_height_m + terrain.c / tx_height_m
 
 
-def sui_corrections(
-    freq_mhz: float, rx_height_m: float, params: SuiParams
-) -> tuple[float, float]:
-    """SUI frequency and receiver-height corrections (Xf, Xh) in dB.
-
-    Xf = 6.0*log10(f/2000).  Xh = -10.8*log10(hr/D) for terrains A and B
-    and -20*log10(hr/D) for terrain C, with D = params.xh_denominator_m.
-    """
-    as_instance("params", params, SuiParams, DomainError)
-    freq_mhz = positive("freq_mhz", freq_mhz)
-    return _defined("sui_corrections", _sui_corrections, freq_mhz, positive("rx_height_m", rx_height_m), params)
-
-
-def _sui_corrections(freq_mhz: float, rx_height_m: float, params: SuiParams) -> tuple[float, float]:
-    xf = 6.0 * math.log10(freq_mhz / 2000.0)
-    coeff = -20.0 if params.terrain.name == "C" else -10.8
-    xh = coeff * math.log10(rx_height_m / params.xh_denominator_m)
-    return xf, xh
-
-
 def sui_path_loss(
     freq_mhz: float,
     tx_height_m: float,
@@ -304,7 +277,10 @@ def sui_path_loss(
     """SUI path loss in dB, defined only for distances beyond d0.
 
     A + 10*gamma*log10(d/d0) + Xf + Xh + s, where A is the free-space
-    loss at the reference distance, 20*log10(4*pi*d0/lambda).
+    loss at the reference distance, 20*log10(4*pi*d0/lambda).  The
+    frequency correction Xf = 6.0*log10(f/2000); the receiver-height
+    correction Xh = -10.8*log10(hr/D) for terrains A and B and
+    -20*log10(hr/D) for terrain C, with D = params.xh_denominator_m.
     """
     model = make_model("sui", freq_mhz, tx_height_m, rx_height_m, sui_params=params)
     return model.path_loss_db(distance_m)
@@ -444,7 +420,8 @@ def _defined(name: str, compute: Callable[..., object], *args: object) -> object
 
     Where an intermediate over- or underflows into a division by zero or
     a log10(0), or a float result is not finite, `DomainError` names
-    `name`: the model for `make_model`, the function for a helper.
+    `name`: the model for `make_model`, the function for a term helper
+    (`extended_cost231`, `sui_gamma`, `ericsson_frequency_term`).
     """
     try:
         result = compute(*args)
@@ -529,7 +506,8 @@ def _bind(
         sui_p = sui_params if sui_params is not None else SuiParams()
         wavelength_m = LIGHT_SPEED_M_PER_S / (freq_mhz * 1e6)
         intercept = 20.0 * math.log10(4.0 * math.pi * sui_p.d0_m / wavelength_m)
-        xf, xh = _sui_corrections(freq_mhz, hr, sui_p)
+        xf = 6.0 * math.log10(freq_mhz / 2000.0)
+        xh = (-20.0 if sui_p.terrain.name == "C" else -10.8) * math.log10(hr / sui_p.xh_denominator_m)
         c1 = 10.0 * _sui_gamma(hb, sui_p.terrain)
         c0 = intercept + xf + xh + sui_p.shadow_db - c1 * (math.log10(sui_p.d0_m) - 3.0)
         return PathLossModel(model_id, c0, c1, min_distance_m=sui_p.d0_m)

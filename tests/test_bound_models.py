@@ -220,6 +220,9 @@ def test_bind_time_validation_keeps_its_messages():
         ("sui", {"freq_mhz": 1e308, "tx_height_m": 40.0, "rx_height_m": 3.0}),  # wavelength underflows to 0
         ("sui", {"freq_mhz": 2530.0, "tx_height_m": 1e-320, "rx_height_m": 3.0}),  # gamma overflows
         ("extended_cost231", {"freq_mhz": 5e-324, "tx_height_m": 40.0, "rx_height_m": 3.0}),  # log10(0)
+        ("sui", {"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 5e-324}),  # Xh: hr/D underflows to 0
+        ("cost231_hata", {"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 1e308}),  # a(hr): 11.75*hr overflows
+        ("ericsson", {"freq_mhz": 2530.0, "tx_height_m": 40.0, "rx_height_m": 1e308}),  # the same receiver term
     ],
 )
 def test_non_finite_coefficients_raise_at_bind_time(model_id, kwargs):
@@ -251,7 +254,7 @@ def test_a_bound_model_is_a_frozen_value():
         model.corrected(1.7e308).corrected(1.7e308)
 
 
-TERM_HELPERS = ("mobile_station_correction", "extended_cost231", "sui_gamma", "sui_corrections", "ericsson_frequency_term")
+TERM_HELPERS = ("extended_cost231", "sui_gamma", "ericsson_frequency_term")
 
 
 def _refuse(*args, **kwargs):

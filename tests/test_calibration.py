@@ -1,4 +1,4 @@
-"""Unit tests for residuals, metrics, calibration, and parameter inference."""
+"""Unit tests for the metrics, calibration, and parameter inference."""
 
 import json
 import math
@@ -36,7 +36,6 @@ from propcal import (
     predict_rss,
     published_divergence_notes,
     reference_dataset,
-    residuals,
 )
 from propcal.models import ModelRangeWarning
 
@@ -47,31 +46,44 @@ def corpus():
 
 
 class TestResiduals:
+    """measured - predicted at each sample, seen through the two metrics that average it: cf and the MSE."""
+
     def test_single_pair(self):
-        assert residuals([-73.0], [-91.87]) == pytest.approx([18.87])
+        assert correction_factor([-73.0], [-91.87]) == pytest.approx(18.87)
+        assert mse([-73.0], [-91.87]) == pytest.approx(18.87**2)
 
     def test_identical_series_gives_zeros(self):
         series = [-70.0, -65.0, -60.0]
-        assert residuals(series, series) == [0.0, 0.0, 0.0]
+        assert correction_factor(series, series) == 0.0
+        assert mse(series, series) == 0.0
 
     def test_sign_convention(self):
         # measured minus predicted: an optimistic model gives negatives
-        assert residuals([-61.0], [-24.3]) == pytest.approx([-36.7])
+        assert correction_factor([-61.0], [-24.3]) == pytest.approx(-36.7)
 
-    def test_misaligned_series_rejected(self):
+    @pytest.mark.parametrize("metric", [correction_factor, mse])
+    def test_misaligned_series_rejected(self, metric):
         with pytest.raises(DataError, match="misaligned"):
-            residuals([-70.0, -71.0], [-70.0])
+            metric([-70.0, -71.0], [-70.0])
 
-    def test_empty_series_rejected(self):
+    @pytest.mark.parametrize("metric", [correction_factor, mse])
+    def test_empty_series_rejected(self, metric):
         with pytest.raises(DataError, match="empty"):
-            residuals([], [])
+            metric([], [])
 
-    def test_a_difference_past_the_float_range_raises_naming_the_predicted_series(self):
+    @pytest.mark.parametrize("metric", [correction_factor, mse])
+    def test_a_difference_past_the_float_range_raises_naming_the_predicted_series(self, metric):
         with pytest.raises(DomainError, match=r"^predicted series: a sum over its values overflows the float range$"):
-            residuals([1e308, 0.0], [-1e308, 0.0])
+            metric([1e308, 0.0], [-1e308, 0.0])
 
-    def test_finite_residuals_are_returned_even_if_their_sum_overflows(self):
-        assert residuals([1e308, 1e308], [0.0, 0.0]) == [1e308, 1e308]
+    @pytest.mark.parametrize("metric", [correction_factor, mse])
+    def test_finite_residuals_whose_sum_overflows_raise_the_same_error(self, metric):
+        with pytest.raises(DomainError, match=r"^predicted series: a sum over its values overflows the float range$"):
+            metric([1e308, 1e308], [0.0, 0.0])
+
+    def test_differences_near_the_float_range_whose_total_fits_are_averaged(self):
+        # the running sum 1e308 + 1e308 overflows; the sum of all three does not
+        assert correction_factor([1e308, 1e308, -1e308], [0.0, 0.0, 0.0]) == pytest.approx(1e308 / 3, rel=1e-15)
 
 
 class TestCorrectionFactor:
@@ -557,12 +569,47 @@ class TestReportRecords:
         with pytest.raises(DomainError, match=r"^mse_(before|after)_db2 must be >= 0, got -"):
             ModelCalibration(1.0, *scores, 0.5, 3)
 
+    @pytest.mark.parametrize("r", [5.0, -1.0000000000000002, 1.0000000000000002])
+    def test_a_pearson_r_outside_plus_or_minus_one_is_a_domain_error(self, r):
+        with pytest.raises(DomainError, match=rf"^pearson_r must lie in \[-1, 1\], got {re.escape(repr(r))}$"):
+            ModelCalibration(1.0, 2.0, 1.0, r, 3)
+        # before the check, an r of 5.0 built and won the tie on the after-correction MSE
+        with pytest.raises(DomainError, match="^pearson_r must lie in"):
+            CalibrationReport({"a": ModelCalibration(1.0, 2.0, 1.0, r, 3), "b": ModelCalibration(3.0, 1.0, 1.0, 0.9, 3)})
+
+    @pytest.mark.parametrize("r", [-1, -1.0, 1.0])
+    def test_a_pearson_r_at_plus_or_minus_one_is_kept_as_a_float(self, r):
+        row = ModelCalibration(1.0, 2.0, 1.0, r, 3)
+        assert type(row.pearson_r) is float and row.pearson_r == r
+
     def test_each_rmse_is_the_root_of_its_mse_to_the_bit(self):
         measured, predictions, _ = corpus()
         rows = [*calibrate(measured, predictions).models.values(), ModelCalibration(0.0, 2, Fraction(1, 3), None, 1)]
         for row in rows:
             assert row.rmse_before_db.hex() == math.sqrt(row.mse_before_db2).hex()
             assert row.rmse_after_db.hex() == math.sqrt(row.mse_after_db2).hex()
+
+
+@st.composite
+def linear_pairs(draw):
+    """A measured series and y = a*x + b at each value, a exactly linear map rounded per sample."""
+    x = draw(st.lists(st.floats(-150.0, 40.0), min_size=2, max_size=30))
+    assume(min(x) < max(x))
+    a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 10.0))
+    b = draw(st.floats(-100.0, 100.0))
+    y = [a * v + b for v in x]
+    assume(min(y) < max(y))  # rounding can flatten y, whose r is then undefined
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_pairs())
+def test_r_of_an_exactly_linear_pair_stays_within_one(pair):
+    # rounding took |r| of such pairs past 1 by up to 2**-52 in about one draw in nine
+    x, y = pair
+    assert -1.0 <= pearson_r(x, y) <= 1.0
+    for row in calibrate(x, {"y": y, "x": x}).models.values():
+        assert -1.0 <= row.pearson_r <= 1.0
 
 
 def _winner(models):

@@ -98,20 +98,16 @@ VALID_CALLS = {
             "tx_gain_linear": 1.0, "rx_gain_variant": "medium_city",
         },
     ),
-    "mobile_station_correction": ((HR,), {}),
     "model_from_params": (("sui", {"freq_mhz": F, "tx_height_m": HB, "rx_height_m": HR, "terrain": "C", "sui_d0_m": 50.0}), {}),
     "mse": ((_SMALL[1], _SMALL[2]["sui"]), {}),
     "parse_drive_test_csv": ((_CSV,), {}),
-    "path_loss_from_rss": ((REFERENCE_SITE, -80.0), {}),
     "pearson_r": ((_SMALL[1], _SMALL[2]["sui"]), {}),
     "predict_rss": ((REFERENCE_SITE, 120.0), {}),
     "published_divergence_notes": ((_REPORT,), {}),
     "reference_dataset": ((), {}),
-    "residuals": ((_SMALL[1], _SMALL[2]["sui"]), {}),
     "serialize_drive_test_csv": ((_TABLE,), {}),
     "site_from_json": ((_SITE_JSON,), {}),
     "site_to_json": ((REFERENCE_SITE,), {}),
-    "sui_corrections": ((F, HR, SuiParams()), {}),
     "sui_gamma": ((HB, TERRAIN_C), {}),
     "sui_path_loss": ((F, HB, HR, 1000.0, SuiParams()), {}),
     "with_prediction": ((_TABLE, "x", _TABLE.measured_rss_dbm), {}),
@@ -155,20 +151,16 @@ LIBRARY_SURFACE = {
         "model_id", "freq_mhz", "tx_height_m", "rx_height_m", "environment", "sui_params", "ericsson_params",
         "tx_gain_linear", "rx_gain_variant",
     ],
-    "mobile_station_correction": ["rx_height_m"],
     "model_from_params": ["model_id", "params"],
     "mse": ["measured", "predicted"],
     "parse_drive_test_csv": ["text"],
-    "path_loss_from_rss": ["site", "rss_dbm"],
     "pearson_r": ["measured", "predicted"],
     "predict_rss": ["site", "path_loss_db"],
     "published_divergence_notes": ["report"],
     "reference_dataset": [],
-    "residuals": ["measured", "predicted"],
     "serialize_drive_test_csv": ["table"],
     "site_from_json": ["text"],
     "site_to_json": ["site"],
-    "sui_corrections": ["freq_mhz", "rx_height_m", "params"],
     "sui_gamma": ["tx_height_m", "terrain"],
     "sui_path_loss": ["freq_mhz", "tx_height_m", "rx_height_m", "distance_m", "params"],
     "with_prediction": ["table", "name", "values"],

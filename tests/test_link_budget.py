@@ -11,7 +11,6 @@ from propcal import (
     DomainError,
     REFERENCE_SITE,
     SiteConfig,
-    path_loss_from_rss,
     predict_rss,
     site_from_json,
     site_to_json,
@@ -47,21 +46,21 @@ def test_reference_site_fields():
 
 def test_rss_from_path_loss():
     assert predict_rss(REFERENCE_SITE, 136.8) == pytest.approx(-73.0, abs=1e-12)
-    assert path_loss_from_rss(REFERENCE_SITE, -73.0) == pytest.approx(136.8, abs=1e-12)
+    assert REFERENCE_SITE.budget_db - predict_rss(REFERENCE_SITE, 136.8) == pytest.approx(136.8, abs=1e-12)
 
 
 def test_roundtrip_to_machine_precision():
     rng = random.Random(99)
     for _ in range(200):
         pl = rng.uniform(40.0, 180.0)
-        assert path_loss_from_rss(REFERENCE_SITE, predict_rss(REFERENCE_SITE, pl)) == pytest.approx(pl, abs=1e-12)
+        assert REFERENCE_SITE.budget_db - predict_rss(REFERENCE_SITE, pl) == pytest.approx(pl, abs=1e-12)
 
 
 def test_budget_rejects_nonfinite_conversion_inputs():
     with pytest.raises(DomainError):
         predict_rss(REFERENCE_SITE, math.nan)
     with pytest.raises(DomainError):
-        path_loss_from_rss(REFERENCE_SITE, math.inf)
+        predict_rss(REFERENCE_SITE, math.inf)
 
 
 class TestValidation:

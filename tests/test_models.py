@@ -24,9 +24,7 @@ from propcal import (
     extended_cost231,
     fspl,
     make_model,
-    mobile_station_correction,
     model_from_params,
-    sui_corrections,
     sui_gamma,
     sui_path_loss,
 )
@@ -93,9 +91,20 @@ class TestCost231Hata:
         assert metro - medium == pytest.approx(3.0, abs=1e-12)
 
     def test_mobile_station_correction_values(self):
-        assert mobile_station_correction(1.5) == pytest.approx(-0.0009190469544941848, abs=1e-12)
-        assert mobile_station_correction(3.0) == pytest.approx(2.689844309461207, abs=1e-12)
-        assert mobile_station_correction(10.0) == pytest.approx(8.742181661407955, abs=1e-12)
+        # the loss falls by a(hr) = 3.2*(log10(11.75*hr))^2 - 4.97; at 1 km, 1000 MHz and a 10 m mast it is 134.18 - a(hr)
+        a = {1.5: -0.0009190469544941848, 3.0: 2.689844309461207, 10.0: 8.742181661407955}
+        assert 134.18 - cost231_hata(1000.0, 10.0, 1.5, 1000.0) == pytest.approx(a[1.5], abs=1e-12)
+        for hr in (3.0, 10.0):
+            difference = cost231_hata(1800.0, 30.0, 1.5, 2000.0) - cost231_hata(1800.0, 30.0, hr, 2000.0)
+            assert difference == pytest.approx(a[hr] - a[1.5], abs=1e-12)
+
+    @pytest.mark.parametrize("hr", [3.0, 10.0])
+    @pytest.mark.parametrize("closed_form", [cost231_hata, ericsson_path_loss], ids=lambda f: f.__name__)
+    def test_both_binds_with_the_receiver_term_lower_the_loss_by_a_of_hr(self, closed_form, hr):
+        # COST-231 Hata and Ericsson share 3.2*(log10(11.75*hr))^2, so each differs between heights as a(hr) does
+        a = {1.5: -0.0009190469544941848, 3.0: 2.689844309461207, 10.0: 8.742181661407955}
+        difference = closed_form(1800.0, 30.0, 1.5, 2000.0) - closed_form(1800.0, 30.0, hr, 2000.0)
+        assert difference == pytest.approx(a[hr] - a[1.5], abs=1e-12)
 
     def test_decade_slope_identity(self):
         # Per-decade growth is 44.9 - 6.55*log10(hb) by construction
@@ -190,19 +199,26 @@ class TestSui:
         pl = sui_path_loss(2530.0, 40.0, 3.0, 400.0, SuiParams(terrain=TERRAIN_B))
         assert pl == pytest.approx(104.31180133926222, abs=1e-9)
 
+    @staticmethod
+    def height_correction(rx_height_m, params, freq_mhz=2530.0):
+        """Xh: the loss at `rx_height_m` less that at a receiver at D = xh_denominator_m, where Xh is 0."""
+        loss = sui_path_loss(freq_mhz, 40.0, rx_height_m, 900.0, params)
+        return loss - sui_path_loss(freq_mhz, 40.0, params.xh_denominator_m, 900.0, params)
+
     def test_corrections(self):
-        xf, xh = sui_corrections(2530.0, 3.0, SuiParams(terrain=TERRAIN_B))
-        assert xf == pytest.approx(0.6125431530710201, abs=1e-12)
-        assert xh == pytest.approx(-1.9017855978013576, abs=1e-12)
+        params = SuiParams(terrain=TERRAIN_B)
+        assert self.height_correction(3.0, params) == pytest.approx(-1.9017855978013576, abs=1e-12)
+        # Xf = 6*log10(f/2000) is 0 at 2000 MHz, where the reference-distance loss A is 20*log10(2530/2000) lower
+        d0_term = sui_path_loss(2530.0, 40.0, 2.0, 900.0, params) - sui_path_loss(2000.0, 40.0, 2.0, 900.0, params)
+        assert d0_term - 20.0 * math.log10(2530.0 / 2000.0) == pytest.approx(0.6125431530710201, abs=1e-12)
 
     def test_height_correction_denominator_switch(self):
         params = SuiParams(terrain=TERRAIN_B, xh_denominator_m=2000.0)
-        _, xh = sui_corrections(2530.0, 3.0, params)
-        assert xh == pytest.approx(30.498214402198645, abs=1e-12)
+        assert self.height_correction(3.0, params) == pytest.approx(30.498214402198645, abs=1e-12)
 
     def test_terrain_c_uses_steeper_height_coefficient(self):
-        _, xh_b = sui_corrections(2530.0, 4.0, SuiParams(terrain=TERRAIN_B))
-        _, xh_c = sui_corrections(2530.0, 4.0, SuiParams(terrain=TERRAIN_C))
+        xh_b = self.height_correction(4.0, SuiParams(terrain=TERRAIN_B))
+        xh_c = self.height_correction(4.0, SuiParams(terrain=TERRAIN_C))
         assert xh_b == pytest.approx(-10.8 * math.log10(4.0 / 2.0), abs=1e-12)
         assert xh_c == pytest.approx(-20.0 * math.log10(4.0 / 2.0), abs=1e-12)
 

@@ -48,20 +48,16 @@ from propcal import (
     fspl,
     infer_site_parameters,
     make_model,
-    mobile_station_correction,
     model_from_params,
     mse,
     parse_drive_test_csv,
-    path_loss_from_rss,
     pearson_r,
     predict_rss,
     published_divergence_notes,
     reference_dataset,
-    residuals,
     serialize_drive_test_csv,
     site_from_json,
     site_to_json,
-    sui_corrections,
     sui_gamma,
     sui_path_loss,
     with_prediction,
@@ -118,10 +114,7 @@ PARAMETERS = {
     **_closed_form_cases("extended_cost231", extended_cost231),
     **_closed_form_cases("sui_path_loss", sui_path_loss),
     **_closed_form_cases("ericsson_path_loss", ericsson_path_loss),
-    "mobile_station_correction.rx_height_m": ("rx_height_m", mobile_station_correction),
     "sui_gamma.tx_height_m": ("tx_height_m", lambda v: sui_gamma(v, TERRAIN_B)),
-    "sui_corrections.freq_mhz": ("freq_mhz", lambda v: sui_corrections(v, HR, SuiParams())),
-    "sui_corrections.rx_height_m": ("rx_height_m", lambda v: sui_corrections(F, v, SuiParams())),
     "ericsson_frequency_term.freq_mhz": ("freq_mhz", ericsson_frequency_term),
     **{
         f"SiteConfig.{field.name}": (field.name, lambda v, name=field.name: dataclasses.replace(REFERENCE_SITE, **{name: v}))
@@ -135,9 +128,14 @@ PARAMETERS = {
         for name in ("a0", "a1", "a2", "a3")
     },
     "predict_rss.path_loss_db": ("path_loss_db", lambda v: predict_rss(REFERENCE_SITE, v)),
-    "path_loss_from_rss.rss_dbm": ("rss_dbm", lambda v: path_loss_from_rss(REFERENCE_SITE, v)),
     "cost231_tx_height_from_slope.slope_db_per_decade": ("slope_db_per_decade", cost231_tx_height_from_slope),
     "PathLossModel.corrected.cf_db": ("cf_db", lambda v: make_model("ericsson", F, HB, HR).corrected(v)),
+    "PathLossModel.path_loss_db.distance_m": ("distance_m", lambda v: make_model("ericsson", F, HB, HR).path_loss_db(v)),
+    "ModelCalibration.cf_db": ("cf_db", lambda v: ModelCalibration(v, 2.0, 1.0, 0.5, 3)),
+    "ModelCalibration.mse_before_db2": ("mse_before_db2", lambda v: ModelCalibration(1.0, v, 1.0, 0.5, 3)),
+    "ModelCalibration.mse_after_db2": ("mse_after_db2", lambda v: ModelCalibration(1.0, 2.0, v, 0.5, 3)),
+    "ModelCalibration.pearson_r": ("pearson_r", lambda v: ModelCalibration(1.0, 2.0, 1.0, v, 3)),
+    "ModelCalibration.n": ("n", lambda v: ModelCalibration(1.0, 2.0, 1.0, 0.5, v)),
     "calibrate.acceptable_mse_db2": (
         "acceptable_mse_db2",
         lambda v: calibrate([-70.0, -60.0], {"a": [-71.0, -62.0]}, acceptable_mse_db2=v),
@@ -150,8 +148,8 @@ _NONE_MEANS_ABSENT = {
     f"model_from_params.{key}"
     for key in ("tx_gain_linear", "sui_d0_m", "sui_shadow_db", "sui_xh_denominator_m")
 } | {f"model_from_params.ericsson_a{i}" for i in range(4)}
-# and `calibrate` reads a None threshold as no threshold
-_NONE_IS_ALLOWED = _NONE_MEANS_ABSENT | {"calibrate.acceptable_mse_db2"}
+# and `calibrate` reads a None threshold as no threshold, and a report row a None r as r undefined
+_NONE_IS_ALLOWED = _NONE_MEANS_ABSENT | {"calibrate.acceptable_mse_db2", "ModelCalibration.pearson_r"}
 
 
 @pytest.mark.parametrize(
@@ -302,7 +300,7 @@ COLUMNS = {
     ),
     **{
         f"{metric.__name__}.{series}": (DataError, f"{series} series", "value 2", _series_case(metric, series))
-        for metric in (residuals, correction_factor, mse, pearson_r)
+        for metric in (correction_factor, mse, pearson_r)
         for series in ("measured", "predicted")
     },
     "calibrate.measured": (DataError, "measured series", "value 2", lambda v: calibrate(_column(v), {"a": _column(-70.0)})),
@@ -351,7 +349,7 @@ NOT_ITERABLE = {
     "PathLossModel.path_loss_series": (DomainError, "distances_m", lambda v: make_model("fspl", F).path_loss_series(v)),
     **{
         f"{metric.__name__}.{series}": (DataError, f"{series} series", _series_case(metric, series, column=lambda v: v))
-        for metric in (residuals, correction_factor, mse, pearson_r)
+        for metric in (correction_factor, mse, pearson_r)
         for series in ("measured", "predicted")
     },
     "calibrate.measured": (DataError, "measured series", lambda v: calibrate(v, {"a": _column(-70.0)})),
@@ -430,11 +428,9 @@ WRONG_TYPE = {
     "ericsson_path_loss.params": (
         DomainError, "ericsson_params must be an EricssonParams, got str", lambda: ericsson_path_loss(F, HB, HR, D, "x")
     ),
-    "sui_corrections.params": (DomainError, "params must be a SuiParams, got NoneType", lambda: sui_corrections(F, HR, None)),
     "sui_gamma.terrain": (DomainError, "terrain must be a TerrainCategory, got str", lambda: sui_gamma(HB, "B")),
     "SuiParams.terrain": (DomainError, "terrain must be a TerrainCategory, got str", lambda: SuiParams(terrain="B")),
     "predict_rss.site": (DataError, "site must be a SiteConfig, got NoneType", lambda: predict_rss(None, 100.0)),
-    "path_loss_from_rss.site": (DataError, "site must be a SiteConfig, got NoneType", lambda: path_loss_from_rss(None, -70.0)),
     "site_to_json.site": (DataError, "site must be a SiteConfig, got dict", lambda: site_to_json({})),
     "site_from_json.text": (DataError, "text must be a str, got bytes", lambda: site_from_json(b"{}")),
     "parse_drive_test_csv.text": (DataError, "text must be a str, got bytes", lambda: parse_drive_test_csv(b"distance_m,rssi_dbm\n")),
@@ -473,7 +469,7 @@ def test_the_closed_forms_read_none_params_as_the_defaults():
         lambda col: DriveTestTable([d * 100 for d in col], [-d for d in col], {"a": [-d - 1 for d in col]}),
         lambda col: make_model("sui", F, HB, HR).path_loss_series([d * 1000 for d in col]),
         lambda col: calibrate([-d for d in col], {"a": [-d * 2 for d in col]}),
-        lambda col: (residuals(col, col[::-1]), mse(col, col[::-1]), pearson_r(col, col[::-1]), decade_slope(col, col)),
+        lambda col: (correction_factor(col, col[::-1]), mse(col, col[::-1]), pearson_r(col, col[::-1]), decade_slope(col, col)),
     ],
     ids=["DriveTestTable", "path_loss_series", "calibrate", "metrics"],
 )
@@ -560,11 +556,9 @@ def _bound_loss(model_id, freq_mhz, tx_height_m, rx_height_m, distance_m, enviro
 # name -> (function, a strategy for each of its arguments)
 MODEL_FUNCTIONS = {
     "fspl": (fspl, M, M, M),
-    "mobile_station_correction": (mobile_station_correction, M),
     "cost231_hata": (cost231_hata, M, M, M, M, ENVIRONMENT),
     "extended_cost231": (extended_cost231, M, M, M, M, st.sampled_from(["medium_city", "large_city"])),
     "sui_gamma": (sui_gamma, M, TERRAIN),
-    "sui_corrections": (sui_corrections, M, M, SUI),
     "sui_path_loss": (sui_path_loss, M, M, M, M, SUI),
     "ericsson_frequency_term": (ericsson_frequency_term, M),
     "ericsson_path_loss": (ericsson_path_loss, M, M, M, M, ERICSSON),
@@ -577,7 +571,7 @@ MODEL_FUNCTIONS = {
 def _floats(result):
     if isinstance(result, ExtendedCost231Loss):
         return [*dataclasses.astuple(result), result.total_db]
-    return list(result) if isinstance(result, tuple) else [result]
+    return [result]
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_FUNCTIONS))
@@ -598,9 +592,7 @@ def test_every_model_function_returns_finite_floats_or_raises_domain_error(name,
     ("name", "call"),
     [
         ("extended_cost231", lambda: extended_cost231(5e-324, 5e-324, 1.0, 1.0)),  # log10 of an underflowed zero
-        ("sui_corrections", lambda: sui_corrections(5e-324, 5e-324, SuiParams())),
         ("sui_gamma", lambda: sui_gamma(5e-324, TERRAINS["A"])),  # c/hb overflows
-        ("mobile_station_correction", lambda: mobile_station_correction(1e308)),
     ],
 )
 def test_a_helper_whose_arithmetic_leaves_the_float_range_raises_naming_itself(name, call):
