@@ -21,7 +21,6 @@ from .calibration import (
     published_divergence_notes,
 )
 from .dataset import (
-    DriveTestSample,
     DriveTestTable,
     PUBLISHED_CALIBRATION,
     emit_plot_series,

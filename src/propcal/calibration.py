@@ -4,7 +4,8 @@ The workflow: compute residuals between measured and predicted RSS, take
 their mean as a constant correction factor, score each model before and
 after applying it (MSE and Pearson r), and rank the corrected models.
 A constant offset is the whole method; the correction factor is the
-MSE-minimizing constant, and mse_after = mse_before - cf^2 exactly.
+MSE-minimizing constant, and mse_after = mse_before - cf^2 in exact
+arithmetic; a report row checks cf^2 <= mse_before within rounding.
 
 All correction factors are computed and applied in RSS space, so a
 positive cf means the model over-predicts path loss.  The equivalent
@@ -47,6 +48,12 @@ class ModelCalibration:
 
     The field order is the JSON key order and the CSV column order.  Each RMSE is derived, the root of its MSE.
     r is invariant under the constant shift, so one value serves both.
+
+    A mean's square cannot exceed the mean square: with mean|r_i|**2 <= mse, the bounds of `correction_factor` and
+    `mse`, taken from the same residuals r_i, put cf_db*cf_db, rounded, at most about 15*eps*mse_before_db2 +
+    3.5*2**-1074 above mse_before_db2, eps = 2**-53.  A row past 32*eps*mse_before_db2 + 16*2**-1074, which also
+    covers the eps**2 terms and the check's own rounding, raises `DomainError`.  The other side, mse_after_db2 <=
+    mse_before_db2 - cf_db**2 + bound, is unchecked: `calibrate`'s after-MSE bound needs max(|x_i| + |y_i|).
     """
 
     cf_db: float
@@ -68,6 +75,9 @@ class ModelCalibration:
         object.__setattr__(self, "rmse_after_db", math.sqrt(self.mse_after_db2))
         if type(self.n) is not int or self.n < 1:
             raise DomainError(f"n must be a positive int, got {self.n!r}")
+        if self.cf_db * self.cf_db > self.mse_before_db2 * (1.0 + 32 * _EPS) + 16 * LEAST_POSITIVE:
+            raise DomainError(f"cf_db**2 exceeds mse_before_db2 beyond rounding, got cf_db {self.cf_db!r} and "
+                              f"mse_before_db2 {self.mse_before_db2!r}")
 
 
 # a report row's JSON keys and CSV columns, in the field order of `ModelCalibration`

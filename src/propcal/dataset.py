@@ -13,10 +13,10 @@ import copy
 import csv
 import io
 import itertools
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .errors import LEAST_POSITIVE, DataError, _Floats, as_column, as_instance, as_mapping, checked_column, checked_fields
+from .errors import LEAST_POSITIVE, DataError, _Floats, as_column, as_instance, as_mapping, checked_column
 from .link_budget import SiteConfig
 
 # Plausibility window for any RSS value, measured or predicted.  Real
@@ -27,23 +27,6 @@ RSS_MAX_DBM = 40.0
 
 CSV_HEADER = ("distance_m", "rssi_dbm")
 PREDICTION_PREFIX = "pred_"
-
-
-@dataclass(frozen=True)
-class DriveTestSample:
-    """One measurement: distance from the transmitter and received power, checked as a table row is."""
-
-    distance_m: float
-    measured_rss_dbm: float
-
-    def __post_init__(self) -> None:
-        # each field checked as a column of one, as a table checks its columns, with the message that names it
-        def rule(message: str, *bounds: float) -> Callable[[str, object], float]:
-            return lambda name, value: checked_column(name, (value,), DataError, message.format, *bounds)[0]
-
-        checked_fields(self, rule("distance_m must be positive, got {1!r}", LEAST_POSITIVE), "distance_m")
-        message = f"measured_rss_dbm: RSS {{1!r}} outside [{RSS_MIN_DBM:g}, {RSS_MAX_DBM:g}] dBm"
-        checked_fields(self, rule(message, RSS_MIN_DBM, RSS_MAX_DBM), "measured_rss_dbm")
 
 
 @dataclass(frozen=True)
@@ -80,9 +63,9 @@ class DriveTestTable:
         return len(self.distances_m)
 
     @property
-    def samples(self) -> tuple[DriveTestSample, ...]:
-        """The rows as samples, built on each access."""
-        return tuple(map(DriveTestSample, self.distances_m, self.measured_rss_dbm))
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        """The rows as (distance_m, measured_rss_dbm) pairs of the checked column floats, built on each access."""
+        return tuple(zip(self.distances_m, self.measured_rss_dbm))
 
 
 def _rss_column(column: str, values: Iterable[object]) -> tuple[float, ...]:

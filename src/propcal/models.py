@@ -380,7 +380,8 @@ class PathLossModel:
         bound = self.min_distance_m
         if bound and distances_m and min(distances_m) <= bound:
             d = next(d for d in distances_m if d <= bound)
-            raise DomainError(f"sui_path_loss requires distance_m > d0 ({bound:g} m), got {d:g} m")
+            name, limit = ("sui_path_loss", "d0") if self.model_id == "sui" else (self.model_id, "min_distance_m")
+            raise DomainError(f"{name} requires distance_m > {limit} ({bound:g} m), got {d:g} m")
         if self.range_notes:
             _range_warnings(self.range_notes, len(distances_m))
         c0, c1, c2 = self.c0, self.c1, self.c2

@@ -141,6 +141,25 @@ def test_sui_at_or_below_d0_raises_on_both_paths():
         model.path_loss_series([900.0, 120.0, 20.0])
 
 
+@pytest.mark.parametrize(
+    ("model", "message"),
+    [
+        # a SUI model, corrected or not, keeps the message the CLI's golden errors pin
+        (make_model("sui", 2530.0, 40.0, 3.0).corrected(1.5), "sui_path_loss requires distance_m > d0 (100 m), got 10 m"),
+        (
+            PathLossModel("hata_fit", 100.0, 35.0, min_distance_m=50.0),
+            "hata_fit requires distance_m > min_distance_m (50 m), got 10 m",
+        ),
+    ],
+    ids=["sui_corrected", "hata_fit"],
+)
+def test_a_distance_at_or_below_the_bound_is_named_by_the_model(model, message):
+    for call in (model.path_loss_db, lambda d: model.path_loss_series([900.0, d])):
+        with pytest.raises(DomainError) as excinfo:
+            call(10.0)
+        assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("model_id", ["fspl", "ericsson", "sui"])
 def test_non_positive_or_non_finite_distances_raise(model_id, bad):

@@ -575,7 +575,15 @@ class TestReportRecords:
             ModelCalibration(1.0, 2.0, 1.0, r, 3)
         # before the check, an r of 5.0 built and won the tie on the after-correction MSE
         with pytest.raises(DomainError, match="^pearson_r must lie in"):
-            CalibrationReport({"a": ModelCalibration(1.0, 2.0, 1.0, r, 3), "b": ModelCalibration(3.0, 1.0, 1.0, 0.9, 3)})
+            CalibrationReport({"a": ModelCalibration(1.0, 2.0, 1.0, r, 3), "b": ModelCalibration(1.0, 1.0, 1.0, 0.9, 3)})
+
+    def test_a_row_whose_cf_squared_exceeds_its_mse_is_a_domain_error(self):
+        message = "cf_db**2 exceeds mse_before_db2 beyond rounding, got cf_db 3.0 and mse_before_db2 1.0"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ModelCalibration(3.0, 1.0, 2.0, 0.5, 3)
+        # the field checks come first
+        with pytest.raises(DomainError, match="^n must be a positive int, got 0$"):
+            ModelCalibration(3.0, 1.0, 2.0, 0.5, 0)
 
     @pytest.mark.parametrize("r", [-1, -1.0, 1.0])
     def test_a_pearson_r_at_plus_or_minus_one_is_kept_as_a_float(self, r):
@@ -628,10 +636,17 @@ RS = st.none() | st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
 
 
 @st.composite
+def report_row(draw, n):
+    """A row a drive test can give: |cf| at most the root of the before-correction MSE."""
+    before = draw(MSES)
+    cf = draw(st.floats(-math.sqrt(before), math.sqrt(before)))
+    return ModelCalibration(cf, before, draw(MSES), draw(RS), n)
+
+
+@st.composite
 def report_rows(draw):
     n = draw(st.integers(1, 10**6))
-    row = st.builds(ModelCalibration, st.floats(allow_nan=False, allow_infinity=False), MSES, MSES, RS, st.just(n))
-    return draw(st.dictionaries(st.text(max_size=3), row, min_size=1, max_size=6))
+    return draw(st.dictionaries(st.text(max_size=3), report_row(n), min_size=1, max_size=6))
 
 
 @settings(max_examples=200, deadline=None)
@@ -646,6 +661,35 @@ def test_calibrate_names_the_winner_of_its_own_rows(case):
     measured, columns = case
     report = calibrate(measured, {f"m{i}": column for i, column in enumerate(columns)})
     assert report.best_model == _winner(report.models)
+
+
+@st.composite
+def near_flat_drive_tests(draw):
+    """A measured series and a flat prediction whose residuals are flat or a few ulps apart, at a magnitude from
+    subnormal to about 1e300."""
+    n = draw(st.integers(1, 40))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    base = sign * math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(st.integers(-1074, 996)))
+    steps = draw(st.lists(st.integers(-4, 4) | st.just(0), min_size=n, max_size=n))
+    residuals = [base + k * math.ulp(base) for k in steps]
+    level = draw(st.just(0.0) | st.sampled_from([-70.0, 1e-300, 1e300]) | st.floats(-1e300, 1e300))
+    return [level + r for r in residuals], [level] * n
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_flat_drive_tests())
+@example(([5e-324] * 3, [0.0] * 3))
+@example(([1e-155, 1e-155 + 2**-567, 1e-155], [0.0] * 3))
+def test_every_row_calibrate_returns_passes_the_mean_square_check(case):
+    # calibrate gave cf**2 up to 4.7*eps above the before-correction MSE on near-flat residuals
+    measured, predicted = case
+    try:
+        report = calibrate(measured, {"a": predicted})
+    except DomainError as exc:
+        assert re.fullmatch(r"(measured|predicted 'a') series: a sum over its values overflows the float range", str(exc))
+        return
+    row = report.models["a"]
+    assert row.cf_db * row.cf_db <= row.mse_before_db2 * (1.0 + 32 * 2.0**-53) + 16 * 5e-324
 
 
 class TestDecadeSlope:

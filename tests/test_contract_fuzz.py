@@ -29,7 +29,6 @@ from propcal import (
     CalibrationReport,
     DataError,
     DomainError,
-    DriveTestSample,
     DriveTestTable,
     Environment,
     ExtendedCost231Loss,
@@ -66,7 +65,6 @@ _CSV = propcal.serialize_drive_test_csv(DriveTestTable(*_SMALL))
 # name -> (positional arguments, keyword arguments) of one call that returns a value
 VALID_CALLS = {
     "CalibrationReport": ((dict(_REPORT.models),), {"notes": ("note",)}),
-    "DriveTestSample": ((100.0, -70.0), {}),
     "DriveTestTable": (_SMALL, {}),
     "Environment": (("metro", 3.0), {}),
     "EricssonParams": ((36.2, 30.2, -12.0, 0.1), {}),
@@ -122,7 +120,6 @@ def _is_contract_callable(value: object) -> bool:
 # `test_the_flag_surface_is_pinned` pins the CLI's flags: a parameter added or removed shows here
 LIBRARY_SURFACE = {
     "CalibrationReport": ["models", "notes"],
-    "DriveTestSample": ["distance_m", "measured_rss_dbm"],
     "DriveTestTable": ["distances_m", "measured_rss_dbm", "predictions"],
     "Environment": ["name", "clutter_db"],
     "EricssonParams": ["a0", "a1", "a2", "a3"],
@@ -318,11 +315,11 @@ RECORD_FIELD_LEAKS = {
     "ExtendedCost231Loss.free_space_db=None": (
         DomainError, "free_space_db must be finite, got None", lambda: ExtendedCost231Loss(None, 1.0, 2.0, 3.0).total_db
     ),
-    "DriveTestSample.distance_m='x'": (
-        DataError, "distance_m must be positive, got 'x'", lambda: DriveTestSample("x", None)
+    "DriveTestTable.distances_m=('x',)": (
+        DataError, "row 1: distance_m must be positive, got 'x'", lambda: DriveTestTable(("x",), (None,))
     ),
-    "DriveTestSample.measured_rss_dbm=None": (
-        DataError, "measured_rss_dbm: RSS None outside [-150, 40] dBm", lambda: DriveTestSample(100.0, None)
+    "DriveTestTable.measured_rss_dbm=(None,)": (
+        DataError, "row 1, column rssi_dbm: RSS None outside [-150, 40] dBm", lambda: DriveTestTable((100.0,), (None,))
     ),
     "InferenceResult.model_id=5": (
         DomainError, "model_id must be a str, got int", lambda: InferenceResult(5, {}, 1.0, 30.0, 3)

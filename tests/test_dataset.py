@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from propcal import (
     DataError,
-    DriveTestSample,
     DriveTestTable,
     REFERENCE_SITE,
     emit_plot_series,
@@ -30,8 +29,8 @@ class TestReferenceDataset:
 
     def test_first_and_last_rows(self):
         table = reference_dataset()
-        assert table.samples[0] == DriveTestSample(4200.0, -73.0)
-        assert table.samples[-1] == DriveTestSample(400.0, -61.0)
+        assert table.samples[0] == (4200.0, -73.0)
+        assert table.samples[-1] == (400.0, -61.0)
         first = tuple(table.predictions[name][0] for name in table.predictions)
         last = tuple(table.predictions[name][-1] for name in table.predictions)
         assert first == (-97.94, -91.87, -66.86, -100.58)
@@ -39,15 +38,15 @@ class TestReferenceDataset:
 
     def test_duplicate_distances_preserved(self):
         table = reference_dataset()
-        at_3500 = [s.measured_rss_dbm for s in table.samples if s.distance_m == 3500.0]
+        at_3500 = [rss for d, rss in table.samples if d == 3500.0]
         assert at_3500 == [-79.0, -78.0, -80.0]
 
     def test_measured_extremes(self):
         table = reference_dataset()
-        strongest = max(table.samples, key=lambda s: s.measured_rss_dbm)
-        weakest = min(table.samples, key=lambda s: s.measured_rss_dbm)
-        assert (strongest.measured_rss_dbm, strongest.distance_m) == (-50.0, 415.0)
-        assert (weakest.measured_rss_dbm, weakest.distance_m) == (-92.0, 3800.0)
+        strongest = max(table.samples, key=lambda row: row[1])
+        weakest = min(table.samples, key=lambda row: row[1])
+        assert strongest == (415.0, -50.0)
+        assert weakest == (3800.0, -92.0)
 
     def test_prediction_columns(self):
         table = reference_dataset()
@@ -67,7 +66,7 @@ class TestReferenceDataset:
 class TestParsing:
     def test_single_row(self):
         table = parse_drive_test_csv("distance_m,rssi_dbm\n4200,-73\n")
-        assert table.samples == (DriveTestSample(4200.0, -73.0),)
+        assert table.samples == ((4200.0, -73.0),)
         assert not table.predictions
 
     def test_prediction_column(self):
@@ -179,7 +178,8 @@ class TestTableValidation:
     def test_samples_is_a_view_of_the_columns(self):
         table = DriveTestTable([500.0, 400.0], [-58.0, -61.0])
         assert table.distances_m == (500.0, 400.0)
-        assert table.samples == (DriveTestSample(500.0, -58.0), DriveTestSample(400.0, -61.0))
+        assert table.samples == ((500.0, -58.0), (400.0, -61.0))
+        assert all(type(value) is float for row in table.samples for value in row)
 
     def test_with_prediction_adds_column(self):
         table = parse_drive_test_csv("distance_m,rssi_dbm\n500,-58\n")

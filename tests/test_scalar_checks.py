@@ -26,7 +26,6 @@ from propcal import (
     TERRAINS,
     DataError,
     DomainError,
-    DriveTestSample,
     DriveTestTable,
     EricssonParams,
     Environment,
@@ -494,7 +493,6 @@ RECORDS = {
     "PathLossModel": lambda real: PathLossModel("m", real(100.5), real(35.25), real(-1.5), min_distance_m=real(100.0)),
     "SiteConfig": lambda real: SiteConfig(*map(real, (30.0, 20.0, 18.0, 1.25, 3.0, 2530.0, 40.0, 3.0))),
     "ModelCalibration": lambda real: ModelCalibration(real(7.75), real(80.5), real(20.5), real(0.875), 45),
-    "DriveTestSample": lambda real: DriveTestSample(real(450.0), real(-60.5)),
 }
 
 
@@ -506,6 +504,16 @@ def test_a_record_keeps_each_number_as_the_float_its_check_returns(record, real)
     assert repr(built) == repr(expected)  # a repr shows an int, a Fraction or a NumPy scalar that was kept
     numeric = [f.name for f in dataclasses.fields(expected) if type(getattr(expected, f.name)) is float]
     assert numeric and all(type(getattr(built, name)) is float for name in numeric)
+
+
+@pytest.mark.parametrize("real", REAL_TYPES, ids=lambda real: real.__name__)
+def test_a_one_row_table_keeps_each_number_as_the_float_its_check_returns(real):
+    def build(real):
+        return DriveTestTable((real(450.0),), (real(-60.5),), {"a": (real(-61.25),)})
+
+    built, expected = build(real), build(lambda x: float(real(x)))  # an int truncates: the float of what was given
+    assert repr((built.samples, built.predictions)) == repr((expected.samples, expected.predictions))
+    assert all(type(value) is float for value in (*built.samples[0], *built.predictions["a"]))
 
 
 # a closed form or a bound model fed by a record field given as `real(x)`
