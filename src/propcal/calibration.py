@@ -202,8 +202,9 @@ def _fsum(name: str, terms: Iterable[float]) -> float:
 def _centred(name: str, values: Sequence[float]) -> tuple[list[float], float, float]:
     """Deviations from the mean, their sum of squares, and the mean; exact for a flat series."""
     mean = _fsum(name, values) / len(values)  # taken even when flat, so that an overflow is reported
-    # the ends first: every flat series passes that test, and most others fail it at once
-    if values[0] == values[-1] and min(values) == max(values):
+    # the ends first: every flat series passes that test, and most others fail it at once; then one scan in C, in
+    # which -0.0 == 0.0 leaves a series of signed zeros flat
+    if values[0] == values[-1] and values.count(values[0]) == len(values):
         mean = values[0]  # which `fsum / n` can miss by an ulp
     deviations = list(map(operator.sub, values, itertools.repeat(mean)))
     return deviations, _sum_squares(name, deviations), mean
@@ -228,7 +229,9 @@ def calibrate(
     Each series is scored in one pass with the same arithmetic as
     `correction_factor`, `mse` and `pearson_r`, so cf, the before-correction
     MSE and r keep their error bounds, and the measured series is centred
-    once for all models.  y + cf is rounded at the scale of the values, so
+    once for all models.  Each model's scoring lists are freed once their
+    sums are taken, so one model's lists are held at a time, whatever the
+    number of series.  y + cf is rounded at the scale of the values, so
     the after-correction MSE is within 2*h*sqrt(mse_after) + h**2 +
     6*eps*mse_after + 2**-1074 of the exact one, where eps = 2**-53 and
     h = 8*eps*max(|x_i| + |y_i|) + 2**-1074.
@@ -248,6 +251,7 @@ def calibrate(
         residual = list(map(operator.sub, x, y))
         cf = _fsum(name, residual) / n
         error = _sum_squares(name, residual) / n
+        del residual
         # r is invariant under the constant shift, so one value serves both
         centred_y = _centred(name, y)  # outside the `try`: its overflow is an error, not a note
         r: float | None
@@ -256,8 +260,10 @@ def calibrate(
         except DomainError as exc:
             r = None
             notes.append(f"{model_id}: {exc}; reported as null")
+        del centred_y
         shifted = list(map(operator.sub, map(operator.add, y, itertools.repeat(cf)), x))
         error_after = _sum_squares(name, shifted) / n
+        del shifted
         models[model_id] = ModelCalibration(cf, error, error_after, r, n)
         if acceptable_mse_db2 is not None and error_after > acceptable_mse_db2:
             notes.append(

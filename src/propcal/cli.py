@@ -309,13 +309,16 @@ def _cmd_predict(args: argparse.Namespace) -> str:
 
 def _cmd_calibrate(args: argparse.Namespace) -> str:
     site = _load_site(args)
+    # the table's prediction columns are parsed and checked, but not scored: they go before any model is evaluated
     table = _load_table(args.data)
+    distances, measured = table.distances_m, table.measured_rss_dbm
+    del table
     budget = site.budget_db
     predictions = {  # the table checked its distances; a float minus a float is a float, so the type gate is skipped
         mid: _Floats([budget - loss for loss in losses])
-        for mid, losses in _evaluated(args, site, _selected_models(args, MODEL_IDS), table.distances_m)
+        for mid, losses in _evaluated(args, site, _selected_models(args, MODEL_IDS), distances)
     }
-    report = calibrate(table.measured_rss_dbm, predictions, acceptable_mse_db2=args.acceptable_mse)
+    report = calibrate(measured, predictions, acceptable_mse_db2=args.acceptable_mse)
     return report.to_json() if args.format == "json" else report.to_csv()
 
 

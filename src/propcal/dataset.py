@@ -28,6 +28,10 @@ RSS_MAX_DBM = 40.0
 CSV_HEADER = ("distance_m", "rssi_dbm")
 PREDICTION_PREFIX = "pred_"
 
+# About how many characters of data lines `_plain_cells` converts at a time: one slice's line and cell strings
+# are all it holds beside the columns it builds
+_SLICE_CHARS = 1 << 16
+
 
 @dataclass(frozen=True)
 class DriveTestTable:
@@ -110,8 +114,16 @@ def _plain_cells(text: str) -> tuple[list[str], list[_Floats]] | None:
 
     That is text with no quote, no NUL, no "\\r" outside a "\\r\\n" and no
     line longer than the csv field size limit, whose first line is the
-    header and whose data lines each hold a number in every cell of the
-    header's width.
+    header and which has at least one data line, each holding a number in
+    every cell of the header's width.
+
+    The data lines are converted a slice of about `_SLICE_CHARS` characters
+    at a time, each cut after a "\\n", so that the cells of one slice are
+    all that is held beside the columns.  A slice that fails a check sends
+    the whole text to `_csv_cells`, which then raises what it would have
+    raised for it.  The header is checked only once every slice has
+    passed: `csv.reader` reports a line past the field size limit before
+    `_csv_cells` reads the header.
     """
     if '"' in text or "\0" in text:
         return None
@@ -119,27 +131,32 @@ def _plain_cells(text: str) -> tuple[list[str], list[_Floats]] | None:
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    lines = text.split("\n")  # not `splitlines`, which also ends a line at "\x0c", "\x85", "\u2028" and others
-    if not lines[-1]:
-        lines.pop()
     limit = csv.field_size_limit()
-    if not lines or (len(text) > limit and max(map(len, lines)) > limit):
-        return None
-    header_row = lines[0].split(",")
-    if _is_blank(header_row):
-        return None
-    header = _checked_header(header_row)
-    del lines[0]
-    if set(map(str.count, lines, itertools.repeat(","))) != {len(header) - 1}:
-        return None  # a ragged, blank or whitespace-only line, or no data line
-    cells = ",".join(lines).split(",")  # one flat list: a list per row would cost its own allocation and GC passes
-    del lines
-    width = len(header)
-    try:
-        # a column's floats are made one after another, so that a pass over the column reads memory in order
-        return header, [_Floats(map(float, cells[k::width])) for k in range(width)]
-    except ValueError:  # a bad cell, or a line of only commas
-        return None
+    end = text.find("\n")  # not `splitlines`, which also ends a line at "\x0c", "\x85", "\u2028" and others
+    header_row = text[:end].split(",")
+    if end < 0 or end > limit or _is_blank(header_row):
+        return None  # no data line, a header past the field size limit, or a blank first line
+    width = len(header_row)
+    columns: list[list[float]] = [[] for _ in range(width)]
+    stop = len(text) - text.endswith("\n")  # a last "\n" ends the last line and starts none
+    while True:
+        start = end + 1
+        end = text.find("\n", start + _SLICE_CHARS, stop)
+        cut = stop if end < 0 else end
+        lines = text[start:cut].split("\n")
+        if cut - start > limit and max(map(len, lines)) > limit:
+            return None
+        if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
+            return None  # a ragged, blank or whitespace-only line, or no data line
+        cells = ",".join(lines).split(",")  # one flat list: a list per row would cost its own allocation and GC passes
+        try:
+            for k, column in enumerate(columns):
+                column.extend(map(float, cells[k::width]))
+        except ValueError:  # a bad cell, or a line of only commas
+            return None
+        if end < 0:
+            break
+    return _checked_header(header_row), [_Floats(column) for column in columns]
 
 
 def _csv_cells(text: str) -> tuple[list[str], list[_Floats]]:

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from fractions import Fraction
@@ -37,6 +38,7 @@ from propcal import (
     published_divergence_notes,
     reference_dataset,
 )
+from propcal.calibration import _centred
 from propcal.models import ModelRangeWarning
 
 
@@ -214,6 +216,15 @@ class TestPearson:
         # the exact r of these three points is -sqrt(3)/2; a rounded mean gave -0.5
         r = pearson_r([-70.00000000000001, -70.00000000000003, -70.00000000000003], [1.0, 3.0, 2.0])
         assert r == pytest.approx(-math.sqrt(3.0) / 2.0, abs=1e-15)
+
+    def test_a_series_with_equal_ends_is_flat_only_if_every_value_is(self):
+        deviations, squares, mean = _centred("s", (1.0, 2.0, 1.0))
+        assert mean == 4.0 / 3.0
+        assert deviations == [1.0 - 4.0 / 3.0, 2.0 - 4.0 / 3.0, 1.0 - 4.0 / 3.0]
+        assert squares == math.fsum(d * d for d in deviations)
+        # -0.0 == 0.0: the series is flat, its mean its first value and each deviation a zero, -0.0 - 0.0 = -0.0
+        deviations, squares, mean = _centred("s", [0.0, -0.0, 0.0])
+        assert (repr(mean), list(map(repr, deviations)), squares) == ("0.0", ["0.0", "-0.0", "0.0"], 0.0)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DomainError, match="at least 2"):
@@ -532,6 +543,26 @@ def test_calibrate_matches_the_reference_functions(case):
         else:
             # within the stated 4*eps of the exact r: near r = 0 a float reference's own rounding is beyond rel=1e-12
             assert exact.r_is_within(calib.pearson_r, exact.r_squared(measured, predicted))
+
+
+def test_calibrate_holds_one_series_scoring_lists_at_a_time():
+    rng = random.Random(7)
+    rows = 20_000
+    measured = tuple(rng.uniform(-120.0, -40.0) for _ in range(rows))
+    columns = [tuple(m + rng.gauss(k, 6.0) for m in measured) for k in range(4)]
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            calibrate(measured, {f"m{k}": columns[k] for k in range(count)})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(1), peak(4)
+    # a list of `rows` new floats takes 32 bytes a value; holding one more series' list would cost all of that, and
+    # the three more report rows and notes take far less than the tenth of it allowed here
+    assert four - one < 32 * rows / 10
 
 
 def test_affine_models_share_one_correlation():
