@@ -10,6 +10,12 @@ arithmetic; a report row checks cf^2 <= mse_before within rounding.
 All correction factors are computed and applied in RSS space, so a
 positive cf means the model over-predicts path loss.  The equivalent
 path-loss form is loss - cf.
+
+`calibrate` scores the columns it is given sample by sample, as the CLI's
+`compare` does.  The CLI's `calibrate` scores freshly bound models from
+one set of centred moment sums instead (`_calibrate_models`): each model
+is a quadratic in log10(d_km), so its metrics follow in O(1).  Each route
+states its error bound.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 
 from .dataset import PUBLISHED_CALIBRATION, _csv_text
-from .errors import LEAST_POSITIVE, DataError, DomainError, as_column, as_instance, as_mapping, checked_column, checked_fields, finite, nonnegative
-from .models import _MODEL_PARAMS, MODEL_IDS, PathLossModel, _make_model_kwargs, _model_arguments, _range_warnings, make_model
+from .errors import LEAST_POSITIVE, DataError, DomainError, _Floats, as_column, as_instance, as_mapping, checked_column, checked_fields, finite, nonnegative
+from .models import _MODEL_PARAMS, MODEL_IDS, PathLossModel, _log_km, _make_model_kwargs, _model_arguments, _range_warnings, make_model
 from .models import model_from_params  # unused here: the benchmark tracer wraps this name until ROADMAP item 3
 
 SELECTION_RULE = "lowest after-correction mse_db2; ties: highest pearson_r, then model id"
@@ -241,29 +247,41 @@ def calibrate(
     if acceptable_mse_db2 is not None:
         acceptable_mse_db2 = nonnegative("acceptable_mse_db2", acceptable_mse_db2)
     x = _finite_series("measured", measured)
-    n = len(x)
     centred_x = _centred("measured", x)
+    scores = (_scored(model_id, x, centred_x, predicted) for model_id, predicted in predictions.items())
+    return _report(scores, len(x), acceptable_mse_db2)
+
+
+def _scored(model_id: str, x: Sequence[float], centred_x: tuple, predicted: Sequence[float]) -> tuple:
+    """One prediction series scored sample by sample against `x`, centred by `_centred`: the model id, cf, the MSE
+    before and after it, and r or the `DomainError` that says why r is undefined."""
+    name = f"predicted {model_id!r}"
+    n = len(x)
+    y = _finite_series(name, predicted, n)
+    residual = list(map(operator.sub, x, y))
+    cf = _fsum(name, residual) / n
+    error = _sum_squares(name, residual) / n
+    del residual
+    # r is invariant under the constant shift, so one value serves both
+    centred_y = _centred(name, y)  # outside the `try`: its overflow is an error, not a note
+    r: float | DomainError
+    try:
+        r = _pearson_centred(*centred_x, *centred_y)
+    except DomainError as exc:
+        r = exc
+    del centred_y
+    shifted = list(map(operator.sub, map(operator.add, y, itertools.repeat(cf)), x))
+    return model_id, cf, error, _sum_squares(name, shifted) / n, r
+
+
+def _report(scores: Iterable[tuple], n: int, acceptable_mse_db2: float | None) -> CalibrationReport:
+    """The report of scores as `_scored` gives them, taken in order: a row each, and the notes in model order."""
     models: dict[str, ModelCalibration] = {}
     notes: list[str] = []
-    for model_id, predicted in predictions.items():
-        name = f"predicted {model_id!r}"
-        y = _finite_series(name, predicted, n)
-        residual = list(map(operator.sub, x, y))
-        cf = _fsum(name, residual) / n
-        error = _sum_squares(name, residual) / n
-        del residual
-        # r is invariant under the constant shift, so one value serves both
-        centred_y = _centred(name, y)  # outside the `try`: its overflow is an error, not a note
-        r: float | None
-        try:
-            r = _pearson_centred(*centred_x, *centred_y)
-        except DomainError as exc:
+    for model_id, cf, error, error_after, r in scores:
+        if isinstance(r, DomainError):
+            notes.append(f"{model_id}: {r}; reported as null")
             r = None
-            notes.append(f"{model_id}: {exc}; reported as null")
-        del centred_y
-        shifted = list(map(operator.sub, map(operator.add, y, itertools.repeat(cf)), x))
-        error_after = _sum_squares(name, shifted) / n
-        del shifted
         models[model_id] = ModelCalibration(cf, error, error_after, r, n)
         if acceptable_mse_db2 is not None and error_after > acceptable_mse_db2:
             notes.append(
@@ -273,14 +291,123 @@ def calibrate(
     return CalibrationReport(models, tuple(notes))
 
 
+def _calibrate_models(
+    measured: Sequence[float],
+    distances_m: Sequence[float],
+    models: Sequence[PathLossModel],
+    budget_db: float,
+    *,
+    acceptable_mse_db2: float | None = None,
+) -> CalibrationReport:
+    """`calibrate` of each bound model's predicted RSS, budget_db - loss, at distances checked by `_checked_distances`.
+
+    What it raises, warns and notes is what evaluating the models in turn
+    and then scoring the columns with `calibrate` would: SUI's d0 check and
+    the range notes, once per distance, model by model, then each model's
+    scores, errors and notes in model order.  The scores come from moments.
+    A model's residual is x_i - budget_db + c0 + c1*L_i + c2*L_i**2, with
+    L = `_log_km` of the distances, so cf, both MSEs and r of every model
+    follow in O(1) from the means of x, L and L**2 and the six sums of
+    products of their deviations from those means: 9 `math.fsum` passes
+    for all models together (centred first, after Chan, Golub & LeVeque,
+    Am. Stat. 37(3), 1983; summed exactly rounded, after Shewchuk,
+    Discrete Comput. Geom. 18, 1997).
+
+    With eps = 2**-53, t = 2**-1074 and s = 1 + |c1| + |c2|, against the
+    exact metrics of x and of the exact prediction budget_db - c0 - c1*L_i
+    - c2*L_i**2 over these floats:
+      cf is within dcf = 2*eps*|cf| + 8*eps*m + 4*s*t,
+      mse_after within da = 128*eps*(Wx + Wy) + 2*s*s*t,
+      mse_before within 2*|cf|*dcf + dcf**2 + da + 4*eps*mse_before,
+      r within 16*eps*(sqrt(Wx/vx) + sqrt(Wy/vy) + k + 1) + 16*s*s*t*(1 + 1/vx + 1/vy),
+    where m is the mean of |x_i| + |c1*L_i| + |c2|*L_i**2, Wx the mean of
+    x_i**2, Wy the mean of (|c1*L_i| + |c2|*L_i**2)**2, vx and vy the
+    variances of x and of the prediction, and k the mean of (|c1*a_i| +
+    |c2*b_i|)**2 over vy, a and b the deviations of L and L**2.
+
+    Why: a mean rounds within 2.01*eps of its value and L**2 within eps,
+    so each float deviation of x, L and L**2, weighted by 1, c1 and c2,
+    lies within g_i = 4.02*eps*(m_i + m) + s*t of the exact one.  The
+    quadratic form in the sums is the sum of squares of the residuals'
+    deviations r_i, |r_i| <= m_i + m.  With W the mean of m_i**2, at most
+    2*(Wx + Wy), n*mse_after is off by at most sum 2*|r_i|*g_i + g_i**2,
+    32.2*eps*n*W, plus the form's rounding, 4.03*eps times the sum of its
+    terms' absolute values, 16.1*eps*n*W, plus that of the sum and the
+    division, 8.1*eps*n*W: 112.8*eps*n*(Wx + Wy), the t-terms bounded by
+    eps*r_i**2 + s*s*t.  r is the cosine of the angle between the two
+    deviation vectors: the g_i turn each by at most pi/2 times their size
+    relative to it, 6.4*eps*sqrt(Wx/vx) and 9.5*eps*sqrt(Wy/vy), and the
+    sums of r round within (4.1*k + 8.1)*eps.
+
+    A model is scored sample by sample, as `calibrate` scores a column,
+    where those bounds need what the sums do not show: a coefficient or
+    the budget neither 0 nor of magnitude in [1e-60, 1e100] (`_screenable`);
+    or, where r is defined, a measured series that `_pearson_centred`
+    would rescale, or a prediction whose sum of squared deviations Syy is
+    below 2**-40 of n*(budget**2 + c0**2 + 2*mean(c1**2*L**2 + c2**2*L**4)),
+    so that its floats could round flat, or below 2**-9 of
+    c1**2*Sll + c2**2*Sqq, the sums for L and L**2, so that k could exceed
+    2**10.  A prediction that is certainly flat (every L the same, or
+    c1 = c2 = 0) gets the null r of a flat series, as it would there.
+    """
+    x = _finite_series("measured", measured)
+    n = len(x)
+    centred_x = dx, sxx, mx = _centred("measured", x)
+    log_km = _log_km(distances_m)
+    dl, sll, ml = _centred("distance", log_km)
+    dq, sqq, mq = _centred("distance", list(map(operator.mul, log_km, log_km)))
+    sums = (sxx, sll, sqq, *(math.fsum(map(operator.mul, a, b)) for a, b in ((dx, dl), (dx, dq), (dl, dq))))
+    del dl, dq
+    # r's `DomainError` where r is undefined whatever the prediction, else whether the measured sums serve r
+    r_scorable = _r_undefined(n, not any(dx), False) or not (sxx < n * sys.float_info.min or _near_flat(sxx, n, mx))
+    scores: list = []  # per model, in order: its scores, or the call that scores its RSS column sample by sample
+    for model in models:
+        score = _moment_score(model, budget_db, n, sums, (mx, ml, mq), r_scorable)
+        if score is None:  # a float minus a float is a float, so `_Floats` skips the type gate
+            rss = _Floats([budget_db - loss for loss in model._losses(distances_m, log_km)])
+            score = functools.partial(_scored, model.model_id, x, centred_x, rss)
+        else:
+            model._admit(distances_m)
+        scores.append(score)
+    return _report((score() if callable(score) else score for score in scores), n, acceptable_mse_db2)
+
+
+def _moment_score(
+    model: PathLossModel, budget: float, n: int, sums: tuple, means: tuple, r_scorable: bool | DomainError,
+) -> tuple | None:
+    """A model's `_scored` scores from the sums of `_calibrate_models`, or None where its bound does not cover them.
+
+    `sums` are the centred sums of squares of x, L and L**2, then of the products x*L, x*L**2 and L*L**2, and
+    `means` the means of x, L and L**2.  `r_scorable` is the `DomainError` of an r that is undefined whatever the
+    prediction, else whether the measured series' sums serve r: True where `_pearson_centred` would not rescale them.
+    """
+    c0, c1, c2 = model.c0, model.c1, model.c2
+    if not _screenable(c0, c1, c2, budget):
+        return None
+    sxx, sll, sqq, sxl, sxq, slq = sums
+    mx, ml, mq = means
+    a1, a2, a12 = c1 * c1, c2 * c2, 2 * c1 * c2
+    cf = math.fsum((mx, -budget, c0, c1 * ml, c2 * mq))
+    error_after = max(0.0, math.fsum((sxx, a1 * sll, a2 * sqq, 2 * c1 * sxl, 2 * c2 * sxq, a12 * slq)) / n)
+    # every prediction is the same float where the distances share one L, or no term varies with L
+    r = r_scorable if isinstance(r_scorable, DomainError) else _r_undefined(n, False, sll == 0.0 or c1 == c2 == 0.0)
+    if r is None:
+        syy = math.fsum((a1 * sll, a2 * sqq, a12 * slq))
+        # a quarter of a bound on the mean square of |budget| + |c0| + |c1*L| + |c2|*L**2
+        level = budget * budget + c0 * c0 + 2 * (a1 * mq + a2 * (sqq / n + mq * mq))
+        if not (r_scorable and syy * 2**9 >= a1 * sll + a2 * sqq and syy * 2**40 >= n * level
+                and sys.float_info.min <= sxx * syy < math.inf):
+            return None
+        r = max(-1.0, min(1.0, -math.fsum((c1 * sxl, c2 * sxq)) / math.sqrt(sxx * syy)))
+    return model.model_id, cf, cf * cf + error_after, error_after, r
+
+
 def _pearson_centred(dx: list[float], sxx: float, mx: float, dy: list[float], syy: float, my: float) -> float:
     """`pearson_r` of two series already centred by `_centred`."""
     n = len(dy)
-    if n < 2:
-        raise DomainError(f"pearson_r requires at least 2 samples, got {n}")
-    for series, deviations in (("measured", dx), ("predicted", dy)):
-        if not any(deviations):  # `_centred` leaves a flat series all zeros
-            raise DomainError(f"pearson_r is undefined for a zero-variance {series} series")
+    undefined = _r_undefined(n, not any(dx), not any(dy))  # `_centred` leaves a flat series all zeros
+    if undefined is not None:
+        raise undefined
     # r is the same for series scaled by powers of two.  Where a square may lose bits below the normal float range,
     # the product of the sums leaves it, or a mean's rounding matters (`_near_flat`), rescale and centre again
     if (min(sxx, syy) < n * sys.float_info.min or not sys.float_info.min <= sxx * syy < math.inf
@@ -288,6 +415,16 @@ def _pearson_centred(dx: list[float], sxx: float, mx: float, dy: list[float], sy
         return _pearson_centred(*_rescaled("measured", dx)[0], *_rescaled("predicted", dy)[0])
     # rounding can take |r| of an exactly linear pair past 1; the clamp only moves r toward the exact value
     return max(-1.0, min(1.0, math.fsum(map(operator.mul, dx, dy)) / math.sqrt(sxx * syy)))
+
+
+def _r_undefined(n: int, flat_measured: bool, flat_predicted: bool) -> DomainError | None:
+    """The `DomainError` that says why r is undefined, or None: fewer than 2 samples first, then a flat series."""
+    if n < 2:
+        return DomainError(f"pearson_r requires at least 2 samples, got {n}")
+    for series, flat in (("measured", flat_measured), ("predicted", flat_predicted)):
+        if flat:
+            return DomainError(f"pearson_r is undefined for a zero-variance {series} series")
+    return None
 
 
 def _near_flat(s: float, n: int, mean: float) -> bool:
@@ -494,7 +631,8 @@ def infer_site_parameters(
 
 
 def _screenable(*values: float) -> bool:
-    """Whether each value is 0 or of a magnitude at which no product in `_fit_bounds` or `_fit` leaves the normal range."""
+    """Whether each value is 0 or of a magnitude at which no product in `_fit_bounds`, `_fit` or `_moment_score`
+    leaves the normal range."""
     return all(v == 0.0 or 1e-60 <= abs(v) <= 1e100 for v in values)
 
 

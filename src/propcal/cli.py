@@ -22,6 +22,7 @@ import warnings
 from collections.abc import Iterator, Sequence
 
 from .calibration import (
+    _calibrate_models,
     calibrate,
     correction_factor,
     cost231_tx_height_from_slope,
@@ -32,18 +33,20 @@ from .dataset import (
     DriveTestTable,
     _csv_text,
     _format_value,
+    _with_derived,
     emit_plot_series,
     parse_drive_test_csv,
     reference_dataset,
     serialize_drive_test_csv,
-    with_prediction,
 )
-from .errors import DataError, DomainError, PropcalError, _Floats, checked_column
+from .dataset import with_prediction  # unused here: the benchmark tracer wraps this name until ROADMAP item 3
+from .errors import DataError, DomainError, PropcalError, checked_column
 from .link_budget import REFERENCE_SITE, SiteConfig, predict_rss, site_from_json
 from .models import (
     MODEL_IDS,
     TERRAINS,
     ModelRangeWarning,
+    PathLossModel,
     _checked_distances,
     _log_km,
     _make_model_kwargs,
@@ -276,19 +279,23 @@ def _model_params(args: argparse.Namespace, site: SiteConfig) -> dict[str, objec
     }
 
 
+def _bound_models(args: argparse.Namespace, site: SiteConfig, model_ids: Sequence[str]) -> list[PathLossModel]:
+    """The models, each bound with the site and model flags, all before any is evaluated: a bind error comes first."""
+    kwargs = _make_model_kwargs(_model_arguments(_model_params(args, site)))
+    return [make_model(mid, **kwargs) for mid in model_ids]  # type: ignore[arg-type]
+
+
 def _evaluated(
     args: argparse.Namespace, site: SiteConfig, model_ids: Sequence[str], distances: Sequence[float]
 ) -> Iterator[tuple[str, list[float]]]:
     """Each model's path loss at `distances`, already checked, as (model id, losses), one model at a time.
 
-    Every model is bound before any is evaluated, so a bind error is reported before any range warning.
     `log_km` is freed once the last model is evaluated, before the caller scores or formats the losses.
     """
-    kwargs = _make_model_kwargs(_model_arguments(_model_params(args, site)))
-    models = [(mid, make_model(mid, **kwargs)) for mid in model_ids]  # type: ignore[arg-type]
+    models = _bound_models(args, site, model_ids)
     log_km = _log_km(distances)
-    for mid, model in models:
-        yield mid, model._losses(distances, log_km)
+    for model in models:
+        yield model.model_id, model._losses(distances, log_km)
 
 
 def _cmd_predict(args: argparse.Namespace) -> str:
@@ -309,16 +316,12 @@ def _cmd_predict(args: argparse.Namespace) -> str:
 
 def _cmd_calibrate(args: argparse.Namespace) -> str:
     site = _load_site(args)
-    # the table's prediction columns are parsed and checked, but not scored: they go before any model is evaluated
+    # the table's prediction columns are parsed and checked, but not scored: they go before any model is scored
     table = _load_table(args.data)
     distances, measured = table.distances_m, table.measured_rss_dbm
     del table
-    budget = site.budget_db
-    predictions = {  # the table checked its distances; a float minus a float is a float, so the type gate is skipped
-        mid: _Floats([budget - loss for loss in losses])
-        for mid, losses in _evaluated(args, site, _selected_models(args, MODEL_IDS), distances)
-    }
-    report = calibrate(measured, predictions, acceptable_mse_db2=args.acceptable_mse)
+    models = _bound_models(args, site, _selected_models(args, MODEL_IDS))  # the table checked its distances
+    report = _calibrate_models(measured, distances, models, site.budget_db, acceptable_mse_db2=args.acceptable_mse)
     return report.to_json() if args.format == "json" else report.to_csv()
 
 
@@ -417,9 +420,10 @@ def _cmd_plot(args: argparse.Namespace) -> str:
     site = _load_site(args)
     table = _load_table(args.data)
     to_evaluate = [mid for mid in _selected_models(args, ()) if mid not in table.predictions]
+    # the RSS window checks input columns: a model's RSS and each corrected series are derived
     for mid, losses in _evaluated(args, site, to_evaluate, table.distances_m):  # the table checked its distances
         rss = [predict_rss(site, loss) for loss in losses]
-        table = with_prediction(table, mid, rss)
+        table = _with_derived(table, mid, rss)
     base_names = list(table.predictions)
     measured = table.measured_rss_dbm
     for name in base_names:
@@ -429,7 +433,7 @@ def _cmd_plot(args: argparse.Namespace) -> str:
             )
         predicted = table.predictions[name]
         cf = correction_factor(measured, predicted)
-        table = with_prediction(table, f"{name}_corrected", [p + cf for p in predicted])
+        table = _with_derived(table, f"{name}_corrected", [p + cf for p in predicted])
     return emit_plot_series(table, site, quantity=args.quantity)
 
 

@@ -16,12 +16,14 @@ import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .errors import LEAST_POSITIVE, DataError, _Floats, as_column, as_instance, as_mapping, checked_column
+from .errors import LEAST_POSITIVE, DataError, DomainError, _Floats, as_column, as_instance, as_mapping, checked_column
 from .link_budget import SiteConfig
 
-# Plausibility window for any RSS value, measured or predicted.  Real
-# receivers bottom out near -120 dBm; the margin below that catches unit
-# mistakes (path loss in an RSS column) without rejecting weak signals.
+# Plausibility window for any RSS value that is input, measured or predicted.
+# Real receivers bottom out near -120 dBm; the margin below that catches unit
+# mistakes (path loss in an RSS column) without rejecting weak signals.  A
+# column that propcal derives, such as `plot`'s corrected series, is not an
+# input and is only checked to be finite.
 RSS_MIN_DBM = -150.0
 RSS_MAX_DBM = 40.0
 
@@ -127,14 +129,16 @@ def _plain_cells(text: str) -> tuple[list[str], list[_Floats]] | None:
     """
     if '"' in text or "\0" in text:
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
+    # every "\r" ends a "\r\n" or the text goes to `_csv_cells`; each slice then drops its own "\r"s, with no copy
+    # of the whole text
+    crlf = "\r" in text
+    if crlf and text.count("\r") != text.count("\r\n"):
+        return None
     limit = csv.field_size_limit()
     end = text.find("\n")  # not `splitlines`, which also ends a line at "\x0c", "\x85", "\u2028" and others
-    header_row = text[:end].split(",")
-    if end < 0 or end > limit or _is_blank(header_row):
+    header = text[:end].replace("\r", "") if crlf else text[:end]
+    header_row = header.split(",")
+    if end < 0 or len(header) > limit or _is_blank(header_row):
         return None  # no data line, a header past the field size limit, or a blank first line
     width = len(header_row)
     columns: list[list[float]] = [[] for _ in range(width)]
@@ -143,7 +147,7 @@ def _plain_cells(text: str) -> tuple[list[str], list[_Floats]] | None:
         start = end + 1
         end = text.find("\n", start + _SLICE_CHARS, stop)
         cut = stop if end < 0 else end
-        lines = text[start:cut].split("\n")
+        lines = (text[start:cut].replace("\r", "") if crlf else text[start:cut]).split("\n")
         if cut - start > limit and max(map(len, lines)) > limit:
             return None
         if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
@@ -222,7 +226,17 @@ def with_prediction(table: DriveTestTable, name: str, values: Sequence[float]) -
     columns; the rest were checked when `table` was built.
     """
     as_instance("table", table, DriveTestTable, DataError)
-    column = _prediction_column(name, values, len(table))
+    return _with_column(table, name, _prediction_column(name, values, len(table)))
+
+
+def _with_derived(table: DriveTestTable, name: str, values: Sequence[float]) -> DriveTestTable:
+    """`with_prediction` for a column that propcal derived, such as a model's RSS or a corrected series: the RSS
+    window checks input columns, so each value need only be finite, or `DomainError` names its row."""
+    message = f"row {{}}, column {PREDICTION_PREFIX}{name}: RSS {{!r}} is not finite".format
+    return _with_column(table, name, checked_column(f"{PREDICTION_PREFIX}{name}", values, DomainError, message))
+
+
+def _with_column(table: DriveTestTable, name: str, column: tuple[float, ...]) -> DriveTestTable:
     extended = copy.copy(table)
     object.__setattr__(extended, "predictions", {**table.predictions, name: column})
     return extended

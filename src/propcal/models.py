@@ -18,6 +18,7 @@ deterministic; shadowing is an explicit parameter, never sampled.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -40,8 +41,9 @@ class ModelRangeWarning(UserWarning):
     """Inputs lie outside a model's documented validity range."""
 
 
+@functools.lru_cache(maxsize=1024)  # bounded: an `infer` grid of a million heights would keep a million
 def _cost231_range_notes(freq_mhz: float, tx_height_m: float, rx_height_m: float) -> tuple[str, ...]:
-    """One message per COST-231 Hata input outside its documented range."""
+    """One message per COST-231 Hata input outside its documented range, built once per distinct site."""
     checks = (
         ("freq_mhz", freq_mhz, COST231_FREQ_RANGE_MHZ),
         ("tx_height_m", tx_height_m, COST231_TX_HEIGHT_RANGE_M),
@@ -377,13 +379,7 @@ class PathLossModel:
     def _losses(self, distances_m: Sequence[float], log_km: Sequence[float] | None = None) -> list[float]:
         """`path_loss_series` of distances already checked to be positive floats, as by `_checked_distances`;
         `log_km` is their `_log_km`, given by a caller that evaluates several models at the same distances."""
-        bound = self.min_distance_m
-        if bound and distances_m and min(distances_m) <= bound:
-            d = next(d for d in distances_m if d <= bound)
-            name, limit = ("sui_path_loss", "d0") if self.model_id == "sui" else (self.model_id, "min_distance_m")
-            raise DomainError(f"{name} requires distance_m > {limit} ({bound:g} m), got {d:g} m")
-        if self.range_notes:
-            _range_warnings(self.range_notes, len(distances_m))
+        self._admit(distances_m)
         c0, c1, c2 = self.c0, self.c1, self.c2
         losses = [c0 + (c1 + c2 * L) * L for L in (_log_km(distances_m) if log_km is None else log_km)]
         if not math.isfinite(sum(losses)):
@@ -391,6 +387,17 @@ class PathLossModel:
                 if not math.isfinite(loss):
                     raise DomainError(f"{self.name}: path loss at {d:g} m is not finite ({loss!r})")
         return losses
+
+    def _admit(self, distances_m: Sequence[float]) -> None:
+        """What evaluating the model at checked distances raises before any loss: the first distance at or below
+        `min_distance_m` as a `DomainError`, else each range note once per distance."""
+        bound = self.min_distance_m
+        if bound and distances_m and min(distances_m) <= bound:
+            d = next(d for d in distances_m if d <= bound)
+            name, limit = ("sui_path_loss", "d0") if self.model_id == "sui" else (self.model_id, "min_distance_m")
+            raise DomainError(f"{name} requires distance_m > {limit} ({bound:g} m), got {d:g} m")
+        if self.range_notes:
+            _range_warnings(self.range_notes, len(distances_m))
 
     def corrected(self, cf_db: float) -> "PathLossModel":
         """New model whose path loss is this one's minus cf_db."""

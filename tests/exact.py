@@ -6,7 +6,9 @@ is given.  `test_exact` checks propcal's float results against them,
 within the bounds written in propcal's docstrings and repeated below.
 Pearson r is a square root, so its oracle gives r**2 and the sign of r.
 The decade slope is exact for the log10 values passed in; the rounding of
-`math.log10` itself is not counted.
+`math.log10` itself is not counted.  So is a bound model's prediction
+(`model_prediction`), whose metrics against a measured series the CLI's
+`calibrate` takes from moment sums (`moment_bounds`).
 
 This module imports nothing from propcal, and pytest does not collect it.
 """
@@ -101,6 +103,43 @@ def r_is_within(r, exact_r, bound=4 * EPS):
     if sign < 0:  # -|r| in [low, high] is |r| in [-high, -low]
         low, high = -high, -low
     return high >= 0 and max(low, 0) ** 2 <= square <= high**2
+
+
+def model_prediction(log_km, c0, c1, c2, budget):
+    """budget - (c0 + c1*L + c2*L**2) at each L, exact over the float L, coefficients and budget."""
+    b, c0, c1, c2 = exact((budget, c0, c1, c2))
+    return [b - c0 - c1 * v - c2 * v * v for v in exact(log_km)]
+
+
+def moment_bounds(measured, log_km, c0, c1, c2, budget):
+    """The bounds `calibration._calibrate_models` states on cf, mse_before, mse_after and r, in that order, for the
+    metrics of `measured` against `model_prediction`; r's is None where r is undefined.
+
+    With s = 1 + |c1| + |c2|: cf within dcf = 2*EPS*|cf| + 8*EPS*m + 4*s*TINY, mse_after within
+    da = 128*EPS*(wx + wy) + 2*s*s*TINY, mse_before within 2*|cf|*dcf + dcf**2 + da + 4*EPS*mse_before, and r
+    within 16*EPS*(sqrt(wx/vx) + sqrt(wy/vy) + k + 1) + 16*s*s*TINY*(1 + 1/vx + 1/vy), where m is the mean of
+    |x| + |c1*L| + |c2|*L**2, wx = mean(x**2), wy = mean((|c1*L| + |c2|*L**2)**2), vx and vy are the variances of
+    x and of the prediction, and k = mean((|c1*dL| + |c2*dQ|)**2)/vy over the deviations dL and dQ of L and L**2.
+    """
+    x, logs = exact(measured), exact(log_km)
+    b, c0, c1, c2 = exact((budget, c0, c1, c2))
+    y = model_prediction(log_km, c0, c1, c2, budget)
+    s = 1 + abs(c1) + abs(c2)
+    terms = [abs(c1 * v) + abs(c2) * v * v for v in logs]
+    m = mean([abs(a) + t for a, t in zip(x, terms)])
+    wx, wy = mean([a * a for a in x]), mean([t * t for t in terms])
+    cf = correction_factor(x, y)
+    dcf = 2 * EPS * abs(cf) + 8 * EPS * m + 4 * s * TINY
+    da = 128 * EPS * (wx + wy) + 2 * s * s * TINY
+    dbefore = 2 * abs(cf) * dcf + dcf * dcf + da + 4 * EPS * mse(x, y)
+    n = len(x)
+    vx, vy = centred(x)[1] / n, centred(y)[1] / n
+    if not vx or not vy:
+        return dcf, dbefore, da, None
+    dl, dq = centred(logs)[0], centred([v * v for v in logs])[0]
+    k = mean([(abs(c1 * a) + abs(c2 * q)) ** 2 for a, q in zip(dl, dq)]) / vy
+    dr = 16 * EPS * (_sqrt_above(wx / vx) + _sqrt_above(wy / vy) + k + 1) + 16 * s * s * TINY * (1 + 1 / vx + 1 / vy)
+    return dcf, dbefore, da, dr
 
 
 def decade_slope(log_distances, loss):

@@ -10,12 +10,15 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 import propcal
 
 from propcal import (
@@ -25,7 +28,9 @@ from propcal import (
     reference_dataset,
     site_to_json,
 )
-from propcal import cli
+from propcal import calibration, cli
+from propcal.errors import _Floats
+from propcal.models import _log_km
 
 pytestmark = pytest.mark.filterwarnings("ignore::propcal.models.ModelRangeWarning")
 
@@ -328,6 +333,25 @@ def test_plot_without_columns_or_models(run_cli, tmp_path):
     code, out, _ = run_cli("plot", "--data", str(path))
     assert code == 0
     assert out.splitlines()[0] == "distance_m,measured_rss_dbm"
+
+
+@pytest.mark.parametrize(
+    "text, argv, out",
+    [
+        # compare accepts this column; its corrected series lies at -169 dBm
+        ("distance_m,rssi_dbm,pred_x\n500,-149,-100\n900,-149,-140\n", (),
+         "distance_m,measured_rss_dbm,x,x_corrected\n500,-149.00,-100.00,-129.00\n900,-149.00,-140.00,-169.00\n"),
+        # free space loses 220.5 dB over 1e6 km
+        ("distance_m,rssi_dbm\n1000000000,-100\n", ("--model", "fspl"),
+         "distance_m,measured_rss_dbm,fspl,fspl_corrected\n1000000000,-100.00,-156.71,-100.00\n"),
+    ],
+    ids=["corrected_column", "evaluated_model"],
+)
+def test_plot_checks_the_rss_window_on_input_columns_only(run_cli, tmp_path, text, argv, out):
+    path = tmp_path / "drive.csv"
+    path.write_text(text)
+    assert run_cli("compare", "--data", str(path))[0] == (0 if "pred_" in text else 2)
+    assert run_cli("plot", "--data", str(path), *argv) == (0, out, "")
 
 
 @pytest.mark.parametrize(
@@ -941,3 +965,116 @@ def test_predict_json_is_the_indent_2_dump_of_each_model_series(case):
     assert payload["distances_m"] == distances
     assert list(payload["path_loss_db"]) == list(model_ids)
     assert payload["path_loss_db"] == want
+
+
+# heights that give tiny coefficients (ericsson's c1 at 1e-302 m, extended_cost231's c2 just above 200 m, sui's c1
+# near 619.6 m), a zero one (cost231_hata's c1 at 10**(44.9/6.55) m) or huge ones past the moment route (sui at
+# 1e-300 m); SUI shadows that give a c0 of 1e90, inside that route, and of 1e120, outside it
+EDGE_HEIGHTS = st.sampled_from([1e-302, 200.0000000001, 619.6, 10 ** (44.9 / 6.55), 1e-300])
+EDGE_SHADOWS = st.sampled_from([1e90, 1e120])
+
+
+@st.composite
+def calibrate_cases(draw):
+    """`calibrate --all` flags and drive-test CSV text: measured values a few ulps from one model's prediction, flat
+    or drawn from the RSS window; distances spread, all one, or a few ulps above SUI's d0 of 100 m; and site and
+    model flags that give huge or tiny coefficients."""
+    flags = []
+    if draw(st.booleans()):
+        flags += ["--tx-height", repr(draw(EDGE_HEIGHTS | st.floats(1.0, 300.0)))]
+    if draw(st.booleans()):
+        flags += ["--sui-shadow", repr(draw(EDGE_SHADOWS | st.floats(0.0, 20.0)))]
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["spread", "spread", "spread", "one_distance", "above_d0"]))
+    if kind == "spread":
+        distances = [round(10.0 ** draw(st.floats(2.0, 5.0)), 1) for _ in range(n)]
+    elif kind == "one_distance":
+        distances = [draw(st.floats(101.0, 1e5))] * n
+    else:
+        distances = [100.0 + draw(st.integers(1, 8)) * math.ulp(100.0) for _ in range(n)]
+    kind = draw(st.sampled_from(["window", "window", "flat", "near_zero_residuals", "near_zero_residuals"]))
+    rss = st.floats(-150.0, 40.0)
+    measured = [draw(rss)] * n if kind == "flat" else [draw(rss) for _ in range(n)]
+    if kind == "near_zero_residuals":
+        args = cli._build_parser(["calibrate"]).parse_args(["calibrate", "--data", "-", *flags])
+        site = cli._load_site(args)
+        model = draw(st.sampled_from(cli._bound_models(args, site, propcal.MODEL_IDS)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                predicted = [site.budget_db - loss for loss in model.path_loss_series(distances)]
+            except propcal.DomainError:
+                predicted = measured
+        near = [y + draw(st.integers(-4, 4)) * math.ulp(y) for y in predicted]
+        measured = [y if -150.0 <= y <= 40.0 else x for x, y in zip(measured, near)]
+    rows = [f"{d!r},{x!r}" for d, x in zip(distances, measured)]
+    return flags, "\n".join(["distance_m,rssi_dbm", *rows]) + "\n"
+
+
+def _r_value(exact_r):
+    """r from the r**2 and sign of `exact.r_squared`, above |r| by at most a factor 1 + 2**-64."""
+    return exact_r[1] * exact._sqrt_above(exact_r[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=calibrate_cases())
+def test_calibrate_agrees_with_scoring_each_column_sample_by_sample(drive_test_path, case):
+    flags, text = case
+    drive_test_path.write_text(text)
+    argv = ["calibrate", "--all", "--data", str(drive_test_path), *flags]
+    # what the command gave when it scored each model's RSS column with `calibrate`
+    args = cli._build_parser(argv).parse_args(argv)
+    site = cli._load_site(args)
+    table = parse_drive_test_csv(text)
+    measured, distances = table.measured_rss_dbm, table.distances_m
+    log_km = _log_km(distances)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        try:
+            models = cli._bound_models(args, site, propcal.MODEL_IDS)
+            columns = {m.model_id: _Floats([site.budget_db - v for v in m._losses(distances, log_km)]) for m in models}
+            reference = propcal.calibrate(measured, columns)
+        except propcal.PropcalError as exc:
+            reference = exc
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as cli_warned, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        with mock.patch.object(calibration, "_scored", wraps=calibration._scored) as per_sample:
+            code = cli.main(argv)
+    assert [str(w.message) for w in cli_warned] == [str(w.message) for w in warned]  # one per sample, in order
+    if isinstance(reference, Exception):
+        assert (code, out.getvalue(), err.getvalue()) == (3, "", f"{ERROR_PREFIX}{reference}\n")
+        return
+    assert (code, err.getvalue()) == (0, "")
+    payload = json.loads(out.getvalue())
+    assert payload.get("notes", []) == list(reference.notes)
+    assert list(payload["models"]) == list(reference.models)
+    sampled = {call.args[0] for call in per_sample.call_args_list}
+    for model in models:
+        row, want = payload["models"][model.model_id], reference.models[model.model_id]
+        keys = ["cf_db", "mse_before_db2", "mse_after_db2", "pearson_r", "n"]
+        got = propcal.ModelCalibration(*(row[key] for key in keys))  # the row passes every check
+        if model.model_id in sampled:
+            assert got == want
+            continue
+        # within the moment route's bound of the exact metrics of the exact prediction, and so, through them,
+        # within that bound plus the per-sample route's own of what `calibrate` gives
+        column = columns[model.model_id]
+        exact_y = exact.model_prediction(log_km, model.c0, model.c1, model.c2, site.budget_db)
+        bounds = exact.moment_bounds(measured, log_km, model.c0, model.c1, model.c2, site.budget_db)
+        metrics = (
+            (got.cf_db, want.cf_db, exact.correction_factor, exact.correction_factor_bound),
+            (got.mse_before_db2, want.mse_before_db2, exact.mse, exact.mse_bound),
+            (got.mse_after_db2, want.mse_after_db2, exact.mse_after, exact.mse_after_bound),
+        )
+        for (value, sampled_value, metric, sampled_bound), bound in zip(metrics, bounds):
+            moment_error = abs(Fraction(value) - metric(measured, exact_y))
+            assert moment_error <= bound
+            gap = abs(metric(measured, exact_y) - metric(measured, column)) + sampled_bound(measured, column)
+            assert abs(Fraction(value) - Fraction(sampled_value)) <= bound + gap
+        exact_r, sampled_r = exact.r_squared(measured, exact_y), exact.r_squared(measured, column)
+        assert (got.pearson_r is None) == (want.pearson_r is None)
+        if got.pearson_r is not None:
+            assert exact.r_is_within(got.pearson_r, exact_r, bounds[3])
+            gap = abs(_r_value(exact_r) - _r_value(sampled_r)) + 4 * exact.EPS + Fraction(1, 2**60)
+            assert abs(Fraction(got.pearson_r) - Fraction(want.pearson_r)) <= bounds[3] + gap

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from propcal import (
     DataError,
+    DomainError,
     DriveTestTable,
     REFERENCE_SITE,
     emit_plot_series,
@@ -490,19 +491,46 @@ def test_the_fast_path_reads_what_csv_reader_reads_at_every_cut(text, chars):
         assert sliced == _cells_or_error(dataset._csv_cells, text)
 
 
-def test_the_parse_holds_little_more_than_the_table_it_returns():
+def _survey_text(line_end: str) -> str:
     rng = random.Random(5)
     rows = (f"{rng.uniform(100.0, 5000.0):.1f},{rng.uniform(-120.0, -40.0):.2f},{rng.uniform(-120.0, -40.0):.2f},"
             f"{rng.uniform(-120.0, -40.0):.2f}" for _ in range(20_000))
-    text = "distance_m,rssi_dbm,pred_a,pred_b\n" + "\n".join(rows) + "\n"
+    return line_end.join(["distance_m,rssi_dbm,pred_a,pred_b", *rows]) + line_end
+
+
+def _traced_parse(text: str) -> tuple[DriveTestTable, int, int]:
+    """The parse of `text`, and the bytes it kept and its peak, by `tracemalloc`."""
     tracemalloc.start()
     try:
         table = parse_drive_test_csv(text)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return table, kept, peak
+
+
+def test_the_parse_holds_little_more_than_the_table_it_returns():
+    table, kept, peak = _traced_parse(_survey_text("\n"))
     assert len(table) == 20_000
     # the columns' floats and tuples are the table. Beside them the parse holds the lists the columns grow in, about
     # 0.3 of the table, and one slice's strings, about 0.7 MB: 1.55 times the table here, and 1.3 at 100,000 rows of
     # six columns. Converting every cell at once held 3.1 times the table
     assert peak < 2.0 * kept
+
+
+def test_crlf_line_ends_parse_to_the_same_table_in_the_same_memory():
+    # each slice drops its own "\r"s; a copy of the whole text without them took the peak 14% above the "\n" parse's
+    plain, _, plain_peak = _traced_parse(_survey_text("\n"))
+    crlf, _, crlf_peak = _traced_parse(_survey_text("\r\n"))
+    assert crlf == plain
+    assert crlf_peak <= 1.1 * plain_peak
+
+
+def test_the_rss_window_checks_input_columns_and_a_derived_one_need_only_be_finite():
+    table = reference_dataset()
+    rss = [-169.0] * len(table)
+    with pytest.raises(DataError, match=r"^row 1, column pred_x: RSS -169.0 outside \[-150, 40\] dBm$"):
+        with_prediction(table, "x", rss)  # a caller's column is input
+    assert dataset._with_derived(table, "x", rss).predictions["x"] == tuple(rss)
+    with pytest.raises(DomainError, match=r"^row 2, column pred_x: RSS inf is not finite$"):
+        dataset._with_derived(table, "x", [-169.0, math.inf, *rss[2:]])

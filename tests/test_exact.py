@@ -12,6 +12,7 @@ overflows on the way is summed again at a smaller scale.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -19,7 +20,10 @@ from hypothesis import strategies as st
 
 import exact
 from exact import EPS, OVERFLOW
-from propcal import DomainError, calibrate, correction_factor, decade_slope, mse, pearson_r
+from propcal import DomainError, PathLossModel, calibrate, correction_factor, decade_slope, mse, pearson_r
+from propcal import calibration
+from propcal.errors import _Floats
+from propcal.models import _log_km
 
 ORACLE = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 LARGEST = Fraction(2**1024 - 2**971)  # the largest float
@@ -168,6 +172,77 @@ def test_decade_slope_is_within_its_bound(pair):
     if slope is not None:
         error = abs(Fraction(slope) - exact.decade_slope(logs, loss))
         assert error <= exact.decade_slope_bound(logs, loss)
+
+
+# a coefficient or budget in the models' range, 0 among them, or of a magnitude from 1e-67 to 1e102, either side of the
+# [1e-60, 1e100] that the moment route takes
+COEFFICIENTS = st.floats(-300.0, 300.0) | st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-222, 340))
+
+
+@st.composite
+def bound_drive_tests(draw):
+    """Measured RSS, distances, a bound model and a budget: the inputs of `calibration._calibrate_models`.
+
+    Distances spread over decades, repeated, a few ulps apart, or a few
+    ulps above a SUI-like d0; measured values in the RSS window, flat, a
+    few ulps apart, subnormal, or a few ulps from the model's prediction.
+    """
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("spread", "spread", "one_distance", "near", "above_d0")))
+    d0 = 0.0
+    if kind == "spread":
+        distances = [10.0 ** draw(st.floats(-2.0, 8.0)) for _ in range(n)]
+    else:
+        centre = draw(st.floats(1.0, 1e6))
+        steps = [0] * n if kind == "one_distance" else draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+        if kind == "above_d0":
+            d0, steps = centre, [k + 1 for k in steps]
+        distances = [centre + k * math.ulp(centre) for k in steps]
+    c0, c1, budget = draw(COEFFICIENTS), draw(COEFFICIENTS), draw(COEFFICIENTS)
+    c2 = draw(st.just(0.0) | COEFFICIENTS)
+    model = PathLossModel("m", c0, c1, c2, min_distance_m=d0)
+    predicted = [budget - loss for loss in model._losses(distances)]
+    kind = draw(st.sampled_from(("window", "window", "flat", "near_flat", "subnormal", "near_zero_residuals") * 2
+                                + ("near_zero_residuals",)))
+    if kind == "near_zero_residuals" and max(map(abs, predicted)) < 1e100:
+        measured = [y + draw(st.integers(-4, 4)) * math.ulp(y) for y in predicted]
+    elif kind == "subnormal":
+        measured = [math.ldexp(draw(st.integers(-(2**20), 2**20)), -1074) for _ in range(n)]
+    elif kind in ("flat", "near_flat"):
+        level = draw(st.floats(-150.0, 40.0))
+        measured = [level + (kind == "near_flat") * draw(st.integers(-4, 4)) * math.ulp(level) for _ in range(n)]
+    else:
+        measured = [draw(st.floats(-150.0, 40.0)) for _ in range(n)]
+    return measured, distances, model, budget
+
+
+@ORACLE
+@given(bound_drive_tests())
+@example(([-60.0, -61.0], [500.0, 900.0], PathLossModel("m", 120.0, 30.0), 63.8))
+@example(([-60.0, -61.0], [500.0, 500.0], PathLossModel("m", 120.0, 30.0), 63.8))  # one distance: r is null
+@example(([-60.0, -60.0], [500.0, 900.0], PathLossModel("m", 120.0, 30.0), 63.8))  # a flat measured series
+@example(([-60.0, -61.0], [500.0, 900.0], PathLossModel("m", 120.0, 1e-61), 63.8))  # c1 outside the moment route
+def test_the_cli_calibrate_route_is_within_its_stated_bounds(case):
+    measured, distances, model, budget = case
+    with mock.patch.object(calibration, "_scored", wraps=calibration._scored) as per_sample:
+        report = calibration._calibrate_models(measured, distances, [model], budget)
+    if per_sample.called:  # scored as `calibrate` scores a column: the same report, to the bit
+        column = _Floats([budget - loss for loss in model._losses(distances)])
+        assert report == calibrate(measured, {"m": column})
+        return
+    calib = report.models["m"]
+    log_km = _log_km(distances)
+    predicted = exact.model_prediction(log_km, model.c0, model.c1, model.c2, budget)
+    dcf, dbefore, dafter, dr = exact.moment_bounds(measured, log_km, model.c0, model.c1, model.c2, budget)
+    assert abs(Fraction(calib.cf_db) - exact.correction_factor(measured, predicted)) <= dcf
+    assert abs(Fraction(calib.mse_before_db2) - exact.mse(measured, predicted)) <= dbefore
+    assert abs(Fraction(calib.mse_after_db2) - exact.mse_after(measured, predicted)) <= dafter
+    exact_r = exact.r_squared(measured, predicted)
+    if calib.pearson_r is None:
+        assert exact_r is None or len(measured) < 2
+    else:
+        assert exact_r is not None and dr is not None
+        assert exact.r_is_within(calib.pearson_r, exact_r, dr), (calib.pearson_r, float(exact_r[0]) ** 0.5 * exact_r[1])
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,10 @@ KEPT = {
         "perfbench/tracer.py wraps propcal.calibration.model_from_params to count binds; "
         "the import goes when ROADMAP item 3 has the benchmark read propcal's own timers"
     ),
+    ("cli", "with_prediction"): (
+        "perfbench/tracer.py wraps propcal.cli.with_prediction as a dataset.table span; `plot` adds its derived "
+        "columns without the RSS window, and the import goes with ROADMAP item 3 as above"
+    ),
 }
 
 
