@@ -11,11 +11,15 @@ All correction factors are computed and applied in RSS space, so a
 positive cf means the model over-predicts path loss.  The equivalent
 path-loss form is loss - cf.
 
-`calibrate` scores the columns it is given sample by sample, as the CLI's
-`compare` does.  The CLI's `calibrate` scores freshly bound models from
-one set of centred moment sums instead (`_calibrate_models`): each model
-is a quadratic in log10(d_km), so its metrics follow in O(1).  Each route
-states its error bound.
+`calibrate` scores the columns it is given sample by sample.  The CLI's
+`calibrate` scores freshly bound models from one set of centred moment
+sums instead (`_calibrate_models`): each model is a quadratic in
+log10(d_km), so its metrics follow in O(1).  The CLI's `compare` scores
+its columns from centred sums too (`_calibrate_columns`): a column y is
+the degree-1 case, c1 = -1 over L = y, so that bound holds with s = 2,
+m = mean(|x| + |y|), Wy = mean(y**2) and k = 1.  Where r would rescale
+either series, as it does a flat or near-flat one, a column is scored
+sample by sample, to the bit.  Each route states its error bound.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 
-from .dataset import PUBLISHED_CALIBRATION, _csv_text
+from .dataset import PUBLISHED_CALIBRATION, DriveTestTable, _csv_text
 from .errors import LEAST_POSITIVE, DataError, DomainError, _Floats, as_column, as_instance, as_mapping, checked_column, checked_fields, finite, nonnegative
 from .models import _MODEL_PARAMS, MODEL_IDS, PathLossModel, _log_km, _make_model_kwargs, _model_arguments, _range_warnings, make_model
 from .models import model_from_params  # unused here: the benchmark tracer wraps this name until ROADMAP item 3
@@ -358,11 +362,10 @@ def _calibrate_models(
     dq, sqq, mq = _centred("distance", list(map(operator.mul, log_km, log_km)))
     sums = (sxx, sll, sqq, *(math.fsum(map(operator.mul, a, b)) for a, b in ((dx, dl), (dx, dq), (dl, dq))))
     del dl, dq
-    # r's `DomainError` where r is undefined whatever the prediction, else whether the measured sums serve r
-    r_scorable = _r_undefined(n, not any(dx), False) or not (sxx < n * sys.float_info.min or _near_flat(sxx, n, mx))
+    r_scorable = _r_scorable(n, *centred_x)
     scores: list = []  # per model, in order: its scores, or the call that scores its RSS column sample by sample
     for model in models:
-        score = _moment_score(model, budget_db, n, sums, (mx, ml, mq), r_scorable)
+        score = _moment_score(model.model_id, model.c0, model.c1, model.c2, budget_db, n, sums, (mx, ml, mq), r_scorable)
         if score is None:  # a float minus a float is a float, so `_Floats` skips the type gate
             rss = _Floats([budget_db - loss for loss in model._losses(distances_m, log_km)])
             score = functools.partial(_scored, model.model_id, x, centred_x, rss)
@@ -372,16 +375,45 @@ def _calibrate_models(
     return _report((score() if callable(score) else score for score in scores), n, acceptable_mse_db2)
 
 
+def _calibrate_columns(table: DriveTestTable, *, acceptable_mse_db2: float | None = None) -> CalibrationReport:
+    """`calibrate` of the table's prediction columns, scored from centred sums: the CLI's `compare`.
+
+    A column y is the prediction of c0 = c2 = 0, c1 = -1 and a budget of 0 over L = y, the sums and mean of L**2
+    given as 0, so `_calibrate_models`' bound holds with s = 2, m = mean(|x| + |y|), Wy = mean(y**2) and k = 1, and r
+    is `pearson_r`'s, to the bit.  The table's RSS window keeps every sum far from the float range.  A column is
+    scored sample by sample, as `calibrate` scores it, where `_pearson_centred` would rescale it (a flat or near-flat
+    column, or one whose squared deviations sum below n*2**-1022) and where `_moment_score` returns None.
+    """
+    x = table.measured_rss_dbm
+    n = len(x)
+    centred_x = dx, sxx, mx = _centred("measured", x)
+    r_scorable = _r_scorable(n, *centred_x)
+    scores = []
+    for model_id, y in table.predictions.items():
+        dy, syy, my = _centred(f"predicted {model_id!r}", y)
+        sums = (sxx, syy, 0.0, math.fsum(map(operator.mul, dx, dy)), 0.0, 0.0)
+        del dy  # one column's deviations at a time
+        flat = syy < n * sys.float_info.min or _near_flat(syy, n, my)
+        score = None if flat else _moment_score(model_id, 0.0, -1.0, 0.0, 0.0, n, sums, (mx, my, 0.0), r_scorable)
+        scores.append(score or _scored(model_id, x, centred_x, y))
+    return _report(scores, n, acceptable_mse_db2)
+
+
+def _r_scorable(n: int, dx: list[float], sxx: float, mx: float) -> bool | DomainError:
+    """r's `DomainError` if r is undefined whatever the prediction, else whether `_pearson_centred` keeps x's sums."""
+    return _r_undefined(n, not any(dx), False) or not (sxx < n * sys.float_info.min or _near_flat(sxx, n, mx))
+
+
 def _moment_score(
-    model: PathLossModel, budget: float, n: int, sums: tuple, means: tuple, r_scorable: bool | DomainError,
+    model_id: str, c0: float, c1: float, c2: float, budget: float, n: int, sums: tuple, means: tuple,
+    r_scorable: bool | DomainError,
 ) -> tuple | None:
-    """A model's `_scored` scores from the sums of `_calibrate_models`, or None where its bound does not cover them.
+    """`_scored`'s scores of budget - c0 - c1*L - c2*L**2 from `_calibrate_models`' sums, or None outside its bound.
 
     `sums` are the centred sums of squares of x, L and L**2, then of the products x*L, x*L**2 and L*L**2, and
     `means` the means of x, L and L**2.  `r_scorable` is the `DomainError` of an r that is undefined whatever the
     prediction, else whether the measured series' sums serve r: True where `_pearson_centred` would not rescale them.
     """
-    c0, c1, c2 = model.c0, model.c1, model.c2
     if not _screenable(c0, c1, c2, budget):
         return None
     sxx, sll, sqq, sxl, sxq, slq = sums
@@ -398,8 +430,9 @@ def _moment_score(
         if not (r_scorable and syy * 2**9 >= a1 * sll + a2 * sqq and syy * 2**40 >= n * level
                 and sys.float_info.min <= sxx * syy < math.inf):
             return None
-        r = max(-1.0, min(1.0, -math.fsum((c1 * sxl, c2 * sxq)) / math.sqrt(sxx * syy)))
-    return model.model_id, cf, cf * cf + error_after, error_after, r
+        # negated before the sum, so that a zero r is the 0.0 that `_pearson_centred` gives, not -0.0
+        r = max(-1.0, min(1.0, math.fsum((-c1 * sxl, -c2 * sxq)) / math.sqrt(sxx * syy)))
+    return model_id, cf, cf * cf + error_after, error_after, r
 
 
 def _pearson_centred(dx: list[float], sxx: float, mx: float, dy: list[float], syy: float, my: float) -> float:

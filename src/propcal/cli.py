@@ -22,13 +22,14 @@ import warnings
 from collections.abc import Iterator, Sequence
 
 from .calibration import (
+    _calibrate_columns,
     _calibrate_models,
-    calibrate,
     correction_factor,
     cost231_tx_height_from_slope,
     infer_site_parameters,
     published_divergence_notes,
 )
+from .calibration import calibrate  # unused here: the benchmark tracer wraps this name until ROADMAP item 3
 from .dataset import (
     DriveTestTable,
     _csv_text,
@@ -168,7 +169,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     def out_flags(parser: _Parser) -> None:
         parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
-    def predict(parser: _Parser) -> None:
+    def predict_flags(parser: _Parser) -> None:
         group = parser.add_mutually_exclusive_group(required=True)
         group.add_argument("--model", choices=MODEL_IDS)
         group.add_argument("--all", action="store_true", help="all five models")
@@ -177,7 +178,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         dist.add_argument("--distances", type=_parse_distances, metavar="START:STOP:STEP")
         parser.add_argument("--format", choices=("json", "csv"), default="csv")
 
-    def calibrate(parser: _Parser) -> None:
+    def calibrate_flags(parser: _Parser) -> None:
         group = parser.add_mutually_exclusive_group()
         group.add_argument("--model", choices=MODEL_IDS)
         group.add_argument("--all", action="store_true", help="all five models (default)")
@@ -186,10 +187,10 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         parser.add_argument("--acceptable-mse", type=nonnegative_arg, metavar="DB2", help="annotate models whose corrected MSE exceeds this")
         parser.add_argument("--format", choices=("json", "csv"), default="json")
 
-    def reference(parser: _Parser) -> None:
+    def reference_flags(parser: _Parser) -> None:
         parser.add_argument("--dump", action="store_true", help="emit the corpus as drive-test CSV")
 
-    def infer(parser: _Parser) -> None:
+    def infer_flags(parser: _Parser) -> None:
         parser.add_argument("--model", choices=MODEL_IDS, required=True)
         parser.add_argument("--column", metavar="NAME", help="prediction column to fit (default: the model id)")
         parser.add_argument(
@@ -201,7 +202,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         )
         parser.add_argument("--format", choices=("json", "csv"), default="json")
 
-    def plot(parser: _Parser) -> None:
+    def plot_flags(parser: _Parser) -> None:
         parser.add_argument(
             "--data",
             default=EMBEDDED_DATA,
@@ -215,12 +216,12 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
 
     # each command's help, then the flag sets its subparser gets, in the order its --help lists them
     subcommands = {
-        "predict": ("evaluate path loss over distances", site_flags, model_flags, out_flags, predict),
-        "calibrate": ("fit correction factors for freshly evaluated models", data_flags, site_flags, model_flags, out_flags, calibrate, report_flags),
+        "predict": ("evaluate path loss over distances", site_flags, model_flags, out_flags, predict_flags),
+        "calibrate": ("fit correction factors for freshly evaluated models", data_flags, site_flags, model_flags, out_flags, calibrate_flags, report_flags),
         "compare": ("calibrate the prediction columns already in the data", data_flags, site_file_flags, out_flags, report_flags),
-        "reference": ("dump or summarize the bundled reference corpus", out_flags, reference),
-        "infer": ("grid-search the parameters behind a prediction column", data_flags, site_flags, model_flags, out_flags, infer),
-        "plot": ("emit distance-sorted series for plotting", site_flags, model_flags, out_flags, plot),
+        "reference": ("dump or summarize the bundled reference corpus", out_flags, reference_flags),
+        "infer": ("grid-search the parameters behind a prediction column", data_flags, site_flags, model_flags, out_flags, infer_flags),
+        "plot": ("emit distance-sorted series for plotting", site_flags, model_flags, out_flags, plot_flags),
     }
     parser = _Parser(prog="propcal", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -330,7 +331,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
     table = _load_table(args.data)
     if not table.predictions:
         raise DataError("compare needs prediction columns (pred_<model>) in the data")
-    report = calibrate(table.measured_rss_dbm, table.predictions, acceptable_mse_db2=args.acceptable_mse)
+    report = _calibrate_columns(table, acceptable_mse_db2=args.acceptable_mse)
     if args.data == EMBEDDED_DATA:
         notes = report.notes + published_divergence_notes(report)
         report = dataclasses.replace(report, notes=notes)

@@ -13,7 +13,8 @@ import copy
 import csv
 import io
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import LEAST_POSITIVE, DataError, DomainError, _Floats, as_column, as_instance, as_mapping, checked_column
@@ -30,9 +31,11 @@ RSS_MAX_DBM = 40.0
 CSV_HEADER = ("distance_m", "rssi_dbm")
 PREDICTION_PREFIX = "pred_"
 
-# About how many characters of data lines `_plain_cells` converts at a time: one slice's line and cell strings
-# are all it holds beside the columns it builds
+# About how many characters of data lines `_plain_cells` converts, and `_csv_cells` reads, at a time: one slice's
+# line and cell strings are all either holds beside the columns it builds
 _SLICE_CHARS = 1 << 16
+# a line end, as `io.StringIO(text, newline="")` reads one
+_LINE_END = re.compile(r"\r\n?|\n")
 
 
 @dataclass(frozen=True)
@@ -164,28 +167,52 @@ def _plain_cells(text: str) -> tuple[list[str], list[_Floats]] | None:
 
 
 def _csv_cells(text: str) -> tuple[list[str], list[_Floats]]:
-    """The header and its columns of floats, read by `csv.reader`; the first bad line, row or cell raises."""
-    reader = csv.reader(io.StringIO(text, newline=""))  # "\r", "\n" and "\r\n" each end a line, as in a file
+    """The header and its columns of floats, read by `csv.reader`; the first bad line, row or cell raises.
+
+    The reader gets the text a slice of about `_SLICE_CHARS` characters at a
+    time, each cut after a line end, and each row goes into the columns as
+    it is read: a `StringIO` of the whole text would hold four bytes a
+    character, and a list of every row several times the table.  A bad
+    header, row or cell is raised once the reader is done, so that a line
+    `csv.reader` rejects further on is reported first.
+    """
+    def slices() -> Iterator[io.StringIO]:
+        start = 0
+        while start < len(text):
+            end = _LINE_END.search(text, start + _SLICE_CHARS)
+            stop = len(text) if end is None else end.end()
+            yield io.StringIO(text[start:stop], newline="")  # "\r", "\n" and "\r\n" each end a line, as in a file
+            start = stop
+
+    reader = csv.reader(itertools.chain.from_iterable(slices()))
     try:
-        rows = [row for row in reader if not _is_blank(row)]
+        try:
+            return _converted(itertools.filterfalse(_is_blank, reader))
+        except DataError:
+            for _ in reader:  # the rest of the text: a line that `csv.reader` rejects there is reported first
+                pass
+            raise
     except csv.Error as exc:  # a cell past the field size limit, or a NUL byte before Python 3.11
         raise DataError(f"line {reader.line_num}: {exc}") from None
-    del reader  # its StringIO holds a copy of `text`, four bytes a character
-    if not rows:
+
+
+def _converted(rows: Iterator[list[str]]) -> tuple[list[str], list[_Floats]]:
+    """The first row as the checked header, and the columns of floats of the rest; the first bad row or cell raises."""
+    header = next(rows, None)
+    if header is None:
         raise DataError("empty drive-test CSV")
-    header = _checked_header(rows[0])
-    del rows[0]
+    header = _checked_header(header)
     width = len(header)
-    cells: list[float] = []
+    columns: list[list[float]] = [[] for _ in header]
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
             raise DataError(f"row {i}: expected {width} cells, got {len(row)}")
-        for name, cell in zip(header, row):
+        for name, column, cell in zip(header, columns, row):
             try:
-                cells.append(float(cell))
+                column.append(float(cell))
             except ValueError:
                 raise DataError(f"row {i}, column {name}: not a number: {cell.strip()!r}") from None
-    return header, [_Floats(cells[k::width]) for k in range(width)]
+    return header, [_Floats(column) for column in columns]
 
 
 def parse_drive_test_csv(text: str) -> DriveTestTable:

@@ -8,7 +8,9 @@ Pearson r is a square root, so its oracle gives r**2 and the sign of r.
 The decade slope is exact for the log10 values passed in; the rounding of
 `math.log10` itself is not counted.  So is a bound model's prediction
 (`model_prediction`), whose metrics against a measured series the CLI's
-`calibrate` takes from moment sums (`moment_bounds`).
+`calibrate` takes from moment sums (`moment_bounds`).  The CLI's
+`compare` scores a prediction column y the same way, as the prediction
+of c0 = c2 = 0, c1 = -1 and a budget of 0 over L = y.
 
 This module imports nothing from propcal, and pytest does not collect it.
 """

@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact
@@ -1078,3 +1078,88 @@ def test_calibrate_agrees_with_scoring_each_column_sample_by_sample(drive_test_p
             assert exact.r_is_within(got.pearson_r, exact_r, bounds[3])
             gap = abs(_r_value(exact_r) - _r_value(sampled_r)) + 4 * exact.EPS + Fraction(1, 2**60)
             assert abs(Fraction(got.pearson_r) - Fraction(want.pearson_r)) <= bounds[3] + gap
+
+
+def _in_window(value):
+    return min(max(value, -150.0), 40.0)
+
+
+@st.composite
+def compare_cases(draw):
+    """`compare` flags and drive-test CSV text with one to four prediction columns, each series spread over the RSS
+    window with some values at its edges, flat, a few ulps apart or subnormal, or a column a few ulps from the
+    measured values; now and then a cell that is not a number."""
+    n = draw(st.integers(1, 10))
+    spread = st.floats(-150.0, 40.0) | st.sampled_from([-150.0, -150.0 + math.ulp(150.0), 40.0 - math.ulp(40.0), 40.0])
+
+    def series(measured=None):
+        kind = draw(st.sampled_from(["spread", "spread", "flat", "near_flat", "subnormal"] + ["near"] * bool(measured)))
+        if kind == "near":
+            return [_in_window(x + draw(st.integers(-4, 4)) * math.ulp(x)) for x in measured]
+        if kind == "subnormal":
+            return [math.ldexp(draw(st.integers(-(2**20), 2**20)), -1074) for _ in range(n)]
+        if kind == "spread":
+            return [draw(spread) for _ in range(n)]
+        level = draw(spread)
+        return [_in_window(level + (kind == "near_flat") * draw(st.integers(-4, 4)) * math.ulp(level)) for _ in range(n)]
+
+    measured = series()
+    columns = [series(measured) for _ in range(draw(st.integers(1, 4)))]
+    rows = [[f"{100.0 * (i + 1)!r}", repr(x), *map(repr, ys)] for i, (x, *ys) in enumerate(zip(measured, *columns))]
+    if draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(1, len(columns) + 1))] = "x"
+    header = ["distance_m", "rssi_dbm", *(f"pred_m{k}" for k in range(len(columns)))]
+    flags = ["--acceptable-mse", repr(draw(st.floats(0.0, 100.0)))] if draw(st.booleans()) else []
+    return flags, "\n".join(map(",".join, [header, *rows])) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=compare_cases())
+# a column an ulp from the measured values: its corrected MSE is 0.0 from the sums, and above 0 sample by sample
+@example(case=(["--acceptable-mse", "0.0"], "distance_m,rssi_dbm,pred_m0,pred_m1\n100.0,0.0,0.0,0.0\n200.0,0.0,0.0,0.0\n"
+                                              "300.0,1.0,0.0,1.0000000000000002\n400.0,0.0,0.0,0.0\n"))
+def test_compare_agrees_with_calibrate_on_its_columns(drive_test_path, case):
+    flags, text = case
+    drive_test_path.write_text(text)
+    # what the command gave when it scored its columns with `calibrate`
+    acceptable = float(flags[1]) if flags else None
+    try:
+        table = parse_drive_test_csv(text)
+        reference = propcal.calibrate(table.measured_rss_dbm, table.predictions, acceptable_mse_db2=acceptable)
+    except propcal.PropcalError as exc:
+        reference = exc
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.object(calibration, "_scored", wraps=calibration._scored) as per_sample:
+            code = cli.main(["compare", "--data", str(drive_test_path), *flags])
+    if isinstance(reference, Exception):
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"{ERROR_PREFIX}{reference}\n")
+        return
+    assert (code, err.getvalue()) == (0, "")
+    payload = json.loads(out.getvalue())
+    assert list(payload["models"]) == list(reference.models)
+    # the same notes in the same order, but for a threshold note of a model whose two corrected MSEs, each within its
+    # route's bound, lie either side of the threshold: the note follows the value reported
+    after = {name: row["mse_after_db2"] for name, row in payload["models"].items()}
+    split = {name for name, calib in reference.models.items()
+             if acceptable is not None and (after[name] > acceptable) != (calib.mse_after_db2 > acceptable)}
+    def kept(notes):
+        return [note for note in notes if not (note.partition(":")[0] in split and "acceptable threshold" in note)]
+    notes = payload.get("notes", [])
+    assert kept(notes) == kept(reference.notes)
+    assert {note.partition(":")[0] for note in notes if "acceptable threshold" in note} & split == {
+        name for name in split if after[name] > acceptable}
+    sampled = {call.args[0] for call in per_sample.call_args_list}
+    measured = table.measured_rss_dbm
+    for name, column in table.predictions.items():
+        row, want = payload["models"][name], reference.models[name]
+        got = propcal.ModelCalibration(*(row[key] for key in ("cf_db", "mse_before_db2", "mse_after_db2", "pearson_r", "n")))
+        assert repr(got.pearson_r) == repr(want.pearson_r)  # the same sums, divided the same way
+        if name in sampled:
+            assert got == want
+            continue
+        # within the moment route's bound, for c0 = c2 = 0, c1 = -1 and a budget of 0 over L = the column
+        bounds = exact.moment_bounds(measured, column, 0.0, -1.0, 0.0, 0.0)
+        for value, metric, bound in zip(
+                (got.cf_db, got.mse_before_db2, got.mse_after_db2), (exact.correction_factor, exact.mse, exact.mse_after), bounds):
+            assert abs(Fraction(value) - metric(measured, column)) <= bound

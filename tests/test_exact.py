@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import exact
 from exact import EPS, OVERFLOW
-from propcal import DomainError, PathLossModel, calibrate, correction_factor, decade_slope, mse, pearson_r
+from propcal import DomainError, DriveTestTable, PathLossModel, calibrate, correction_factor, decade_slope, mse, pearson_r
 from propcal import calibration
+from propcal.dataset import RSS_MAX_DBM, RSS_MIN_DBM
 from propcal.errors import _Floats
 from propcal.models import _log_km
 
@@ -238,6 +239,73 @@ def test_the_cli_calibrate_route_is_within_its_stated_bounds(case):
     assert abs(Fraction(calib.mse_before_db2) - exact.mse(measured, predicted)) <= dbefore
     assert abs(Fraction(calib.mse_after_db2) - exact.mse_after(measured, predicted)) <= dafter
     exact_r = exact.r_squared(measured, predicted)
+    if calib.pearson_r is None:
+        assert exact_r is None or len(measured) < 2
+    else:
+        assert exact_r is not None and dr is not None
+        assert exact.r_is_within(calib.pearson_r, exact_r, dr), (calib.pearson_r, float(exact_r[0]) ** 0.5 * exact_r[1])
+
+
+@st.composite
+def rss_series(draw, n, kind):
+    """`n` RSS values of one kind, all inside the RSS window: spread over it, spread with some a few ulps inside
+    either edge, flat, a few ulps apart, or subnormal."""
+    spread = st.floats(RSS_MIN_DBM, RSS_MAX_DBM)
+    if kind == "edge":
+        spread |= st.builds(lambda edge, k: edge - math.copysign(k * math.ulp(edge), edge),
+                            st.sampled_from((RSS_MIN_DBM, RSS_MAX_DBM)), st.integers(0, 4))
+    if kind in ("spread", "edge"):
+        return [draw(spread) for _ in range(n)]
+    if kind == "subnormal":
+        return [math.ldexp(draw(st.integers(-(2**20), 2**20)), -1074) for _ in range(n)]
+    level = draw(st.floats(RSS_MIN_DBM, RSS_MAX_DBM))
+    return _in_window([level + (kind == "near_flat") * draw(st.integers(-4, 4)) * math.ulp(level) for _ in range(n)])
+
+
+def _in_window(values):
+    return [min(max(value, RSS_MIN_DBM), RSS_MAX_DBM) for value in values]
+
+
+RSS_KINDS = st.sampled_from(("spread", "spread", "edge", "edge", "flat", "near_flat", "subnormal"))
+
+
+@st.composite
+def compare_columns(draw):
+    """A measured series and a prediction column of one to 12 rows, each of an `rss_series` kind, or the column a few
+    ulps from the measured values: what the CLI's `compare` scores."""
+    n = draw(st.integers(1, 12))
+    measured = draw(rss_series(n, draw(RSS_KINDS)))
+    if draw(st.booleans()):
+        return measured, _in_window([x + draw(st.integers(-4, 4)) * math.ulp(x) for x in measured])
+    return measured, draw(rss_series(n, draw(RSS_KINDS)))
+
+
+@ORACLE
+@given(compare_columns())
+@example(([-60.0, -61.0, -70.5], [-62.0, -65.0, -71.0]))
+@example(([-60.0], [-62.0]))  # one row: r is null
+@example(([-60.0, -60.0], [-62.0, -65.0]))  # a flat measured series: r is null
+@example(([-60.0, -61.0], [-62.0, -62.0]))  # a flat column, scored sample by sample
+@example(([-60.0, -61.0], [5e-324, 1e-323]))  # a column whose squared deviations underflow
+@example(([-60.0, -62.0, -60.0, -62.0], [-1.0, -1.0, -3.0, -3.0]))  # uncorrelated: r is 0.0, as `pearson_r` gives it
+def test_the_cli_compare_route_is_within_its_stated_bounds(case):
+    measured, column = case
+    table = DriveTestTable([1.0] * len(measured), measured, {"a": column})
+    with mock.patch.object(calibration, "_scored", wraps=calibration._scored) as per_sample:
+        report = calibration._calibrate_columns(table)
+    want = calibrate(measured, {"a": column})
+    if per_sample.called:  # scored as `calibrate` scores it: the same report, to the bit
+        assert report == want
+        return
+    assert report.notes == want.notes
+    calib = report.models["a"]
+    assert repr(calib.pearson_r) == repr(want.models["a"].pearson_r)  # the same sums, divided the same way
+    # the column is the prediction of c0 = c2 = 0, c1 = -1 and a budget of 0 over L = the column
+    dcf, dbefore, dafter, dr = exact.moment_bounds(measured, column, 0.0, -1.0, 0.0, 0.0)
+    assert abs(Fraction(calib.cf_db) - exact.correction_factor(measured, column)) <= dcf
+    assert abs(Fraction(calib.mse_before_db2) - exact.mse(measured, column)) <= dbefore
+    assert abs(Fraction(calib.mse_after_db2) - exact.mse_after(measured, column)) <= dafter
+    exact_r = exact.r_squared(measured, column)
     if calib.pearson_r is None:
         assert exact_r is None or len(measured) < 2
     else:

@@ -18,6 +18,11 @@ KEPT = {
         "perfbench/tracer.py wraps propcal.cli.with_prediction as a dataset.table span; `plot` adds its derived "
         "columns without the RSS window, and the import goes with ROADMAP item 3 as above"
     ),
+    ("cli", "calibrate"): (
+        "perfbench/tracer.py wraps propcal.cli.calibrate as the calibration.calibrate span, and "
+        "test_self_times_sum_to_at_most_each_commands_wall_time needs no missing entry point; `compare` scores its "
+        "columns through calibration._calibrate_columns, and the import goes with ROADMAP item 3"
+    ),
 }
 
 
