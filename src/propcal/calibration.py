@@ -15,11 +15,11 @@ path-loss form is loss - cf.
 `calibrate` scores freshly bound models from one set of centred moment
 sums instead (`_calibrate_models`): each model is a quadratic in
 log10(d_km), so its metrics follow in O(1).  The CLI's `compare` scores
-its columns from centred sums too (`_calibrate_columns`): a column y is
-the degree-1 case, c1 = -1 over L = y, so that bound holds with s = 2,
-m = mean(|x| + |y|), Wy = mean(y**2) and k = 1.  Where r would rescale
-either series, as it does a flat or near-flat one, a column is scored
-sample by sample, to the bit.  Each route states its error bound.
+its columns from centred sums too, as the degree-1 case
+(`_calibrate_columns`), and `infer` screens its grid from the same sums
+(`_screen`), a point's fit being the mse_before of the negated target.
+Each route states its error bound; where the bound needs what the sums
+do not show, a row is scored sample by sample, to the bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import json
 import math
 import operator
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 
 from .dataset import PUBLISHED_CALIBRATION, DriveTestTable, _csv_text
@@ -356,16 +356,13 @@ def _calibrate_models(
     """
     x = _finite_series("measured", measured)
     n = len(x)
-    centred_x = dx, sxx, mx = _centred("measured", x)
+    centred_x = _centred("measured", x)
     log_km = _log_km(distances_m)
-    dl, sll, ml = _centred("distance", log_km)
-    dq, sqq, mq = _centred("distance", list(map(operator.mul, log_km, log_km)))
-    sums = (sxx, sll, sqq, *(math.fsum(map(operator.mul, a, b)) for a, b in ((dx, dl), (dx, dq), (dl, dq))))
-    del dl, dq
+    sums, means = _moment_sums(centred_x, log_km)
     r_scorable = _r_scorable(n, *centred_x)
     scores: list = []  # per model, in order: its scores, or the call that scores its RSS column sample by sample
     for model in models:
-        score = _moment_score(model.model_id, model.c0, model.c1, model.c2, budget_db, n, sums, (mx, ml, mq), r_scorable)
+        score = _moment_score(model.model_id, model.c0, model.c1, model.c2, budget_db, n, sums, means, r_scorable)
         if score is None:  # a float minus a float is a float, so `_Floats` skips the type gate
             rss = _Floats([budget_db - loss for loss in model._losses(distances_m, log_km)])
             score = functools.partial(_scored, model.model_id, x, centred_x, rss)
@@ -408,23 +405,18 @@ def _moment_score(
     model_id: str, c0: float, c1: float, c2: float, budget: float, n: int, sums: tuple, means: tuple,
     r_scorable: bool | DomainError,
 ) -> tuple | None:
-    """`_scored`'s scores of budget - c0 - c1*L - c2*L**2 from `_calibrate_models`' sums, or None outside its bound.
-
-    `sums` are the centred sums of squares of x, L and L**2, then of the products x*L, x*L**2 and L*L**2, and
-    `means` the means of x, L and L**2.  `r_scorable` is the `DomainError` of an r that is undefined whatever the
-    prediction, else whether the measured series' sums serve r: True where `_pearson_centred` would not rescale them.
-    """
+    """`_scored`'s scores of budget - c0 - c1*L - c2*L**2 from `_moment_sums`, or None outside `_calibrate_models`'
+    bound.  `r_scorable` is the `DomainError` of an r that is undefined whatever the prediction, else whether the
+    measured series' sums serve r: True where `_pearson_centred` would not rescale them."""
     if not _screenable(c0, c1, c2, budget):
         return None
-    sxx, sll, sqq, sxl, sxq, slq = sums
-    mx, ml, mq = means
-    a1, a2, a12 = c1 * c1, c2 * c2, 2 * c1 * c2
-    cf = math.fsum((mx, -budget, c0, c1 * ml, c2 * mq))
-    error_after = max(0.0, math.fsum((sxx, a1 * sll, a2 * sqq, 2 * c1 * sxl, 2 * c2 * sxq, a12 * slq)) / n)
+    cf, error, error_after = _moment_fit(c0, c1, c2, budget, n, sums, means)
+    (sxx, sll, sqq, sxl, sxq, slq), mq = sums, means[2]
     # every prediction is the same float where the distances share one L, or no term varies with L
     r = r_scorable if isinstance(r_scorable, DomainError) else _r_undefined(n, False, sll == 0.0 or c1 == c2 == 0.0)
     if r is None:
-        syy = math.fsum((a1 * sll, a2 * sqq, a12 * slq))
+        a1, a2 = c1 * c1, c2 * c2
+        syy = math.fsum((a1 * sll, a2 * sqq, 2 * c1 * c2 * slq))
         # a quarter of a bound on the mean square of |budget| + |c0| + |c1*L| + |c2|*L**2
         level = budget * budget + c0 * c0 + 2 * (a1 * mq + a2 * (sqq / n + mq * mq))
         if not (r_scorable and syy * 2**9 >= a1 * sll + a2 * sqq and syy * 2**40 >= n * level
@@ -432,7 +424,26 @@ def _moment_score(
             return None
         # negated before the sum, so that a zero r is the 0.0 that `_pearson_centred` gives, not -0.0
         r = max(-1.0, min(1.0, math.fsum((-c1 * sxl, -c2 * sxq)) / math.sqrt(sxx * syy)))
-    return model_id, cf, cf * cf + error_after, error_after, r
+    return model_id, cf, error, error_after, r
+
+
+def _moment_sums(centred_x: tuple[list[float], float, float], log_km: list[float]) -> tuple[tuple, tuple]:
+    """The centred sums of squares of x, L and L**2, then of the products x*L, x*L**2 and L*L**2, and the means of x,
+    L and L**2: what `_moment_fit` takes, from x centred by `_centred` and L = `_log_km` of the distances."""
+    dx, sxx, mx = centred_x
+    dl, sll, ml = _centred("distance", log_km)
+    dq, sqq, mq = _centred("distance", list(map(operator.mul, log_km, log_km)))
+    products = (math.fsum(map(operator.mul, a, b)) for a, b in ((dx, dl), (dx, dq), (dl, dq)))
+    return (sxx, sll, sqq, *products), (mx, ml, mq)
+
+
+def _moment_fit(c0: float, c1: float, c2: float, budget: float, n: int, sums: tuple, means: tuple) -> tuple:
+    """cf, mse_before and mse_after of the prediction budget - c0 - c1*L - c2*L**2 from `_moment_sums`, as
+    `_calibrate_models` bounds them."""
+    (sxx, sll, sqq, sxl, sxq, slq), (mx, ml, mq) = sums, means
+    cf = math.fsum((mx, -budget, c0, c1 * ml, c2 * mq))
+    after = max(0.0, math.fsum((sxx, c1 * c1 * sll, c2 * c2 * sqq, 2 * c1 * sxl, 2 * c2 * sxq, 2 * c1 * c2 * slq)) / n)
+    return cf, cf * cf + after, after
 
 
 def _pearson_centred(dx: list[float], sxx: float, mx: float, dy: list[float], syy: float, my: float) -> float:
@@ -591,19 +602,13 @@ def infer_site_parameters(
 
     The result is the one that scoring every point sample by sample gives:
     the lowest fit, ties to the first point in product order.  Each point
-    is screened in O(1) instead.  With L_i = log10(d_i) - 3 and t_i the
-    target, its squared error is the quadratic form Q of (c0, c1, c2, -1)
-    over sums of L_i**k (k <= 4), L_i**k * t_i (k <= 2) and t_i**2, and
-    its fit lies within B = 32*eps*T/n of Q/n, where eps = 2**-53 and T is
-    the form's sum of |coefficient| * (sum of absolute values) over its
-    terms.  B covers the rounding of the form and that of scoring sample
-    by sample, given that each coefficient and target is 0 or of magnitude
-    in [1e-60, 1e100].  A point outside that, or with a SUI d0 not below
-    every distance, is scored sample by sample, in order.  Only points
-    whose lower bound is at most the lowest upper bound so far are kept,
-    and only those are scored sample by sample at the end.  A screened
-    point raises each of its range notes once; a point scored sample by
-    sample raises them per sample.
+    is screened in O(1) instead (`_screen`); a point it does not cover,
+    with a target or coefficient that `_screenable` rejects or a SUI d0
+    not below every distance, is scored sample by sample, in order.  Only
+    points whose lower bound is at most the lowest upper bound so far are
+    kept, and only those are scored sample by sample at the end.  A
+    screened point raises each of its range notes once; a point scored
+    sample by sample raises them per sample.
     """
     distances, logs, target, slope = _checked_slope(distances_m, path_loss_db)
     if model_id not in MODEL_IDS:
@@ -634,7 +639,7 @@ def infer_site_parameters(
         return _make_model_kwargs({**checked_base, **dict(zip(itertools.compress(names, others), values))})
 
     log_km = [v - 3.0 for v in logs]  # `_log_km` of the distances, from the logs the slope took
-    sums = _screen_sums(log_km, target) if _screenable(*target) else None
+    interval = _screen(log_km, target) if _screenable(*target) else None
     nearest = min(distances)
     ceiling = math.inf  # the lowest upper bound on a fit so far
     kept: list[tuple[float, int, PathLossModel, float | None]] = []  # low, index in product order, model, fit if known
@@ -643,12 +648,12 @@ def infer_site_parameters(
         try:
             kwargs = arguments(tuple(itertools.compress(combo, others)))
             model = make_model(model_id, **dict(kwargs, **dict(zip(targets, itertools.compress(combo, plain)))))
-            screened = sums is not None and model.min_distance_m < nearest and _screenable(model.c0, model.c1, model.c2)
+            screened = interval and model.min_distance_m < nearest and _screenable(model.c0, model.c1, model.c2)
             fit = None if screened else _fit(model, distances, log_km, target)
         except DomainError as exc:
             first_failure = first_failure or exc
             continue
-        low, high = _fit_bounds(model, sums) if fit is None else (fit, fit)
+        low, high = interval(model) if fit is None else (fit, fit)
         if low <= ceiling:
             kept.append((low, index, model, fit))
             if high < ceiling:
@@ -663,9 +668,35 @@ def infer_site_parameters(
     return InferenceResult(model_id, best_params, best_mse, slope, math.prod(map(len, axes)))
 
 
+def _screen(log_km: list[float], target: Sequence[float]) -> Callable[[PathLossModel], tuple[float, float]]:
+    """Bounds on `_fit` against the target p of each model c0 + c1*L + c2*L**2, L = `_log_km` of the distances; a call
+    raises the model's range notes once.  Over x = -p and a budget of 0 the residual is the loss minus p, so the fit is
+    the mse_before that `_calibrate_models` computes from `_moment_sums` and bounds.  For `_screenable` p and
+    coefficients, `_fit` lies within 256*eps*W + 2**-400 of it, with eps, t, s, m, Wx and Wy as there and W = mean(p**2)
+    + 3*(c0**2 + c1**2*mean(L**2) + c2**2*mean(L**4)), at least mean(p**2 + m_i**2), m_i = |c0| + |c1*L_i| +
+    |c2|*L_i**2.  So the exact fit F is at most 2*W, |cf| at most sqrt(F), m at most sqrt(2*W) and Wx + Wy at most W,
+    and the stated bound below 177.1*eps*W + 9*s*s*t, as 2*sqrt(W) <= 1 + W.  `_fit` squares each error off by eps of
+    itself plus 5*eps*m_i and rounds 3 times more, so it lies within 5.1*eps*F + 10.1*eps*sqrt(F*W) + 26*eps**2*W, at
+    most 24.5*eps*W, of F.  2**-400 exceeds 9*s*s*t, and the rest of 256*eps*W covers the rounding of W, its means taken
+    from the sums as s/n + mean**2, and of the interval.
+    """
+    n = len(target)
+    sums, means = _moment_sums(_centred("loss", [-v for v in target]), log_km)
+    wx, wl, wq = (total / n + mean * mean for total, mean in zip(sums, means))  # of p**2, L**2 and L**4
+
+    def interval(model: PathLossModel) -> tuple[float, float]:
+        _range_warnings(model.range_notes)
+        c0, c1, c2 = model.c0, model.c1, model.c2
+        before = _moment_fit(c0, c1, c2, 0.0, n, sums, means)[1]
+        radius = 256 * _EPS * (wx + 3 * (c0 * c0 + c1 * c1 * wl + c2 * c2 * wq)) + 2**-400
+        return before - radius, before + radius
+
+    return interval
+
+
 def _screenable(*values: float) -> bool:
-    """Whether each value is 0 or of a magnitude at which no product in `_fit_bounds`, `_fit` or `_moment_score`
-    leaves the normal range."""
+    """Whether each value is 0 or of a magnitude at which no product in `_fit` or `_moment_score` leaves the normal
+    range: where `_calibrate_models`' bound, and with it `infer_site_parameters`' screen, holds."""
     return all(v == 0.0 or 1e-60 <= abs(v) <= 1e100 for v in values)
 
 
@@ -673,34 +704,3 @@ def _fit(model: PathLossModel, distances: Sequence[float], log_km: Sequence[floa
     """The model's mean squared error against the target, sample by sample: the fit `infer_site_parameters` reports."""
     error = list(map(operator.sub, model._losses(distances, log_km), target))  # `distances` is checked once, by the caller
     return _sum_squares(model.model_id, error) / len(error)
-
-
-def _screen_sums(l1: list[float], target: Sequence[float]) -> tuple[list[float], list[float]]:
-    """The sum each term of the quadratic form takes over L = `_log_km` of the distances, signed and of absolute
-    values, in the order `_fit_bounds` uses."""
-    l2 = list(map(operator.mul, l1, l1))
-    pairs = ((l2, l1), (l2, l2), (l1, target), (l2, target), (target, target))
-    l3, l4, l1t, l2t, tt = (list(map(operator.mul, a, b)) for a, b in pairs)
-    s1, s2, s3, s4, s0t, s1t, s2t, stt = (_fsum("loss", column) for column in (l1, l2, l3, l4, target, l1t, l2t, tt))
-    a1, a3, a0t, a1t, a2t = (_fsum("loss", map(abs, column)) for column in (l1, l3, target, l1t, l2t))
-    n = float(len(target))
-    return [n, s1, s2, s2, s3, s4, s0t, s1t, s2t, stt], [n, a1, s2, s2, a3, s4, a0t, a1t, a2t, stt]
-
-
-def _fit_bounds(model: PathLossModel, sums: tuple[list[float], list[float]]) -> tuple[float, float]:
-    """Bounds on `_fit` of a model with screenable coefficients, from `_screen_sums`; raises its range notes once each.
-
-    Why B holds, no product leaving the normal range: the exact E = sum e_i**2 and sum m_i**2, where
-    m_i = |c0| + |c1*L_i| + |c2*L_i**2|, are both at most T.  A sum of products over the series lies within 4*eps of
-    its sum of absolute values, and a term of the form within 6*eps of |coefficient| * that sum, so Q lies within
-    8*eps*T of E.  Sample by sample, e_i comes out as e_i*(1 + d) + r_i, |d| <= eps, |r_i| <= 5*eps*m_i; squaring,
-    summing and dividing round 3 times more, so n*fit lies within 5*eps*E + 10*eps*sqrt(E*T) + 25*eps**2*T, at most
-    15.01*eps*T, of E.  That leaves over 8*eps*T of B*n for the rounding of Q/n and of B.
-    """
-    _range_warnings(model.range_notes)
-    c0, c1, c2 = model.c0, model.c1, model.c2
-    signed, absolute = sums
-    weights = (c0 * c0, 2 * c0 * c1, 2 * c0 * c2, c1 * c1, 2 * c1 * c2, c2 * c2, -2 * c0, -2 * c1, -2 * c2, 1.0)
-    form, n = math.fsum(map(operator.mul, weights, signed)), signed[0]
-    radius = 32 * _EPS * math.fsum(map(operator.mul, map(abs, weights), absolute)) / n
-    return form / n - radius, form / n + radius

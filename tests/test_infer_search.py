@@ -1,12 +1,17 @@
 """`infer_site_parameters` against a search that scores every grid point sample by sample.
 
-The search screens each grid point from sums over the series and scores
-sample by sample only the points that can still win.  These tests check
-that it returns what scoring every point returns, to the bit, that each
-screened interval holds the fit scored sample by sample, and that memory
-does not grow with the grid.  Each point binds from the base and axis
-values checked once; the search must return what binding every point
-through `model_from_params` returns, with no value checked twice.
+The search screens each grid point from the centred moment sums that the
+CLI's `calibrate` and `compare` score from, with one stated bound, and
+scores sample by sample only the points that can still win.  These tests
+check that it returns what scoring every point returns, to the bit; that
+each screened interval holds both the fit scored sample by sample and the
+exact fit of `exact.py`, and covers the moment route's stated bound; that
+a point the bound does not cover is scored sample by sample, in product
+order; that a drive test or the corpus scores one point sample by sample
+per command; and that memory does not grow with the grid.  Each point
+binds from the base and axis values checked once; the search must return
+what binding every point through `model_from_params` returns, with no
+value checked twice.
 """
 
 import collections
@@ -15,17 +20,19 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import exact
 from propcal import (
     METROPOLITAN, MODEL_IDS, TERRAIN_A, DomainError, Environment, EricssonParams, InferenceResult, SuiParams, TerrainCategory,
     calibration, decade_slope, infer_site_parameters, model_from_params, models,
 )
-from propcal.calibration import _fit, _fit_bounds, _screen_sums, _screenable
-from propcal.cli import _default_grid
+from propcal.calibration import _centred, _fit, _moment_fit, _moment_sums, _screen, _screenable
+from propcal.cli import _default_grid, main
 from propcal.models import PathLossModel, _log_km
 
 pytestmark = pytest.mark.filterwarnings("ignore::propcal.models.ModelRangeWarning")
@@ -149,11 +156,22 @@ def screened_points(draw):
 
 @SEARCH
 @given(screened_points())
-def test_each_screened_interval_holds_the_fit_scored_sample_by_sample(case):
+def test_each_screened_interval_holds_the_exact_fit_and_the_fit_scored_sample_by_sample(case):
     model, distances, loss = case
     log_km = _log_km(distances)
-    low, high = _fit_bounds(model, _screen_sums(log_km, loss))
+    low, high = _screen(log_km, loss)(model)
     assert low <= _fit(model, distances, log_km, loss) <= high
+    # the fit is the mse_before of x = -loss against the prediction of a budget of 0, whose residual is loss - target
+    measured = [-value for value in loss]
+    exact_fit = exact.mse(measured, exact.model_prediction(log_km, model.c0, model.c1, model.c2, 0.0))
+    assert Fraction(low) <= exact_fit <= Fraction(high)
+    # the interval is centred on the moment route's mse_before, which lies within its stated bound of the exact fit,
+    # and it covers that bound
+    sums, means = _moment_sums(_centred("loss", measured), log_km)
+    before = Fraction(_moment_fit(model.c0, model.c1, model.c2, 0.0, len(loss), sums, means)[1])
+    bound = exact.moment_bounds(measured, log_km, model.c0, model.c1, model.c2, 0.0)[1]
+    assert abs(before - exact_fit) <= bound
+    assert Fraction(low) <= before - bound and before + bound <= Fraction(high)
 
 
 def _drive_test(model_id, seed=1, rows=300):
@@ -164,15 +182,65 @@ def _drive_test(model_id, seed=1, rows=300):
     return distances, [value + rng.gauss(0.0, 4.0) for value in hidden.path_loss_series(distances)]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("model_id", ["cost231_hata", "extended_cost231", "sui", "ericsson"])
-def test_a_drive_test_scores_few_grid_points_sample_by_sample(model_id, monkeypatch):
-    distances, loss = _drive_test(model_id)
+def test_a_drive_test_scores_one_grid_point_sample_by_sample(model_id, seed, monkeypatch):
+    distances, loss = _drive_test(model_id, seed)
     scored = []
     losses = PathLossModel._losses
     monkeypatch.setattr(PathLossModel, "_losses", lambda model, *args: scored.append(model) or losses(model, *args))
     result = infer_site_parameters(distances, loss, model_id, _default_grid(model_id), base=BASE)
-    assert 1 <= len(scored) <= 3
+    assert len(scored) == 1
     assert result.evaluated == math.prod(map(len, _default_grid(model_id).values()))
+
+
+@pytest.mark.parametrize("model_id", ["cost231_hata", "extended_cost231", "sui", "ericsson"])
+def test_infer_on_the_corpus_scores_one_grid_point_sample_by_sample(model_id):
+    with mock.patch.object(calibration, "_fit", wraps=calibration._fit) as fit:
+        assert main(["infer", "--model", model_id, "--data", "embedded:reference"]) == 0
+    assert fit.call_count == 1
+
+
+def _fit_calls(distances, loss, model_id, grid):
+    """The search's result, and the coefficients of each model it scored sample by sample, in call order."""
+    with mock.patch.object(calibration, "_fit", wraps=calibration._fit) as fit:
+        result = infer_site_parameters(distances, loss, model_id, grid, base=BASE)
+    return result, [(call.args[0].c0, call.args[0].c1, call.args[0].c2) for call in fit.call_args_list]
+
+
+def _coefficients(model_id, grid):
+    """The coefficients of each grid point's model, in product order."""
+    points = itertools.product(*grid.values())
+    bound = (model_from_params(model_id, {**BASE, **dict(zip(grid, combo))}) for combo in points)
+    return [(model.c0, model.c1, model.c2) for model in bound]
+
+
+@pytest.mark.parametrize("target", [1e-70, 2e100], ids=["tiny", "huge"])
+def test_a_target_the_screen_does_not_cover_sends_every_point_to_be_scored_sample_by_sample(target):
+    grid = {"tx_height_m": [30.0, 40.0, 50.0], "environment": ["medium_suburban", "metropolitan"]}
+    loss = model_from_params("cost231_hata", BASE).path_loss_series(BIND_DISTANCES)
+    loss[3] = target
+    result, scored = _fit_calls(BIND_DISTANCES, loss, "cost231_hata", grid)
+    assert scored == _coefficients("cost231_hata", grid)
+    best, fit, _ = every_point(BIND_DISTANCES, loss, "cost231_hata", grid)
+    assert list(result.params.items()) == list(best.items())
+    assert result.fit_mse_db2.hex() == fit.hex()
+
+
+@pytest.mark.parametrize("model_id, grid, fallback", [
+    ("ericsson", {"tx_height_m": [30.0, 40.0], "ericsson_a1": [30.2, 1e120, 25.0]}, [1, 4]),  # c0 above 1e100
+    ("sui", {"tx_height_m": [30.0, 40.0], "sui_d0_m": [100.0, 200.0, 5000.0]}, [1, 2, 4, 5]),  # d0 not below 200 m
+], ids=["coefficient", "sui_d0"])
+def test_a_point_the_screen_does_not_cover_is_scored_sample_by_sample_in_product_order(model_id, grid, fallback):
+    hidden = model_from_params(model_id, {**BASE, "tx_height_m": 37.0})
+    loss = [value + 0.5 for value in hidden.path_loss_series(BIND_DISTANCES)]
+    result, scored = _fit_calls(BIND_DISTANCES, loss, model_id, grid)
+    points = _coefficients(model_id, grid)
+    # each such point in product order, then the one screened point that can still win
+    assert scored[:len(fallback)] == [points[i] for i in fallback] and len(scored) == len(fallback) + 1
+    best, fit, _ = every_point(BIND_DISTANCES, loss, model_id, grid)
+    assert list(result.params.items()) == list(best.items())
+    assert result.fit_mse_db2.hex() == fit.hex()
 
 
 def test_memory_does_not_grow_with_the_grid():
