@@ -526,12 +526,14 @@ def decade_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> floa
     the logs and of the loss, and dl, dy the rounding of each mean, at most 2*eps*|mean| + 2**-1074.  Logs
     so near-flat that their mean's rounding matters are rescaled and centred again, as in `pearson_r`.
     """
-    return _checked_slope(distances_m, loss_db)[3]
+    return _checked_slope(distances_m, loss_db)[4]
 
 
-def _checked_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> tuple[tuple, list[float], tuple, float]:
-    """Both series as checked floats, with the log10 of each distance between them, and their slope from centred
-    `fsum` sums: the same bits on any Python."""
+def _checked_slope(
+    distances_m: Sequence[float], loss_db: Sequence[float]
+) -> tuple[tuple, list[float], tuple, tuple[list[float], float, float], float]:
+    """Both series as checked floats, with the log10 of each distance between them, then the loss centred by
+    `_centred` and their slope from centred `fsum` sums: the same bits on any Python."""
     distances = _finite_series("distance", distances_m)
     loss = _finite_series("loss", loss_db, len(distances))
     checked_column("distance", distances, DomainError, "sample {}: distance must be positive, got {!r}".format, LEAST_POSITIVE)
@@ -542,8 +544,8 @@ def _checked_slope(distances_m: Sequence[float], loss_db: Sequence[float]) -> tu
     if _near_flat(sll, len(dl), ml):  # the slope over deviations scaled by 2**-e is 2**e times as large
         (dl, sll, _), e = _rescaled("distance", dl)
         sll = math.ldexp(sll, e)
-    dy = _centred("loss", loss)[0]  # its sum of squares is taken only to report an overflow
-    return distances, logs, loss, math.fsum(map(operator.mul, dl, dy)) / sll
+    centred_loss = _centred("loss", loss)
+    return distances, logs, loss, centred_loss, math.fsum(map(operator.mul, dl, centred_loss[0])) / sll
 
 
 def cost231_tx_height_from_slope(slope_db_per_decade: float) -> float:
@@ -610,7 +612,7 @@ def infer_site_parameters(
     screened point raises each of its range notes once; a point scored
     sample by sample raises them per sample.
     """
-    distances, logs, target, slope = _checked_slope(distances_m, path_loss_db)
+    distances, logs, target, centred_target, slope = _checked_slope(distances_m, path_loss_db)
     if model_id not in MODEL_IDS:
         raise DomainError(f"unknown model id {model_id!r}")
     if not as_mapping("grid", grid, DomainError):
@@ -639,7 +641,7 @@ def infer_site_parameters(
         return _make_model_kwargs({**checked_base, **dict(zip(itertools.compress(names, others), values))})
 
     log_km = [v - 3.0 for v in logs]  # `_log_km` of the distances, from the logs the slope took
-    interval = _screen(log_km, target) if _screenable(*target) else None
+    interval = _screen(log_km, centred_target) if _screenable(*target) else None
     nearest = min(distances)
     ceiling = math.inf  # the lowest upper bound on a fit so far
     kept: list[tuple[float, int, PathLossModel, float | None]] = []  # low, index in product order, model, fit if known
@@ -668,20 +670,25 @@ def infer_site_parameters(
     return InferenceResult(model_id, best_params, best_mse, slope, math.prod(map(len, axes)))
 
 
-def _screen(log_km: list[float], target: Sequence[float]) -> Callable[[PathLossModel], tuple[float, float]]:
-    """Bounds on `_fit` against the target p of each model c0 + c1*L + c2*L**2, L = `_log_km` of the distances; a call
-    raises the model's range notes once.  Over x = -p and a budget of 0 the residual is the loss minus p, so the fit is
-    the mse_before that `_calibrate_models` computes from `_moment_sums` and bounds.  For `_screenable` p and
-    coefficients, `_fit` lies within 256*eps*W + 2**-400 of it, with eps, t, s, m, Wx and Wy as there and W = mean(p**2)
-    + 3*(c0**2 + c1**2*mean(L**2) + c2**2*mean(L**4)), at least mean(p**2 + m_i**2), m_i = |c0| + |c1*L_i| +
-    |c2|*L_i**2.  So the exact fit F is at most 2*W, |cf| at most sqrt(F), m at most sqrt(2*W) and Wx + Wy at most W,
-    and the stated bound below 177.1*eps*W + 9*s*s*t, as 2*sqrt(W) <= 1 + W.  `_fit` squares each error off by eps of
-    itself plus 5*eps*m_i and rounds 3 times more, so it lies within 5.1*eps*F + 10.1*eps*sqrt(F*W) + 26*eps**2*W, at
-    most 24.5*eps*W, of F.  2**-400 exceeds 9*s*s*t, and the rest of 256*eps*W covers the rounding of W, its means taken
-    from the sums as s/n + mean**2, and of the interval.
+def _screen(
+    log_km: list[float], centred_target: tuple[list[float], float, float]
+) -> Callable[[PathLossModel], tuple[float, float]]:
+    """Bounds on `_fit` against the target p, given centred by `_centred`, of each model c0 + c1*L + c2*L**2, L =
+    `_log_km` of the distances; a call raises the model's range notes once.  Over x = -p and a budget of 0 the residual
+    is the loss minus p, so the fit is the mse_before that `_calibrate_models` computes from `_moment_sums` and bounds.
+    For `_screenable` p and coefficients, `_fit` lies within 256*eps*W + 2**-400 of it, with eps, t, s, m, Wx and Wy as
+    there and W = mean(p**2) + 3*(c0**2 + c1**2*mean(L**2) + c2**2*mean(L**4)), at least mean(p**2 + m_i**2), m_i = |c0|
+    + |c1*L_i| + |c2|*L_i**2.  So the exact fit F is at most 2*W, |cf| at most sqrt(F), m at most sqrt(2*W) and Wx + Wy
+    at most W, and the stated bound below 177.1*eps*W + 9*s*s*t, as 2*sqrt(W) <= 1 + W.  `_fit` squares each error off
+    by eps of itself plus 5*eps*m_i and rounds 3 times more, so it lies within 5.1*eps*F + 10.1*eps*sqrt(F*W) +
+    26*eps**2*W, at most 24.5*eps*W, of F.  2**-400 exceeds 9*s*s*t, and the rest of 256*eps*W covers the rounding of W,
+    its means taken from the sums as s/n + mean**2, and of the interval.
     """
-    n = len(target)
-    sums, means = _moment_sums(_centred("loss", [-v for v in target]), log_km)
+    n = len(centred_target[0])
+    # the sums of x = -p are p's with the x products and mean negated: every rounding is sign-symmetric, so each is
+    # the float that centring -p gives, up to the sign of a zero
+    (sxx, sll, sqq, spl, spq, slq), (mp, ml, mq) = _moment_sums(centred_target, log_km)
+    sums, means = (sxx, sll, sqq, -spl, -spq, slq), (-mp, ml, mq)
     wx, wl, wq = (total / n + mean * mean for total, mean in zip(sums, means))  # of p**2, L**2 and L**4
 
     def interval(model: PathLossModel) -> tuple[float, float]:

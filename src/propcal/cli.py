@@ -130,8 +130,14 @@ def _parse_grid_axis(text: str) -> tuple[str, list[object]]:
     return name, values
 
 
-def _build_parser(argv: Sequence[str] = ()) -> _Parser:
-    """The propcal parser; if `argv` starts with a command name, only that command's subparser is built."""
+def _build_parser(command: str | None = None) -> _Parser:
+    """The propcal parser with every command's subparser, or with `command` that command's parser alone, which parses
+    the arguments after the command name and reads as the full tree's subparser does."""
+    import shutil  # here, as in argparse: importing the CLI loads no shutil
+
+    # every parser of the build formats at one looked-up width, the one HelpFormatter takes when given none, where
+    # otherwise each add_argument's formatter would look the terminal up again
+    formatter_class = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     nonnegative_arg = functools.partial(_float_arg, allow_zero=True)
 
     def site_file_flags(parser: _Parser) -> None:
@@ -223,14 +229,17 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         "infer": ("grid-search the parameters behind a prediction column", data_flags, site_flags, model_flags, out_flags, infer_flags),
         "plot": ("emit distance-sorted series for plotting", site_flags, model_flags, out_flags, plot_flags),
     }
-    parser = _Parser(prog="propcal", description=__doc__.splitlines()[0])
+    if command is not None:
+        parser = _Parser(prog=f"propcal {command}", formatter_class=formatter_class)
+        parser.set_defaults(command=command)
+        for add_flags in subcommands[command][1:]:
+            add_flags(parser)
+        return parser
+    parser = _Parser(prog="propcal", description=__doc__.splitlines()[0], formatter_class=formatter_class)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    # anything but a command name first (no arguments, --help, a misspelled command) gets every subparser,
-    # so top-level help and the errors that list the commands read as they did
-    selected = [argv[0]] if argv and argv[0] in subcommands else subcommands
-    for name in selected:
-        subparser = commands.add_parser(name, help=subcommands[name][0])
-        for add_flags in subcommands[name][1:]:
+    for name, (help_text, *flag_sets) in subcommands.items():
+        subparser = commands.add_parser(name, help=help_text, formatter_class=formatter_class)
+        for add_flags in flag_sets:
             add_flags(subparser)
     return parser
 
@@ -387,7 +396,7 @@ def _cmd_infer(args: argparse.Namespace) -> str:
         )
     site = _load_site(args)
     table = _load_table(args.data)
-    column = args.column or args.model
+    column = args.model if args.column is None else args.column  # an empty name is a column that is missing
     if column not in table.predictions:
         raise DataError(f"data has no prediction column {column!r}")
     budget = site.budget_db
@@ -459,7 +468,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     warnings.formatwarning = lambda message, category, *rest: (
         f"propcal: warning: {message}\n" if category is ModelRangeWarning else formatwarning(message, category, *rest))
     try:
-        args = _build_parser(argv).parse_args(argv)
+        # a command name first gets that command's parser alone; anything else (no arguments, --help, a misspelled
+        # command) gets the full tree, so that top-level help and the errors that list the commands read as they did
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = _build_parser(command).parse_args(argv if command is None else argv[1:])
         output = _COMMANDS[args.command](args)
         if args.out is not None:  # an empty path fails to open, as it does for --data and --site
             with open(args.out, "w", encoding="utf-8") as file:

@@ -9,6 +9,7 @@ import math
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -656,10 +657,24 @@ def _action_surface(parser):
 @pytest.mark.parametrize("name", list(FLAG_SURFACE))
 def test_a_command_alone_gets_the_subparser_of_the_full_tree(name):
     full = _subparsers(cli._build_parser())[name]
-    alone = _subparsers(cli._build_parser([name]))
-    assert list(alone) == [name]
-    assert _action_surface(alone[name]) == _action_surface(full)
-    assert alone[name].format_help() == full.format_help()
+    alone = cli._build_parser(name)
+    assert alone.prog == full.prog == f"propcal {name}"
+    assert _action_surface(alone) == _action_surface(full)
+    assert [(g.title, [a.dest for a in g._group_actions]) for g in alone._action_groups] == [
+        (g.title, [a.dest for a in g._group_actions]) for g in full._action_groups
+    ]
+    assert alone.format_help() == full.format_help()
+    assert alone.get_default("command") == name  # which the full tree's subparsers action sets
+
+
+_full_tree = cli._build_parser
+
+
+def _full_tree_only(command=None):
+    """A stand-in for `cli._build_parser` whose parser is always the full tree, given back the command name that
+    `main` took off the front of argv."""
+    parser = _full_tree()
+    return types.SimpleNamespace(parse_args=lambda args: parser.parse_args(args if command is None else [command, *args]))
 
 
 @pytest.mark.parametrize(
@@ -672,36 +687,69 @@ def test_a_command_alone_gets_the_subparser_of_the_full_tree(name):
         ("pred",),
         ("--", "compare", "--data", "embedded:reference"),
         ("--data", "x", "compare"),
-        # a command first: these get its subparser alone
+        # a command first: these get its parser alone
         ("compare", "--help"),
         ("compare", "--data", "embedded:reference", "extra"),
         ("compare", "--dat", "embedded:reference"),
         ("predict", "--model", "bogus", "--distance-m", "1"),
         ("plot", "--all", "--quantity", "pl"),
+        ("predict", "--model", "sui", "--", "--distance-m", "900"),
+        ("predict", "--model", "sui", "--distance-m", "900", "-h"),
+        ("predict", "--model=sui", "--distance-m=900"),
+        ("calibrate", "--data", "embedded:reference", "--al"),
+        ("infer", "--model"),
+        ("calibrate", "--all", "--model", "sui", "--data", "embedded:reference"),
     ],
 )
 def test_main_answers_as_the_full_tree_does(run_cli, monkeypatch, argv):
     got = run_cli(*argv)
-    full_tree = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv=(): full_tree())
+    monkeypatch.setattr(cli, "_build_parser", _full_tree_only)
     assert got == run_cli(*argv)
 
 
-def test_a_command_builds_only_its_own_subparser(run_cli, monkeypatch):
-    # the top-level parser and one subparser, not all six: building them was most of a corpus command's time
-    built = []
-    init = cli._Parser.__init__
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("name", [None, *FLAG_SURFACE])
+def test_help_reads_as_argparse_formats_it_at_the_terminal_width(run_cli, monkeypatch, name, columns):
+    # the width each build looks up once is the one argparse's own formatter looks up when given none
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = cli._build_parser()
+    if name is not None:
+        parser = _subparsers(parser)[name]
+    parser.formatter_class = argparse.HelpFormatter
+    argv = ["--help"] if name is None else [name, "--help"]
+    assert run_cli(*argv) == (0, parser.format_help(), "")
+    assert run_cli(*argv[:-1], "-h") == (0, parser.format_help(), "")
+
+
+def _count_builds(monkeypatch):
+    """The prog of each `_Parser` built, and the number of terminal size lookups, as they happen."""
+    built, lookups = [], []
+    init, get_terminal_size = cli._Parser.__init__, shutil.get_terminal_size
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    assert run_cli("compare", "--data", "embedded:reference")[0] == 0
-    assert built == ["propcal", "propcal compare"]
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: lookups.append(1) or get_terminal_size(*args))
+    return built, lookups
+
+
+def test_a_command_builds_only_its_own_subparser(run_cli, monkeypatch):
+    # that command's parser alone, not the top-level parser and all six, at one terminal width looked up per build:
+    # building them was most of a corpus command's time
+    built, lookups = _count_builds(monkeypatch)
+    argvs = [("compare", "--data", "embedded:reference")]
+    argvs += [(name, *rest) for name in FLAG_SURFACE for rest in (("--help",), ("--bogus",), ("--out",))]
+    for argv in argvs:
+        built.clear()
+        lookups.clear()
+        assert run_cli(*argv)[0] == (0 if argv[1] in ("--data", "--help") else 1), argv
+        assert built == [f"propcal {argv[0]}"] and len(lookups) <= 1, argv
     built.clear()
+    lookups.clear()
     assert run_cli("--help")[0] == 0
-    assert built == ["propcal", *(f"propcal {name}" for name in FLAG_SURFACE)]
+    assert built == ["propcal", *(f"propcal {name}" for name in FLAG_SURFACE)] and len(lookups) <= 1
 
 
 def test_main_without_arguments_reads_sys_argv(run_cli, capsys, monkeypatch):
@@ -740,11 +788,12 @@ def test_the_runtime_needs_only_the_standard_library():
     assert (result.returncode, result.stderr) == (0, "0 0\n")
 
 
-def test_importing_the_cli_loads_neither_typing_nor_pathlib():
-    # a fresh -I -S interpreter pays for every module that `import propcal.cli` loads; neither is needed
+def test_importing_the_cli_loads_neither_typing_pathlib_nor_shutil():
+    # a fresh -I -S interpreter pays for every module that `import propcal.cli` loads; none of these is needed,
+    # and shutil only once a parser is built
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); import propcal.cli; "
-        "print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
+        "print(sorted({'typing', 'pathlib', 'shutil'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-I", "-S", "-c", script, str(Path(propcal.__file__).resolve().parent.parent)],
@@ -996,7 +1045,7 @@ def calibrate_cases(draw):
     rss = st.floats(-150.0, 40.0)
     measured = [draw(rss)] * n if kind == "flat" else [draw(rss) for _ in range(n)]
     if kind == "near_zero_residuals":
-        args = cli._build_parser(["calibrate"]).parse_args(["calibrate", "--data", "-", *flags])
+        args = cli._build_parser("calibrate").parse_args(["--data", "-", *flags])
         site = cli._load_site(args)
         model = draw(st.sampled_from(cli._bound_models(args, site, propcal.MODEL_IDS)))
         with warnings.catch_warnings():
@@ -1023,7 +1072,7 @@ def test_calibrate_agrees_with_scoring_each_column_sample_by_sample(drive_test_p
     drive_test_path.write_text(text)
     argv = ["calibrate", "--all", "--data", str(drive_test_path), *flags]
     # what the command gave when it scored each model's RSS column with `calibrate`
-    args = cli._build_parser(argv).parse_args(argv)
+    args = cli._build_parser(argv[0]).parse_args(argv[1:])
     site = cli._load_site(args)
     table = parse_drive_test_csv(text)
     measured, distances = table.measured_rss_dbm, table.distances_m

@@ -242,6 +242,8 @@ ERROR_COMMANDS = {
     "infer_no_point_scored_overflow": ((), ("infer", "--model", "sui", *CORPUS, "--sui-shadow", "1e200", "--grid", "terrain=B"), 3,
                                        "propcal: error: no sui grid point can be scored; the first fails:"
                                        " sui series: a sum over its values overflows the float range\n"),
+    "infer_empty_column": ((), ("infer", "--model", "cost231_hata", *CORPUS, "--column", ""), 2,
+                           "propcal: error: data has no prediction column ''\n"),
     "infer_one_distance": ((), ("infer", "--model", "cost231_hata", "--data", "one_distance.csv"), 3,
                            "propcal: error: decade slope undefined: every sample lies at the same distance\n"),
     "data_field_limit": ((), ("compare", "--data", "long_cell.csv"), 2,

@@ -6,7 +6,9 @@ scores sample by sample only the points that can still win.  These tests
 check that it returns what scoring every point returns, to the bit; that
 each screened interval holds both the fit scored sample by sample and the
 exact fit of `exact.py`, and covers the moment route's stated bound; that
-a point the bound does not cover is scored sample by sample, in product
+the screen, which takes the target the decade slope centred, gives the
+intervals it gave when it centred the negated target itself; that a
+point the bound does not cover is scored sample by sample, in product
 order; that a drive test or the corpus scores one point sample by sample
 per command; and that memory does not grow with the grid.  Each point
 binds from the base and axis values checked once; the search must return
@@ -159,7 +161,7 @@ def screened_points(draw):
 def test_each_screened_interval_holds_the_exact_fit_and_the_fit_scored_sample_by_sample(case):
     model, distances, loss = case
     log_km = _log_km(distances)
-    low, high = _screen(log_km, loss)(model)
+    low, high = _screen(log_km, _centred("loss", loss))(model)
     assert low <= _fit(model, distances, log_km, loss) <= high
     # the fit is the mse_before of x = -loss against the prediction of a budget of 0, whose residual is loss - target
     measured = [-value for value in loss]
@@ -180,6 +182,35 @@ def _drive_test(model_id, seed=1, rows=300):
     distances = sorted(10.0 ** rng.uniform(math.log10(200.0), 4.0) for _ in range(rows))
     hidden = model_from_params(model_id, {**BASE, "tx_height_m": 37.0})
     return distances, [value + rng.gauss(0.0, 4.0) for value in hidden.path_loss_series(distances)]
+
+
+def _screen_of_the_negated_target(log_km, target):
+    """`_screen` as it was when it centred the negated target itself, where it now takes the target the slope centred."""
+    n = len(target)
+    sums, means = _moment_sums(_centred("loss", [-v for v in target]), log_km)
+    wx, wl, wq = (total / n + mean * mean for total, mean in zip(sums, means))
+
+    def interval(model):
+        c0, c1, c2 = model.c0, model.c1, model.c2
+        before = _moment_fit(c0, c1, c2, 0.0, n, sums, means)[1]
+        radius = 256 * calibration._EPS * (wx + 3 * (c0 * c0 + c1 * c1 * wl + c2 * c2 * wq)) + 2**-400
+        return before - radius, before + radius
+
+    return interval
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("model_id", ["cost231_hata", "extended_cost231", "sui", "ericsson"])
+def test_the_screen_of_the_slopes_centred_target_gives_the_intervals_of_the_negated_targets(model_id, seed):
+    # negating p's mean and x products is exact, so each interval is the same pair of floats
+    distances, loss = _drive_test(model_id, seed)
+    _, logs, target, centred_target, _ = calibration._checked_slope(distances, loss)
+    log_km = [v - 3.0 for v in logs]
+    screen, negated = _screen(log_km, centred_target), _screen_of_the_negated_target(log_km, target)
+    grid = _default_grid(model_id)
+    for combo in itertools.product(*grid.values()):
+        model = model_from_params(model_id, {**BASE, **dict(zip(grid, combo))})
+        assert screen(model) == negated(model), combo
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
